@@ -5,18 +5,18 @@ Two acceptance experiments live here.
 **Scenario-grid batched prescreen** (``test_batched_prescreen_*``): a
 102-query region sweep (102 scenario-perturbation input boxes × 1 risk)
 whose prescreen stage — input-box propagation to the cut layer plus
-output enclosures — runs once through the scalar per-region path and
-once through the batched abstraction backend.  The batched stage must be
-at least 3× faster and bound-identical, and the full campaigns must
-return identical verdicts.
+output enclosures — runs once region by region (a batch of one each)
+and once as a single batch.  The batched stage must be at least 3×
+faster and bound-identical, and the planned campaign must return the
+verdicts of answering each query alone.
 
 **Planning/caching ladder** (the original experiment): a 20-query
 campaign (10 risk thresholds × 2 characterizer settings) through
 
-- the **seed path** — every query re-lowers, re-propagates bounds and
-  re-encodes from scratch and goes straight to the exact solver
-  (``VerificationEngine(cache=False, lp_screen=False)``, exactly the
-  legacy per-query ``SafetyVerifier.verify`` behavior),
+- the **seed path** — every query runs on a fresh
+  ``VerificationEngine(lp_screen=False)``, so it re-lowers,
+  re-propagates bounds and re-encodes from scratch and goes straight
+  to the exact solver,
 - the **cold engine** — fresh caches, full strategy ladder: the
   threshold sweep collapses onto one support-function optimization per
   (set, characterizer, direction),
@@ -41,10 +41,7 @@ import pytest
 from repro.api import Campaign, VerificationEngine
 from repro.properties.library import steer_far_left
 from repro.scenario.regions import scenario_region_grid
-from repro.verification.abstraction.propagate import (
-    propagate_regions,
-    region_boxes,
-)
+from repro.verification.abstraction.propagate import region_boxes
 from repro.verification.output_range import output_range_batch
 from repro.verification.prescreen import output_enclosure, output_enclosure_batch
 from repro.verification.sets import BoxBatch
@@ -90,7 +87,7 @@ def _grid_engine(system, grid, **kwargs):
     engine = VerificationEngine(
         system.model, system.cut_layer, solver="highs", **kwargs
     )
-    engine.add_region_sets(grid, batch=kwargs.get("batch_prescreen", True))
+    engine.add_region_sets(grid)
     return engine
 
 
@@ -119,12 +116,12 @@ def test_batched_prescreen_speedup(system, region_grid):
 
     The prescreen stage of a region sweep is (a) propagating every input
     box through the prefix to the cut layer and (b) computing every
-    suffix output enclosure.  Scalar = one pass per region (the legacy
-    behavior); batched = one vectorized pass for all 102.  Identical
+    suffix output enclosure.  Scalar = one batch-of-one pass per region;
+    batched = one vectorized pass for all 102.  Identical
     bounds are asserted alongside the speedup.
     """
     model, cut = system.model, system.cut_layer
-    suffix = system.verifier.suffix
+    suffix = system.engine.suffix
     boxes = region_grid.box_batch()
 
     def scalar_stage():
@@ -181,12 +178,12 @@ def test_grid_campaign_batched(benchmark, system, region_grid, grid_campaign):
     assert report.cache_stats["batch:prescreen-enclosure:interval"] == 102
     assert report.cache_stats.get("miss:prescreen-enclosure", 0) == 0
 
-    # verdict parity with the fully scalar configuration
-    scalar_engine = _grid_engine(system, region_grid, batch_prescreen=False)
-    scalar_report = scalar_engine.run(grid_campaign)
-    assert scalar_report.cache_stats["miss:prescreen-enclosure"] == 102
+    # verdict parity with answering each query alone (no planner)
+    scalar_engine = _grid_engine(system, region_grid)
+    scalar_results = [scalar_engine.run_query(q) for q in grid_campaign]
+    assert scalar_engine.cache_stats["miss:prescreen-enclosure"] == 102
     assert [r.verdict.verdict for r in report.results] == [
-        r.verdict.verdict for r in scalar_report.results
+        r.verdict.verdict for r in scalar_results
     ]
 
 
@@ -195,13 +192,15 @@ def test_grid_campaign_batched(benchmark, system, region_grid, grid_campaign):
 
 @pytest.mark.benchmark(group="campaign")
 def test_campaign_seed_path(benchmark, system, campaign, reference_verdicts):
-    """Legacy behavior: every query encodes from scratch, no ladder."""
-    report = benchmark.pedantic(
-        lambda engine: engine.run(campaign),
-        setup=lambda: ((_engine(system, cache=False, lp_screen=False),), {}),
+    """A fresh engine per query: every query encodes from scratch, no ladder."""
+    verdicts = benchmark.pedantic(
+        lambda: [
+            _engine(system, lp_screen=False).run_query(query).verdict.verdict
+            for query in campaign
+        ],
         rounds=3,
     )
-    assert [r.verdict.verdict for r in report.results] == reference_verdicts
+    assert verdicts == reference_verdicts
 
 
 @pytest.mark.benchmark(group="campaign")

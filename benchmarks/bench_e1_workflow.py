@@ -23,7 +23,7 @@ def test_e1_conditional_proof_query(benchmark, system, provable_threshold):
         risk=steer_far_left(provable_threshold), property_name="bends_right"
     )
 
-    result = benchmark(lambda: system.verifier.engine.run_query(query))
+    result = benchmark(lambda: system.engine.run_query(query))
     assert result.verdict.verdict is Verdict.CONDITIONALLY_SAFE
 
 

@@ -20,8 +20,8 @@ from repro.verification.solver import BranchAndBoundSolver, HighsSolver
 def encoded(system, provable_threshold):
     risk = steer_far_left(provable_threshold)
     return encode_verification_problem(
-        system.verifier.suffix,
-        system.verifier.feature_set("data"),
+        system.engine.suffix,
+        system.engine.feature_set("data"),
         risk,
         system.characterizers["bends_right"].as_piecewise_linear(),
     )
@@ -45,7 +45,7 @@ def test_e3_full_verdict_with_guarantee(benchmark, system, provable_threshold):
     risk = steer_far_left(provable_threshold)
 
     verdict = benchmark(
-        lambda: system.verifier.verify(
+        lambda: system.engine.verify(
             risk,
             property_name="bends_right",
             confusion=system.confusions["bends_right"],

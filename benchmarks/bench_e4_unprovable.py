@@ -21,8 +21,8 @@ from repro.verification.solver import BranchAndBoundSolver
 @pytest.mark.benchmark(group="e4-unprovable")
 def test_e4_counterexample_search(benchmark, system):
     problem = encode_verification_problem(
-        system.verifier.suffix,
-        system.verifier.feature_set("data"),
+        system.engine.suffix,
+        system.engine.feature_set("data"),
         STEER_STRAIGHT,
         system.characterizers["bends_right"].as_piecewise_linear(),
     )
@@ -33,7 +33,7 @@ def test_e4_counterexample_search(benchmark, system):
 @pytest.mark.benchmark(group="e4-unprovable")
 def test_e4_verdict_with_witness_decode(benchmark, system):
     verdict = benchmark(
-        lambda: system.verifier.verify(STEER_STRAIGHT, property_name="bends_right")
+        lambda: system.engine.verify(STEER_STRAIGHT, property_name="bends_right")
     )
     assert verdict.verdict is Verdict.UNSAFE_IN_SET
     assert verdict.counterexample is not None

@@ -25,9 +25,9 @@ def frontier(system):
     table = {}
     for kind in KINDS:
         fs = feature_set_from_data(system.train_features, kind=kind)
-        table[(kind, "no-h")] = output_range(system.verifier.suffix, fs, None).upper
+        table[(kind, "no-h")] = output_range(system.engine.suffix, fs, None).upper
         table[(kind, "h")] = output_range(
-            system.verifier.suffix, fs, characterizer
+            system.engine.suffix, fs, characterizer
         ).upper
     return table
 
@@ -37,7 +37,7 @@ def frontier(system):
 def test_e6_output_range_per_set(benchmark, system, kind):
     fs = feature_set_from_data(system.train_features, kind=kind)
     characterizer = system.characterizers["bends_right"].as_piecewise_linear()
-    reach = benchmark(lambda: output_range(system.verifier.suffix, fs, characterizer))
+    reach = benchmark(lambda: output_range(system.engine.suffix, fs, characterizer))
     assert reach.upper > reach.lower
 
 

@@ -38,7 +38,7 @@ def test_e7_static_propagation_cost(benchmark, system):
 def test_e7_static_set_explodes(benchmark, system):
     """The static S is orders of magnitude wider than the data S~."""
     static = region_boxes(system.model, _unit_regions(system), system.cut_layer).box(0)
-    data_lower, data_upper = system.verifier.feature_set("data").bounds()
+    data_lower, data_upper = system.engine.feature_set("data").bounds()
 
     def width_ratio():
         swidth = static.upper - static.lower
@@ -53,15 +53,15 @@ def test_e7_static_set_explodes(benchmark, system):
 def test_e7_odd_violating_counterexample(benchmark, system, provable_threshold):
     """Under static S the same property flips to UNSAFE, and the witness
     is out-of-ODD (it violates the data envelope the monitor enforces)."""
-    system.verifier.add_static_feature_set(0.0, 1.0, name="static-e7")
+    system.engine.add_static_feature_set(0.0, 1.0, name="static-e7")
     risk = steer_far_left(provable_threshold)
 
     verdict = benchmark(
-        lambda: system.verifier.verify(
+        lambda: system.engine.verify(
             risk, property_name="bends_right", set_name="static-e7"
         )
     )
     assert verdict.verdict is Verdict.UNSAFE_IN_SET
     witness = verdict.counterexample.features
-    data_set = system.verifier.feature_set("data")
+    data_set = system.engine.feature_set("data")
     assert not data_set.contains(witness[None], tol=1e-6)[0]

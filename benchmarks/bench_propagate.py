@@ -79,7 +79,7 @@ def _legacy_conv_apply(layer, x, weight, bias):
 _MONOTONE = (ReLU, LeakyReLU, Sigmoid, Tanh, Identity, MaxPool2D, AvgPool2D)
 
 
-def _legacy_layer_interval_batch(layer, lower, upper):
+def _legacy_layer_bounds_batch(layer, lower, upper):
     """The PR 2 batched transformer bodies, verbatim modulo plumbing."""
     if isinstance(layer, Dense):
         center = 0.5 * (lower + upper)
@@ -124,7 +124,7 @@ def _legacy_propagate_batch(model, boxes, to_layer):
     lo = boxes.lower.astype(float, copy=True)
     hi = boxes.upper.astype(float, copy=True)
     for layer in model.layers[:to_layer]:
-        lo, hi = _legacy_layer_interval_batch(layer, lo, hi)
+        lo, hi = _legacy_layer_bounds_batch(layer, lo, hi)
     n = lo.shape[0]
     return lo.reshape(n, -1), hi.reshape(n, -1)
 
@@ -259,7 +259,7 @@ def test_fast32_speedup_and_containment(system, region_grid):
 def test_lowering_cache_hit_rate(system, region_grid):
     """A campaign-shaped workload lowers once and hits the cache after."""
     model, cut = system.model, system.cut_layer
-    suffix = system.verifier.suffix
+    suffix = system.engine.suffix
     boxes = region_grid.box_batch()
 
     model.invalidate_lowering()

@@ -60,9 +60,9 @@ def main() -> None:  # noqa: C901 - a linear report script
     print(f"<!-- system built in {time.time() - t0:.1f}s -->")
     print(f"\n## System under test\n\n```\n{system.summary()}\n```\n")
 
-    suffix = system.verifier.suffix
+    suffix = system.engine.suffix
     characterizer = system.characterizers["bends_right"].as_piecewise_linear()
-    data_set = system.verifier.feature_set("data")
+    data_set = system.engine.feature_set("data")
 
     # ---------------------------------------------------------------- E6/E3
     print("## E6 — reachable waypoint frontier (max y0, m left)\n")
@@ -92,7 +92,7 @@ def main() -> None:  # noqa: C901 - a linear report script
         ("bends_right", STEER_STRAIGHT, "E4 (unprovable)"),
     ]
     for prop, risk, _tag in campaign:
-        verdict = system.verifier.verify(risk, property_name=prop)
+        verdict = system.engine.verify(risk, property_name=prop)
         sr = verdict.solve_result
         print(
             f"| {prop} | {risk.name} ({risk.description}) | "
@@ -144,8 +144,8 @@ def main() -> None:  # noqa: C901 - a linear report script
     ratio = float(np.median(
         (static_box.upper - static_box.lower) / np.maximum(dhi - dlo, 1e-9)
     ))
-    system.verifier.add_raw_set(static_box, sound=True, name="static-report")
-    static_verdict = system.verifier.verify(
+    system.engine.add_raw_set(static_box, sound=True, name="static-report")
+    static_verdict = system.engine.verify(
         steer_far_left(threshold), property_name="bends_right",
         set_name="static-report",
     )
@@ -196,7 +196,7 @@ def main() -> None:  # noqa: C901 - a linear report script
     print("| level | set | verdict |")
     print("|---|---|---|")
     dim = system.model.feature_dim(system.cut_layer)
-    system.verifier.add_raw_set(
+    system.engine.add_raw_set(
         Box(np.full(dim, -1e4), np.full(dim, 1e4)), sound=True, name="lemma1-report"
     )
     levels = [
@@ -205,7 +205,7 @@ def main() -> None:  # noqa: C901 - a linear report script
         ("assume-guarantee (S~)", "data"),
     ]
     for label, set_name in levels:
-        verdict = system.verifier.verify(
+        verdict = system.engine.verify(
             steer_far_left(threshold), property_name="bends_right",
             set_name=set_name,
         )

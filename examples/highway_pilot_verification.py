@@ -38,7 +38,7 @@ def main() -> None:
     system = build_verified_system(config)
     print(system.summary())
 
-    engine = system.verifier.engine
+    engine = system.engine
     engine.confusions.update(system.confusions)
 
     # ------------------------------------------------------------------

@@ -28,8 +28,8 @@ def main() -> None:
     print(system.summary())
     print()
 
-    # the verifier is a shim over the query engine; use the engine directly
-    engine = system.verifier.engine
+    # the declarative query engine, with the confusion estimates attached
+    engine = system.engine
     engine.confusions.update(system.confusions)
 
     # exact reachable frontier of the waypoint output over S~ ∩ {h accepts}

@@ -38,7 +38,6 @@ __version__ = "1.1.0"
 
 __all__ = [
     "Campaign",
-    "SafetyVerifier",
     "Verdict",
     "VerificationEngine",
     "VerificationQuery",
@@ -49,10 +48,6 @@ __all__ = [
 
 def __getattr__(name: str):
     """Lazy top-level re-exports (avoids importing the full stack eagerly)."""
-    if name == "SafetyVerifier":
-        from repro.core.workflow import SafetyVerifier
-
-        return SafetyVerifier
     if name in ("Verdict", "VerificationVerdict"):
         from repro.core import verdict
 

@@ -19,10 +19,9 @@ Three passes, all purely static (no solver runs, no propagation):
   per-pair differential soundness smoke checks (scalar vs batch-of-one,
   interval containment of sampled points).
 - :mod:`repro.analysis.lint` — an AST-based project lint encoding
-  repo-specific rules (no deprecated-shim calls, no unseeded RNG in
-  verification paths, no float equality in solver code, pool-submitted
-  callables must be picklable, deprecation shims must warn with
-  ``stacklevel=2``), run as the ``repro lint`` CI gate.
+  repo-specific rules (no unseeded RNG in verification paths, no float
+  equality in solver code, pool-submitted callables must be picklable),
+  run as the ``repro lint`` CI gate.
 """
 
 from repro.analysis.contracts import (

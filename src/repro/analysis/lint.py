@@ -6,9 +6,6 @@ encodes them directly as AST checks:
 ========  ====================  ========================================
 code      rule                  contract
 ========  ====================  ========================================
-RL001     deprecated-shim       no internal calls to the PR 4
-                                deprecated propagation shims; use the
-                                abstract-domain registry
 RL002     unseeded-rng          verification paths must not draw from
                                 unseeded or global RNG state
 RL003     float-eq              no ``==`` / ``!=`` against non-zero
@@ -18,9 +15,6 @@ RL003     float-eq              no ``==`` / ``!=`` against non-zero
 RL004     pool-picklable        callables handed to process pools must
                                 be module-level (lambdas and nested
                                 functions do not pickle)
-RL005     warn-stacklevel       ``DeprecationWarning`` shims must warn
-                                with ``stacklevel=2`` so the caller is
-                                blamed, not the shim
 ========  ====================  ========================================
 
 A finding on a line carrying ``# lint: allow(<rule-or-code>)`` is
@@ -35,22 +29,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-#: the PR 4 deprecated propagation shims (see tests/verification/
-#: test_deprecated_shims.py); calling any of these outside their
-#: defining module is a lint error
-DEPRECATED_SHIMS = frozenset(
-    {
-        "layer_interval",
-        "layer_interval_batch",
-        "propagate_input_box",
-        "propagate_input_box_batch",
-        "propagate_batch",
-        "transform_batch",
-        "propagate_box_batch",
-        "propagate_zonotope_batch",
-    }
-)
 
 #: legacy global-state numpy RNG entry points
 _LEGACY_RNG = frozenset(
@@ -76,11 +54,9 @@ _SCOPED_PARTS = ("verification", "api", "analysis")
 _POOL_METHODS = frozenset({"submit", "map", "apply_async", "starmap"})
 
 RULES: dict[str, tuple[str, str]] = {
-    "RL001": ("deprecated-shim", "call to a deprecated propagation shim"),
     "RL002": ("unseeded-rng", "unseeded RNG in a verification path"),
     "RL003": ("float-eq", "float equality against a non-zero literal"),
     "RL004": ("pool-picklable", "unpicklable callable handed to a pool"),
-    "RL005": ("warn-stacklevel", "DeprecationWarning without stacklevel>=2"),
 }
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
@@ -104,15 +80,15 @@ class LintFinding:
         )
 
 
-def _collect_defs(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """Names of module-level vs nested function definitions."""
-    module_defs: set[str] = set()
+def _nested_defs(tree: ast.Module) -> set[str]:
+    """Names of functions defined inside another function or lambda."""
     nested_defs: set[str] = set()
 
     def rec(node: ast.AST, in_func: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                (nested_defs if in_func else module_defs).add(child.name)
+                if in_func:
+                    nested_defs.add(child.name)
                 rec(child, True)
             elif isinstance(child, ast.Lambda):
                 rec(child, True)
@@ -120,7 +96,7 @@ def _collect_defs(tree: ast.Module) -> tuple[set[str], set[str]]:
                 rec(child, in_func)
 
     rec(tree, False)
-    return module_defs, nested_defs
+    return nested_defs
 
 
 def _call_name(func: ast.expr) -> str | None:
@@ -129,16 +105,6 @@ def _call_name(func: ast.expr) -> str | None:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def _is_deprecation_category(node: ast.expr | None) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id.endswith("DeprecationWarning")
-    if isinstance(node, ast.Attribute):
-        return node.attr.endswith("DeprecationWarning")
-    return False
 
 
 def _nonzero_float_literal(node: ast.expr) -> bool:
@@ -154,11 +120,9 @@ def _nonzero_float_literal(node: ast.expr) -> bool:
 
 
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, scoped: bool, module_defs: set[str],
-                 nested_defs: set[str]) -> None:
+    def __init__(self, path: str, scoped: bool, nested_defs: set[str]) -> None:
         self.path = path
         self.scoped = scoped
-        self.module_defs = module_defs
         self.nested_defs = nested_defs
         self.findings: list[LintFinding] = []
 
@@ -175,22 +139,10 @@ class _Checker(ast.NodeVisitor):
             )
         )
 
-    # -- RL001 / RL002 / RL004 / RL005 (all anchored on calls) -------------
+    # -- RL002 / RL004 (anchored on calls) ---------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
         name = _call_name(node.func)
-
-        if (
-            name in DEPRECATED_SHIMS
-            and name not in self.module_defs
-        ):
-            self._flag(
-                node,
-                "RL001",
-                f"call to deprecated shim {name}(); use the "
-                f"abstract-domain registry "
-                f"(repro.verification.abstraction.get_domain)",
-            )
 
         if self.scoped:
             if (
@@ -239,36 +191,6 @@ class _Checker(ast.NodeVisitor):
                 if kw.arg == "initializer":
                     self._check_picklable(kw.value, "initializer")
 
-        if name == "warn":
-            category = None
-            if len(node.args) >= 2:
-                category = node.args[1]
-            for kw in node.keywords:
-                if kw.arg == "category":
-                    category = kw.value
-            if _is_deprecation_category(category):
-                stacklevel = None
-                for kw in node.keywords:
-                    if kw.arg == "stacklevel":
-                        stacklevel = kw.value
-                if stacklevel is None:
-                    self._flag(
-                        node,
-                        "RL005",
-                        "DeprecationWarning without stacklevel=; the "
-                        "warning will blame the shim, not its caller",
-                    )
-                elif (
-                    isinstance(stacklevel, ast.Constant)
-                    and isinstance(stacklevel.value, int)
-                    and stacklevel.value < 2
-                ):
-                    self._flag(
-                        node,
-                        "RL005",
-                        f"DeprecationWarning with stacklevel="
-                        f"{stacklevel.value}; must be >= 2",
-                    )
         self.generic_visit(node)
 
     @staticmethod
@@ -335,8 +257,7 @@ def lint_source(source: str, path: str | Path) -> list[LintFinding]:
                 f"file does not parse: {exc.msg}",
             )
         ]
-    module_defs, nested_defs = _collect_defs(tree)
-    checker = _Checker(str(path), _in_scope(path), module_defs, nested_defs)
+    checker = _Checker(str(path), _in_scope(path), _nested_defs(tree))
     checker.visit(tree)
 
     lines = source.splitlines()

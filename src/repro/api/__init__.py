@@ -43,8 +43,8 @@ Quickstart::
     report = engine.run(campaign, workers=4)
     print(report.summary())
 
-The legacy :class:`repro.core.workflow.SafetyVerifier` is a thin
-compatibility shim over this engine.
+:func:`repro.core.pipeline.build_verified_system` hands out a trained
+system's engine as ``system.engine``.
 """
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult

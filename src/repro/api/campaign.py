@@ -72,8 +72,7 @@ class Campaign:
         name: str = "scenario-grid",
         method: Method | str = Method.EXACT,
         solver: str | None = None,
-        domain: str | None = None,
-        prescreen_domain: str | None = "interval",
+        domain: str | None = "interval",
         time_limit: float | None = None,
         node_limit: int | None = None,
         refine_budget: int | None = None,
@@ -113,7 +112,6 @@ class Campaign:
                             method=method,
                             solver=solver,
                             domain=domain,
-                            prescreen_domain=prescreen_domain,
                             time_limit=time_limit,
                             node_limit=node_limit,
                             refine_budget=refine_budget,
@@ -129,8 +127,7 @@ class Campaign:
         sets: Sequence[str] = ("data",),
         method: Method | str = Method.EXACT,
         solver: str | None = None,
-        domain: str | None = None,
-        prescreen_domain: str | None = "interval",
+        domain: str | None = "interval",
         time_limit: float | None = None,
         node_limit: int | None = None,
         refine_budget: int | None = None,
@@ -149,7 +146,6 @@ class Campaign:
                             method=method,
                             solver=solver,
                             domain=domain,
-                            prescreen_domain=prescreen_domain,
                             time_limit=time_limit,
                             node_limit=node_limit,
                             refine_budget=refine_budget,

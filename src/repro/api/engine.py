@@ -1,10 +1,10 @@
 """The planning/caching verification engine.
 
-:class:`VerificationEngine` owns the model-at-a-cut-layer state that the
-legacy :class:`~repro.core.workflow.SafetyVerifier` carried, answers
-declarative :class:`~repro.api.query.VerificationQuery` objects, and
-executes :class:`~repro.api.campaign.Campaign` batches — sequentially or
-fanned out over a process pool.
+:class:`VerificationEngine` owns the model-at-a-cut-layer state of the
+paper's Figure 1 workflow, answers declarative
+:class:`~repro.api.query.VerificationQuery` objects, and executes
+:class:`~repro.api.campaign.Campaign` batches — sequentially or fanned
+out over a process pool.
 
 Per query the engine plans a **strategy ladder**:
 
@@ -65,7 +65,6 @@ from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import (
     _check_precision,
     propagate_regions,
-    region_boxes,
 )
 from repro.verification.assume_guarantee import feature_set_from_data
 from repro.verification.cegar import (
@@ -116,14 +115,11 @@ class VerificationEngine:
     ``solver`` is the default backend (any :func:`register_solver` name);
     individual queries may override it.  ``lp_screen`` enables ladder
     step 2; ``refine_fallback`` enables step 4 (needs
-    :meth:`set_refinement_data`).  ``cache=False`` disables all
-    risk-independent caches — every query re-encodes from scratch, which
-    is exactly the legacy per-query behavior and is what the campaign
-    benchmark compares against.
+    :meth:`set_refinement_data`).
 
-    ``batch_prescreen`` (default on) plans campaigns *region-major*:
-    before any query runs, the distinct ``(feature set, prescreen
-    domain)`` pairs a campaign touches are bounded in **one** batched
+    Campaigns are planned *region-major*: before any query runs, the
+    distinct ``(feature set, prescreen domain)`` pairs a campaign
+    touches are bounded in **one** batched
     abstraction pass (:func:`~repro.verification.prescreen.output_enclosure_batch`)
     that seeds the enclosure cache; only queries the prescreen cannot
     exclude then descend the per-query solver ladder.  Combined with
@@ -166,8 +162,6 @@ class VerificationEngine:
         *,
         lp_screen: bool = True,
         refine_fallback: bool = False,
-        cache: bool = True,
-        batch_prescreen: bool = True,
         cegar_workers: int = 1,
         cegar_budget: int = 64,
         cegar_structural: bool = False,
@@ -201,8 +195,6 @@ class VerificationEngine:
         self.solver_options = dict(solver_options)
         self.lp_screen = lp_screen
         self.refine_fallback = refine_fallback
-        self.cache_enabled = cache
-        self.batch_prescreen = batch_prescreen
         if cegar_workers < 1 or cegar_budget < 1:
             raise ValueError("cegar_workers and cegar_budget must be >= 1")
         _check_precision(precision)
@@ -278,9 +270,7 @@ class VerificationEngine:
             "_cegar_loops",
         ):
             state[key] = {}
-        state["_enclosure_cache"] = (
-            dict(self._enclosure_cache) if self.cache_enabled else {}
-        )
+        state["_enclosure_cache"] = dict(self._enclosure_cache)
         if self._enclosure_shm is not None:
             # box enclosures staged in shared memory ride the ShmHandle
             # instead of the pickle stream; workers re-attach them lazily
@@ -294,12 +284,10 @@ class VerificationEngine:
 
     def _cached(self, cache: dict, key, label: str, build):
         """Uniform get-or-build with hit/miss accounting."""
-        if self.cache_enabled and key in cache:
+        if key in cache:
             self.cache_stats[f"hit:{label}"] = self.cache_stats.get(f"hit:{label}", 0) + 1
             return cache[key], True
-        value = build()
-        if self.cache_enabled:
-            cache[key] = value
+        value = cache[key] = build()
         self.cache_stats[f"miss:{label}"] = self.cache_stats.get(f"miss:{label}", 0) + 1
         return value, False
 
@@ -466,7 +454,6 @@ class VerificationEngine:
         self,
         regions: "RegionGrid | BoxBatch",
         name_prefix: str = "region",
-        batch: bool = True,
         overwrite: bool = False,
         domain: str = "interval",
     ) -> list[str]:
@@ -479,9 +466,7 @@ class VerificationEngine:
         the prefix to the cut layer in **one** batched pass of the
         chosen abstract domain's transformers over the cached lowered
         prefix; relational domains register
-        :class:`~repro.verification.sets.BoxWithDiffs` sets.
-        ``batch=False`` keeps the scalar per-region propagation (the
-        comparison baseline of ``bench_campaign.py``).  Returns the
+        :class:`~repro.verification.sets.BoxWithDiffs` sets.  Returns the
         registered set names, in region order.
         """
         if isinstance(regions, RegionGrid):
@@ -503,24 +488,12 @@ class VerificationEngine:
                     f"overwrite=True to replace them"
                 )
         dom = get_domain(domain)
-        if batch:
-            element = propagate_regions(
-                self.model, boxes, self.cut_layer, domain, precision=self.precision
-            )
-            feature_sets = [
-                dom.feature_set(enclosure) for enclosure in dom.enclosures(element)
-            ]
-        else:
-            feature_sets = []
-            for i in range(boxes.n_regions):
-                element = propagate_regions(
-                    self.model,
-                    BoxBatch(boxes.lower[i][None], boxes.upper[i][None]),
-                    self.cut_layer,
-                    domain,
-                    precision=self.precision,
-                )
-                feature_sets.append(dom.feature_set(dom.extract(element, 0)))
+        element = propagate_regions(
+            self.model, boxes, self.cut_layer, domain, precision=self.precision
+        )
+        feature_sets = [
+            dom.feature_set(enclosure) for enclosure in dom.enclosures(element)
+        ]
         for index, (name, feature_set) in enumerate(zip(names, feature_sets)):
             self._register_set(
                 name,
@@ -597,13 +570,6 @@ class VerificationEngine:
         when the campaign's prescreen runs.
         """
         registered = {name: self._registered(name) for name in set_names}
-        if not self.cache_enabled:
-            return output_enclosure_batch(
-                self.suffix,
-                [registered[n].feature_set for n in set_names],
-                domain,
-                precision=self.precision,
-            )
         missing = [
             name
             for name in dict.fromkeys(set_names)
@@ -713,7 +679,7 @@ class VerificationEngine:
         truncate (and thereby poison) the cached value.
         """
         key = (query.set_name, query.property_name, direction)
-        if self.cache_enabled and key in self._support_cache:
+        if key in self._support_cache:
             self.cache_stats["hit:support"] = self.cache_stats.get("hit:support", 0) + 1
             hits.append("support")
             return self._support_cache[key]
@@ -737,8 +703,7 @@ class VerificationEngine:
             entry = (float(result.objective), result.witness)
         else:
             entry = None  # resource limit: remember not to retry
-        if self.cache_enabled:
-            self._support_cache[key] = entry
+        self._support_cache[key] = entry
         self.cache_stats["miss:support"] = self.cache_stats.get("miss:support", 0) + 1
         return entry
 
@@ -925,8 +890,8 @@ class VerificationEngine:
         registered = self._registered(query.set_name)
 
         # 1. sound bound-propagation prescreen (runs before the
-        #    characterizer is even looked up, as the legacy verify did:
-        #    the prescreen drops the characterizer conjunct anyway).
+        #    characterizer is even looked up: the prescreen drops the
+        #    characterizer conjunct anyway).
         #    The engine escalates through the precision ladder up to the
         #    query's domain — interval → octagon → zonotope → symbolic —
         #    with every rung's enclosure cached per (set, domain), so a
@@ -954,14 +919,14 @@ class VerificationEngine:
         #    feasible iff b >= min a·y over the region, and the cached
         #    minimizer is a genuine witness for every such b.  One exact
         #    optimization answers an entire threshold sweep.
-        if query.method is Method.EXACT and self.cache_enabled:
+        if query.method is Method.EXACT:
             a_risk, b_risk = risk.as_matrix()
             if len(b_risk) == 1:
                 direction = tuple(float(v) for v in a_risk[0])
                 support_key = (query.set_name, query.property_name, direction)
                 # the proved-optimal optimization costs more than one
                 # first-incumbent feasibility solve, so one-off queries
-                # keep the legacy path; the optimization runs once a
+                # keep the feasibility path; the optimization runs once a
                 # direction repeats (or in a campaign, where it is the
                 # norm).  Budget-limited queries never *trigger* it — a
                 # truncated optimization would poison the cache for the
@@ -1212,7 +1177,7 @@ class VerificationEngine:
             tuple(sorted(options.items())),
             structural,
         )
-        loop = self._cegar_loops.get(key) if self.cache_enabled else None
+        loop = self._cegar_loops.get(key)
         if loop is not None:
             hits.append("cegar-loop")
         else:
@@ -1238,12 +1203,10 @@ class VerificationEngine:
                     solver_options=tuple(sorted(options.items())),
                     structural=structural,
                 ),
-                batch_prescreen=self.batch_prescreen,
                 leaf_solver=leaf,
                 name=query.set_name,
             )
-            if self.cache_enabled:
-                self._cegar_loops[key] = loop
+            self._cegar_loops[key] = loop
         budget = query.refine_budget or self.cegar_budget
         try:
             cegar = loop.run(budget=budget, workers=self.cegar_workers)
@@ -1390,8 +1353,6 @@ class VerificationEngine:
         exclude descend the solver ladder.  A no-op unless at least two
         enclosures are missing for a domain (nothing to amortize).
         """
-        if not (self.cache_enabled and self.batch_prescreen):
-            return
         needed: dict[str, list[str]] = {}
         for query in queries:
             if query.method not in (Method.EXACT, Method.RELAXED):
@@ -1534,7 +1495,7 @@ class VerificationEngine:
         the pool is done, or None when there is nothing to stage.
         """
         self._enclosure_shm = None
-        if not (self.cache_enabled and self._enclosure_cache and shm.available()):
+        if not (self._enclosure_cache and shm.available()):
             return None
         staged = [
             (key, value)
@@ -1575,7 +1536,7 @@ class VerificationEngine:
             self.model, self.cut_layer, registered.feature_set, keep_events=keep_events
         )
 
-    # -- legacy compatibility ----------------------------------------------
+    # -- one-off queries ---------------------------------------------------
 
     def verify(
         self,
@@ -1583,20 +1544,22 @@ class VerificationEngine:
         property_name: str | None = None,
         set_name: str = "data",
         confusion: ConfusionEstimate | None = None,
-        prescreen_domain: str | None = "interval",
+        domain: str | None = "interval",
         solver: str | None = None,
     ) -> VerificationVerdict:
-        """One-call Definition 1 query returning the bare verdict.
+        """Answer Definition 1 for ``(phi = property_name, psi = risk)``.
 
-        This is the :meth:`SafetyVerifier.verify` contract expressed as a
-        single :class:`VerificationQuery`; prefer building campaigns for
-        anything beyond one-off questions.
+        With ``property_name=None`` the query drops the characterizer
+        conjunct and asks whether the risk is reachable from *anywhere*
+        in the feature set; ``domain=None`` skips the prescreen.  A
+        single :class:`VerificationQuery` returning the bare verdict;
+        build campaigns for anything beyond one-off questions.
         """
         query = VerificationQuery(
             risk=risk,
             property_name=property_name,
             set_name=set_name,
-            prescreen_domain=prescreen_domain,
+            domain=domain,
             solver=solver,
         )
         verdict = self.run_query(query).verdict

@@ -63,7 +63,7 @@ class RacerConfig:
     --------
     >>> from repro.properties.risk import RiskCondition, output_geq
     >>> q = VerificationQuery(risk=RiskCondition("r", (output_geq(2, 0, 1.0),)))
-    >>> RacerConfig("sym", domain="symbolic").apply(q).prescreen_domain
+    >>> RacerConfig("sym", domain="symbolic").apply(q).domain
     'symbolic'
     >>> RacerConfig("milp", domain=None).apply(q).domain is None
     True
@@ -100,7 +100,6 @@ class RacerConfig:
             query,
             method=Method(self.method),
             domain=self.domain,
-            prescreen_domain=self.domain,
             solver=self.solver if self.solver is not None else query.solver,
             refine_budget=(
                 self.refine_budget

@@ -92,12 +92,7 @@ class VerificationQuery:
         registered name: ``"interval"``, ``"octagon"``, ``"zonotope"``,
         ``"symbolic"``).  The engine screens through its precision
         ladder up to this domain and CEGAR prescreens frontiers with
-        it.  ``None`` defers to ``prescreen_domain``; when both are
-        ``None`` the prescreen is skipped entirely.
-    prescreen_domain : str or None, optional
-        Legacy alias of ``domain`` (kept for compatibility); ``None``
-        skips the prescreen.  When ``domain`` is given it wins and
-        ``prescreen_domain`` is synchronized to it.
+        it.  ``None`` skips the prescreen entirely.
     time_limit, node_limit : float, int, optional
         Resource budgets for the complete backend.
     refine_budget : int, optional
@@ -135,10 +130,8 @@ class VerificationQuery:
     set_name: str = "data"
     method: Method = Method.EXACT
     solver: str | None = None
-    #: abstract domain of prescreen/CEGAR work; None defers to
-    #: prescreen_domain (and skips the prescreen when both are None)
-    domain: str | None = None
-    prescreen_domain: str | None = "interval"
+    #: abstract domain of prescreen/CEGAR work; None skips the prescreen
+    domain: str | None = "interval"
     time_limit: float | None = None
     node_limit: int | None = None
     #: CEGAR subproblem budget for ``cegar`` queries and the engine's
@@ -160,15 +153,10 @@ class VerificationQuery:
             object.__setattr__(self, "method", Method(self.method))
         if self.method in VERDICT_METHODS and self.risk is None:
             raise ValueError(f"{self.method.value} queries need a risk condition")
-        # domain and its legacy alias stay synchronized: an explicit
-        # domain wins, otherwise the alias (possibly None = no prescreen)
         if self.domain is not None:
             from repro.verification.abstraction import get_domain
 
             get_domain(self.domain)  # fail fast on unknown names
-            object.__setattr__(self, "prescreen_domain", self.domain)
-        else:
-            object.__setattr__(self, "domain", self.prescreen_domain)
         if self.method is Method.ROBUSTNESS:
             if self.anchor is None or self.epsilon is None or self.delta is None:
                 raise ValueError(
@@ -239,7 +227,8 @@ class VerificationQuery:
             out["refine_budget"] = self.refine_budget
         if self.structural:
             out["structural"] = True
-        if self.domain is not None and self.domain != "interval":
+        if self.domain != "interval":
+            # None (prescreen skipped) is provenance too: emit it as null
             out["domain"] = self.domain
         if self.metadata:
             out["metadata"] = dict(self.metadata)

@@ -7,7 +7,7 @@
 3. extract cut-layer features and build the assume-guarantee set ``S~``,
 4. train one characterizer per requested property,
 5. estimate each characterizer's Table I confusion on validation data,
-6. assemble a :class:`~repro.core.workflow.SafetyVerifier`.
+6. assemble a :class:`~repro.api.engine.VerificationEngine`.
 
 Examples and benchmarks share this path so that every experiment runs on
 an identically constructed system.
@@ -16,11 +16,11 @@ an identically constructed system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import ExperimentConfig
-from repro.core.workflow import SafetyVerifier
 from repro.perception.characterizer import Characterizer, train_characterizer
 from repro.perception.features import extract_features
 from repro.perception.network import build_direct_perception_network, default_cut_layer
@@ -28,6 +28,9 @@ from repro.perception.train import PerceptionTrainingResult, train_direct_percep
 from repro.properties.phi import InputProperty
 from repro.scenario.dataset import Dataset, balanced_property_dataset, generate_dataset
 from repro.verification.statistical import ConfusionEstimate, estimate_confusion
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.api.engine import VerificationEngine
 
 
 @dataclass
@@ -43,7 +46,7 @@ class VerifiedSystem:
     val_features: np.ndarray
     characterizers: dict[str, Characterizer]
     confusions: dict[str, ConfusionEstimate]
-    verifier: SafetyVerifier
+    engine: VerificationEngine
 
     @property
     def model(self):
@@ -96,8 +99,12 @@ def build_verified_system(
     train_features = extract_features(model, train_data.images, cut_layer)
     val_features = extract_features(model, val_data.images, cut_layer)
 
-    verifier = SafetyVerifier(model, cut_layer, solver=config.solver)
-    verifier.add_feature_set_from_features(
+    # deferred: repro.api.engine imports repro.core.verdict, whose package
+    # imports this module
+    from repro.api.engine import VerificationEngine
+
+    engine = VerificationEngine(model, cut_layer, solver=config.solver)
+    engine.add_feature_set_from_features(
         train_features, kind=config.set_kind, margin=config.set_margin, name="data"
     )
 
@@ -133,7 +140,7 @@ def build_verified_system(
             seed=config.seed,
             verbose=verbose,
         )
-        verifier.attach_characterizer(characterizer)
+        engine.attach_characterizer(characterizer)
         characterizers[prop_name] = characterizer
         confusions[prop_name] = estimate_confusion(
             characterizer.decide(val_features), val_labels.astype(bool)
@@ -149,5 +156,5 @@ def build_verified_system(
         val_features=val_features,
         characterizers=characterizers,
         confusions=confusions,
-        verifier=verifier,
+        engine=engine,
     )

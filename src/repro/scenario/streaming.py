@@ -37,9 +37,11 @@ and the solver fallback answers through
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -69,6 +71,10 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.api.campaign import CampaignReport, QueryResult
     from repro.api.engine import VerificationEngine
     from repro.properties.risk import RiskCondition
+
+#: failures of the process pool itself, as opposed to a shard's own
+#: exception: only these switch a sweep to the sequential executor
+_POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError)
 
 #: golden-ratio fraction used to pick the coverage-lattice stride
 _GOLDEN = 0.6180339887498949
@@ -836,7 +842,8 @@ def run_stream(
         try:
             executor = f"process-pool[{workers}]"
             _run_stream_parallel(engine, plan, risks, options, workers, outcomes)
-        except Exception as exc:  # no fork/spawn, unpicklable state, ...
+        except _POOL_FAILURES as exc:
+            # a broken pool may have lost finished shards: rerun them all
             outcomes.clear()
             executor = f"sequential (pool unavailable: {type(exc).__name__})"
 
@@ -929,7 +936,12 @@ def _run_stream_parallel(
     workers: int,
     outcomes: dict[int, ShardOutcome],
 ) -> None:
-    """Fan shards out over a fork pool via the shm zero-copy path."""
+    """Fan shards out over a fork pool via the shm zero-copy path.
+
+    A shard's own exception propagates after the queued shards are
+    cancelled; every shared-memory segment is released either way.
+    Failing to start the pool raises :class:`BrokenProcessPool`.
+    """
     import multiprocessing
 
     methods = multiprocessing.get_all_start_methods()
@@ -942,20 +954,25 @@ def _run_stream_parallel(
     inflight: deque = deque()
 
     def drain_one() -> None:
-        future, block = inflight.popleft()
+        future, pending = inflight.popleft()
         try:
             outcome = future.result()
         finally:
-            if block is not None:
-                block.release()
+            if pending is not None:
+                pending.release()
         outcomes[outcome.shard_index] = outcome
 
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_stream_worker_init,
-        initargs=(engine, tuple(risks), options),
-    ) as pool:
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_stream_worker_init,
+            initargs=(engine, tuple(risks), options),
+        )
+    except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
+        raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
+    block = None
+    try:
         for index, grid in enumerate(stream_scenario_regions(plan)):
             lower = np.stack([r.lower for r in grid])
             upper = np.stack([r.upper for r in grid])
@@ -974,3 +991,11 @@ def _run_stream_parallel(
                 drain_one()
         while inflight:
             drain_one()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+        # release is idempotent; ``block`` covers a failed submission
+        for _, pending in inflight:
+            if pending is not None:
+                pending.release()
+        if block is not None:
+            block.release()

@@ -34,7 +34,6 @@ from repro.verification.abstraction.domain import (
 from repro.verification.abstraction.interval import (
     op_output_bounds,
     propagate_box,
-    propagate_box_batch,
 )
 from repro.verification.abstraction.octagon import (
     OctagonBatch,
@@ -43,10 +42,6 @@ from repro.verification.abstraction.octagon import (
 )
 from repro.verification.abstraction.propagate import (
     IntervalBoundError,
-    layer_interval,
-    layer_interval_batch,
-    propagate_input_box,
-    propagate_input_box_batch,
     propagate_regions,
     region_boxes,
 )
@@ -59,7 +54,6 @@ from repro.verification.abstraction.zonotope import (
     Zonotope,
     ZonotopeBatch,
     propagate_zonotope,
-    propagate_zonotope_batch,
 )
 
 __all__ = [
@@ -73,18 +67,12 @@ __all__ = [
     "box_with_diffs_from_box",
     "box_with_diffs_from_zonotope",
     "get_domain",
-    "layer_interval",
-    "layer_interval_batch",
     "op_output_bounds",
     "precision_ladder",
     "propagate_box",
-    "propagate_box_batch",
-    "propagate_input_box",
-    "propagate_input_box_batch",
     "propagate_regions",
     "propagate_symbolic",
     "propagate_zonotope",
-    "propagate_zonotope_batch",
     "region_boxes",
     "register_domain",
     "register_transformer",

@@ -9,13 +9,9 @@ There is exactly **one** transformer implementation per op, and it is
 batched over a leading region axis (:class:`~repro.verification.sets.BoxBatch`);
 the scalar helpers (:func:`transform`, :func:`propagate_box`,
 :func:`op_output_bounds`) are thin batch-of-one views of the same code.
-The pre-registry batched entry points (``transform_batch``,
-``propagate_box_batch``) survive as deprecation shims.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -197,31 +193,3 @@ def op_output_bounds(
         element = out
     return pairs
 
-
-# -- deprecated batched entry points -----------------------------------------
-
-
-def transform_batch(op: PLOp, batch: BoxBatch) -> BoxBatch:
-    """Deprecated: use ``get_domain("interval").transform(op, batch)``."""
-    warnings.warn(
-        "transform_batch is deprecated; use "
-        "repro.verification.abstraction.get_domain('interval').transform",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if batch.dim != op.in_dim:
-        raise ValueError(f"batch dim {batch.dim} does not match op input {op.in_dim}")
-    return INTERVAL.transform(op, batch.flat())
-
-
-def propagate_box_batch(
-    network: PiecewiseLinearNetwork, batch: BoxBatch
-) -> BoxBatch:
-    """Deprecated: use ``get_domain("interval").propagate(program, element)``."""
-    warnings.warn(
-        "propagate_box_batch is deprecated; use "
-        "repro.verification.abstraction.get_domain('interval').propagate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return INTERVAL.propagate(network, INTERVAL.lift(batch))

@@ -20,7 +20,6 @@ the per-region bounds are identical to a batch-of-one run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,34 +370,3 @@ def propagate_zonotope(
     element = ZonotopeBatch(zonotope.center[None], zonotope.generators[None])
     return ZONOTOPE.propagate(network, element).zonotope(0)
 
-
-# -- deprecated batched entry points -----------------------------------------
-
-
-def transform_batch(batch: ZonotopeBatch, op: PLOp) -> ZonotopeBatch:
-    """Deprecated: use ``get_domain("zonotope").transform(op, batch)``."""
-    warnings.warn(
-        "transform_batch is deprecated; use "
-        "repro.verification.abstraction.get_domain('zonotope').transform",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if batch.dim != op.in_dim:
-        raise ValueError(f"zonotope batch dim {batch.dim} vs op input {op.in_dim}")
-    return ZONOTOPE.transform(op, batch)
-
-
-def propagate_zonotope_batch(
-    network: PiecewiseLinearNetwork, start: ZonotopeBatch | BoxBatch
-) -> ZonotopeBatch:
-    """Deprecated: use ``get_domain("zonotope").propagate(program, element)``."""
-    warnings.warn(
-        "propagate_zonotope_batch is deprecated; use "
-        "repro.verification.abstraction.get_domain('zonotope').propagate",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    batch = (
-        ZonotopeBatch.from_box_batch(start) if isinstance(start, BoxBatch) else start
-    )
-    return ZONOTOPE.propagate(network, batch)

@@ -70,7 +70,9 @@ from repro.verification.abstraction.merge import (
 from repro.verification.abstraction.propagate import region_boxes
 from repro.verification.ir import lowered_full
 from repro.verification.output_range import trivial_reachability_risk
-from repro.verification.prescreen import prescreen_batch, screen_enclosure, output_enclosure
+from repro.verification.prescreen import prescreen_batch
+# not called here: perfbench/layers.py traces these two module attributes
+from repro.verification.prescreen import output_enclosure, screen_enclosure  # noqa: F401
 from repro.verification import shm
 from repro.verification.sets import Box, BoxBatch, bisect_bounds
 from repro.verification.solver import solver_spec
@@ -468,15 +470,6 @@ class CegarLoop:
         suffix.
     config : CegarConfig, optional
         Loop tuning; see :class:`CegarConfig`.
-    batch_prescreen : bool, optional
-        ``True`` (default) prescreens the whole frontier per round in
-        one batched abstraction pass; ``False`` is the legacy scalar
-        per-subproblem path (the benchmark baseline).
-    reuse_encodings : bool, optional
-        ``True`` (default) builds the leaf MILP encoding once and
-        tightens its bounds per child; ``False`` re-encodes from
-        scratch for every leaf solve, which is exactly what the
-        pre-engine sequential refinement loop paid.
     leaf_solver : optional
         An object with ``solve(cut_box: Box) -> SolveResult``; the
         engine injects a :class:`_ScopedLeafSolver` built on its shared
@@ -507,8 +500,6 @@ class CegarLoop:
         cut_layer: int = 0,
         config: CegarConfig | None = None,
         *,
-        batch_prescreen: bool = True,
-        reuse_encodings: bool = True,
         leaf_solver=None,
         name: str = "region",
     ):
@@ -523,8 +514,6 @@ class CegarLoop:
         self.cut_layer = cut_layer
         self.suffix = model.suffix_network(cut_layer)
         self.config = config or CegarConfig()
-        self.batch_prescreen = batch_prescreen
-        self.reuse_encodings = reuse_encodings
         self.name = name
 
         shape = model.input_shape
@@ -608,24 +597,12 @@ class CegarLoop:
     # -- abstraction ------------------------------------------------------
 
     def _cut_boxes(self, subs: list[Subproblem]) -> list[Box]:
-        """Cut-layer boxes of a frontier slice (batched when enabled).
-
-        Both paths run the same lowered-IR interval transformers;
-        ``batch_prescreen=False`` merely loops them one region at a time
-        (the benchmark baseline).
-        """
-        if self.batch_prescreen:
-            batch = BoxBatch(
-                np.stack([s.lower for s in subs]),
-                np.stack([s.upper for s in subs]),
-            )
-            return region_boxes(self.model, batch, self.cut_layer).boxes()
-        return [
-            region_boxes(
-                self.model, BoxBatch(s.lower[None], s.upper[None]), self.cut_layer
-            ).box(0)
-            for s in subs
-        ]
+        """Cut-layer boxes of a frontier slice, in one batched pass."""
+        batch = BoxBatch(
+            np.stack([s.lower for s in subs]),
+            np.stack([s.upper for s in subs]),
+        )
+        return region_boxes(self.model, batch, self.cut_layer).boxes()
 
     def _merge_state(self) -> MergeState | None:
         """Current abstraction state, or ``None`` when structural is off.
@@ -666,16 +643,7 @@ class CegarLoop:
 
     def _prescreen(self, cut_boxes: list[Box]) -> list:
         suffix, risk = self._active_suffix_risk()
-        if self.batch_prescreen:
-            return prescreen_batch(suffix, cut_boxes, risk, self.config.domain)
-        return [
-            screen_enclosure(
-                output_enclosure(suffix, box, self.config.domain),
-                risk,
-                self.config.domain,
-            )
-            for box in cut_boxes
-        ]
+        return prescreen_batch(suffix, cut_boxes, risk, self.config.domain)
 
     # -- splitting --------------------------------------------------------
 
@@ -738,22 +706,13 @@ class CegarLoop:
     def _concretize(
         self, undecided: list[tuple[Subproblem, Box]]
     ) -> tuple[int, InputCounterexample] | None:
-        steps = self.config.concretize_steps
-        if self.batch_prescreen:
-            return pgd_in_boxes(
-                self.model,
-                self.risk,
-                np.stack([s.lower for s, _ in undecided]),
-                np.stack([s.upper for s, _ in undecided]),
-                steps=steps,
-            )
-        for index, (sub, _) in enumerate(undecided):
-            hit = pgd_in_boxes(
-                self.model, self.risk, sub.lower[None], sub.upper[None], steps=steps
-            )
-            if hit is not None:
-                return index, hit[1]
-        return None
+        return pgd_in_boxes(
+            self.model,
+            self.risk,
+            np.stack([s.lower for s, _ in undecided]),
+            np.stack([s.upper for s, _ in undecided]),
+            steps=self.config.concretize_steps,
+        )
 
     def _terminal_requeue(
         self, undecided: list[tuple[Subproblem, Box]], skip: int | None = None
@@ -801,7 +760,7 @@ class CegarLoop:
     def _ensure_leaf_solver(self) -> None:
         if self.config.solver is None:
             return
-        if self._leaf_solver is not None and self.reuse_encodings:
+        if self._leaf_solver is not None:
             return
         self._leaf_solver = _ScopedLeafSolver.fresh(
             self.suffix,
@@ -827,7 +786,6 @@ class CegarLoop:
         if (
             self._merged_leaf_solver is None
             or self._merged_leaf_version != self._merge_version
-            or not self.reuse_encodings
         ):
             self._merged_leaf_solver = _ScopedLeafSolver.fresh(
                 suffix,

@@ -26,7 +26,7 @@ canonical name plus aliases, together with the **encoding** it consumes:
     ``solve`` takes a
     :class:`~repro.verification.milp.relaxed.RelaxedProblem`.
 
-Callers (``repro.api.VerificationEngine``, ``SafetyVerifier``) look up
+Callers (``repro.api.VerificationEngine``, the CEGAR loop) look up
 :func:`solver_spec` to pick the right encoder instead of special-casing
 solver names.
 """

@@ -87,14 +87,14 @@ class TestLint:
         bad.parent.mkdir()
         bad.write_text("flag = x == 1.5\n")
         assert main(
-            ["lint", str(tmp_path), "--select", "deprecated-shim"]
+            ["lint", str(tmp_path), "--select", "unseeded-rng"]
         ) == 0
         capsys.readouterr()
 
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        for code in ("RL002", "RL003", "RL004"):
             assert code in out
 
     def test_src_gate(self, capsys):

@@ -1,4 +1,4 @@
-"""Campaign execution: parallel determinism, reports, shim equivalence."""
+"""Campaign execution: parallel determinism, reports, per-query parity."""
 
 import json
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.api import Campaign, VerificationEngine, VerificationQuery
-from repro.core.workflow import SafetyVerifier
 from repro.properties.library import steer_far_left
 
 
@@ -43,23 +42,24 @@ class TestCampaignRun:
         self, api_system, campaign_engine, sweep
     ):
         """Acceptance: 20+ queries, workers=4, verdicts identical to the
-        sequential legacy SafetyVerifier.verify path."""
+        one-off ``verify`` of each query on a fresh engine."""
         model, images, cut, characterizer = api_system
         parallel = campaign_engine.run(sweep, workers=4)
         assert len(parallel) == 24
 
-        verifier = SafetyVerifier(model, cut, solver="highs")
-        verifier.add_feature_set_from_data(images)
-        verifier.attach_characterizer(characterizer)
-        legacy = [
-            verifier.verify(
-                query.risk,
-                property_name=query.property_name,
-                prescreen_domain=query.prescreen_domain,
+        reference = []
+        for query in sweep:
+            fresh = VerificationEngine(model, cut, solver="highs")
+            fresh.add_feature_set_from_data(images)
+            fresh.attach_characterizer(characterizer)
+            reference.append(
+                fresh.verify(
+                    query.risk,
+                    property_name=query.property_name,
+                    domain=query.domain,
+                )
             )
-            for query in sweep
-        ]
-        for result, expected in zip(parallel.results, legacy):
+        for result, expected in zip(parallel.results, reference):
             assert result.ok
             assert result.verdict.verdict is expected.verdict
             assert result.verdict.monitored == expected.monitored

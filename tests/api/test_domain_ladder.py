@@ -43,12 +43,11 @@ def _risk(threshold: float) -> RiskCondition:
 
 
 class TestQueryDomain:
-    def test_domain_defaults_to_prescreen_domain(self):
+    def test_domain_defaults_to_interval(self):
         risk = _risk(1.0)
         assert VerificationQuery(risk=risk).domain == "interval"
-        assert VerificationQuery(risk=risk, prescreen_domain=None).domain is None
-        query = VerificationQuery(risk=risk, domain="octagon")
-        assert query.prescreen_domain == "octagon"
+        assert VerificationQuery(risk=risk, domain=None).domain is None
+        assert VerificationQuery(risk=risk, domain="octagon").domain == "octagon"
 
     def test_unknown_domain_rejected_at_query_time(self):
         with pytest.raises(ValueError, match="unknown domain"):
@@ -154,7 +153,7 @@ class TestCegarDomain:
             risk=RiskCondition("far", (output_geq(2, 0, 1e6),)),
             set_name="root",
             method="cegar",
-            prescreen_domain=None,
+            domain=None,
         )
         with pytest.raises(ValueError, match="cegar queries need"):
             engine.run_query(query)

@@ -44,7 +44,7 @@ class TestEncodingCache:
                 "q", (output_geq(2, 0, float(np.quantile(outputs[:, 0], quantile))),)
             )
             result = engine.run_query(
-                VerificationQuery(risk=risk, prescreen_domain=None)
+                VerificationQuery(risk=risk, domain=None)
             )
             assert result.ok
         # single-row risks: the first query keeps the one-off feasibility
@@ -67,7 +67,7 @@ class TestEncodingCache:
         engine.add_feature_set_from_data(images)
         campaign = Campaign("sweep").add_grid(
             risks=[steer_far_left(t) for t in np.linspace(-3.0, 3.0, 8)],
-            prescreen_domain=None,
+            domain=None,
         )
         report = engine.run(campaign)
         assert engine.cache_stats.get("miss:support", 0) == 1
@@ -89,7 +89,7 @@ class TestEncodingCache:
                 (output_geq(2, 0, level - 0.05), output_leq(2, 0, level + 0.05)),
             )
             result = engine.run_query(
-                VerificationQuery(risk=risk, prescreen_domain=None)
+                VerificationQuery(risk=risk, domain=None)
             )
             assert result.ok
         assert engine.cache_stats.get("miss:encoding:relaxed", 0) == 1
@@ -100,13 +100,13 @@ class TestEncodingCache:
         reachable = _reachable_risk(api_system, 0.5)
         unreachable = _unreachable_risk(engine)
         first = engine.run_query(
-            VerificationQuery(risk=unreachable, prescreen_domain=None)
+            VerificationQuery(risk=unreachable, domain=None)
         )
         second = engine.run_query(
-            VerificationQuery(risk=reachable, prescreen_domain=None)
+            VerificationQuery(risk=reachable, domain=None)
         )
         third = engine.run_query(
-            VerificationQuery(risk=unreachable, prescreen_domain=None)
+            VerificationQuery(risk=unreachable, domain=None)
         )
         assert first.verdict.verdict is Verdict.CONDITIONALLY_SAFE
         assert second.verdict.verdict is Verdict.UNSAFE_IN_SET
@@ -127,15 +127,19 @@ class TestEncodingCache:
         assert engine.cache_stats.get("miss:prescreen-enclosure", 0) == 1
         assert engine.cache_stats.get("hit:prescreen-enclosure", 0) == 3
 
-    def test_cache_disabled_reencodes(self, api_system):
+    def test_cache_disabled_reencodes(self, engine, api_system):
+        """No cache = a fresh engine per query: each encodes from
+        scratch and agrees with the cached engine."""
         model, images, cut, _ = api_system
-        engine = VerificationEngine(model, cut, cache=False)
-        engine.add_feature_set_from_data(images)
         risk = _reachable_risk(api_system, 0.5)
+        query = VerificationQuery(risk=risk, domain=None)
+        cached = engine.run_query(query).verdict.verdict
         for _ in range(3):
-            engine.run_query(VerificationQuery(risk=risk, prescreen_domain=None))
-        assert engine.cache_stats.get("hit:encoding:relaxed", 0) == 0
-        assert engine.cache_stats.get("miss:encoding:relaxed", 0) == 3
+            fresh = VerificationEngine(model, cut)
+            fresh.add_feature_set_from_data(images)
+            assert fresh.run_query(query).verdict.verdict is cached
+            assert fresh.cache_stats.get("hit:encoding:relaxed", 0) == 0
+            assert fresh.cache_stats.get("miss:encoding:relaxed", 0) == 1
 
 
 class TestCacheInvalidation:
@@ -149,7 +153,7 @@ class TestCacheInvalidation:
         engine.attach_characterizer(characterizer)
         risk = _reachable_risk(api_system, 0.5)
         query = VerificationQuery(
-            risk=risk, property_name="high_f0", prescreen_domain=None
+            risk=risk, property_name="high_f0", domain=None
         )
         # run twice so the support cache is populated for this direction
         first = engine.run_query(query)
@@ -186,7 +190,7 @@ class TestCacheInvalidation:
         with pytest.raises(KeyError, match="no characterizer"):
             engine.run_query(
                 VerificationQuery(
-                    risk=unreachable, property_name="ghost", prescreen_domain=None
+                    risk=unreachable, property_name="ghost", domain=None
                 )
             )
 
@@ -225,16 +229,6 @@ class TestFeatureSetGuard:
         assert narrow.output_range.lower >= wide.output_range.lower - 1e-9
         assert narrow.output_range.upper <= wide.output_range.upper + 1e-9
 
-    def test_shim_exposes_guard(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
-        model, images, cut, _ = api_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
-        with pytest.raises(ValueError, match="already registered"):
-            verifier.add_feature_set_from_data(images)
-        verifier.add_feature_set_from_data(images, overwrite=True)
-
 
 class TestMethodPaths:
     def test_relaxed_method_sound(self, engine, api_system):
@@ -242,10 +236,10 @@ class TestMethodPaths:
         for quantile in (0.2, 0.5, 0.8):
             risk = _reachable_risk(api_system, quantile)
             relaxed = engine.run_query(
-                VerificationQuery(risk=risk, method="relaxed", prescreen_domain=None)
+                VerificationQuery(risk=risk, method="relaxed", domain=None)
             )
             exact = engine.run_query(
-                VerificationQuery(risk=risk, method="exact", prescreen_domain=None)
+                VerificationQuery(risk=risk, method="exact", domain=None)
             )
             if relaxed.verdict.verdict is not Verdict.UNKNOWN:
                 assert relaxed.verdict.verdict is exact.verdict.verdict
@@ -299,19 +293,16 @@ class TestMethodPaths:
         engine.add_feature_set_from_data(images)
         risk = _reachable_risk(api_system, 0.5)
         result = engine.run_query(
-            VerificationQuery(risk=risk, node_limit=1, prescreen_domain=None)
+            VerificationQuery(risk=risk, node_limit=1, domain=None)
         )
         assert result.verdict.verdict in (Verdict.UNKNOWN, Verdict.UNSAFE_IN_SET)
 
 
-class TestShimEquivalence:
-    def test_verify_matches_engine(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
+class TestVerifyConvenience:
+    def test_verify_matches_run_query(self, api_system):
+        """One-off ``verify`` on a fresh engine == ``run_query`` on a
+        warm one."""
         model, images, cut, characterizer = api_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
-        verifier.attach_characterizer(characterizer)
         engine = VerificationEngine(model, cut)
         engine.add_feature_set_from_data(images)
         engine.attach_characterizer(characterizer)
@@ -322,18 +313,13 @@ class TestShimEquivalence:
                 "q", (output_geq(2, 0, float(np.quantile(outputs[:, 0], quantile))),)
             )
             for prop in (None, "high_f0"):
-                legacy = verifier.verify(risk, property_name=prop)
-                modern = engine.run_query(
+                fresh = VerificationEngine(model, cut)
+                fresh.add_feature_set_from_data(images)
+                fresh.attach_characterizer(characterizer)
+                one_off = fresh.verify(risk, property_name=prop)
+                warm = engine.run_query(
                     VerificationQuery(risk=risk, property_name=prop)
                 ).verdict
-                assert legacy.verdict is modern.verdict
-                assert legacy.monitored == modern.monitored
-                assert legacy.feature_set_kind == modern.feature_set_kind
-
-    def test_shim_is_engine_backed(self, api_system):
-        from repro.core.workflow import SafetyVerifier
-
-        model, images, cut, _ = api_system
-        verifier = SafetyVerifier(model, cut)
-        assert isinstance(verifier.engine, VerificationEngine)
-        assert verifier.suffix is verifier.engine.suffix
+                assert one_off.verdict is warm.verdict
+                assert one_off.monitored == warm.monitored
+                assert one_off.feature_set_kind == warm.feature_set_kind

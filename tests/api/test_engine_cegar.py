@@ -207,7 +207,7 @@ class TestCegarFallback:
         engine.add_static_feature_set(0.0, 1.0, name="domain")
         query = VerificationQuery(
             risk=_risk(reachable[1] + 0.3), set_name="domain",
-            prescreen_domain=None,
+            domain=None,
         )
         result = engine.run_query(query)
         assert result.decided_by == "cegar-fallback"

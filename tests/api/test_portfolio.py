@@ -74,7 +74,6 @@ class TestRacerConfig:
         )
         applied = config.apply(query)
         assert applied.domain == "symbolic"
-        assert applied.prescreen_domain == "symbolic"
 
     def test_apply_domain_none_disables_prescreen(self):
         config = RacerConfig("direct", domain=None)
@@ -83,7 +82,6 @@ class TestRacerConfig:
         )
         applied = config.apply(query)
         assert applied.domain is None
-        assert applied.prescreen_domain is None
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ class TestVerificationQuery:
         assert query.method is Method.EXACT
         assert query.set_name == "data"
         assert query.solver is None
-        assert query.prescreen_domain == "interval"
+        assert query.domain == "interval"
 
     def test_method_coerced_from_string(self):
         query = VerificationQuery(risk=STEER_STRAIGHT, method="relaxed")
@@ -56,6 +56,14 @@ class TestVerificationQuery:
         assert payload["method"] == "exact"
         assert payload["solver"] == "highs"
         assert payload["property"] == "bends_right"
+        assert "domain" not in payload  # the default stays implicit
+        # skipping the prescreen is provenance: it must not read as default
+        skip = VerificationQuery(
+            risk=steer_far_left(2.0), property_name="bends_right",
+            solver="highs", domain=None,
+        ).to_dict()
+        assert skip["domain"] is None
+        assert skip != payload
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class TestDispatch:
         engine = VerificationEngine(model, cut, solver=solver)
         engine.add_feature_set_from_data(images)
         result = engine.run_query(
-            VerificationQuery(risk=risk, prescreen_domain=None)
+            VerificationQuery(risk=risk, domain=None)
         )
         # the 0.9-quantile threshold is reachable from the data set
         from repro.core.verdict import Verdict

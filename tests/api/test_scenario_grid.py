@@ -9,6 +9,7 @@ from repro.api import Campaign, Method, VerificationEngine
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.properties.library import steer_far_left
 from repro.scenario.regions import scenario_region_grid
+from repro.verification.abstraction.propagate import region_boxes
 from repro.verification.output_range import output_range_batch
 from repro.verification.prescreen import prescreen, prescreen_batch
 from repro.verification.sets import BoxBatch
@@ -54,12 +55,16 @@ def _engine(conv_model, cut_layer, **kwargs):
 class TestAddRegionSets:
     def test_batched_equals_scalar_registration(self, conv_model, cut_layer, grid):
         batched = _engine(conv_model, cut_layer)
-        scalar = _engine(conv_model, cut_layer)
         names = batched.add_region_sets(grid)
-        assert names == scalar.add_region_sets(grid, batch=False)
-        for name in names:
+        assert names == grid.names
+        for name, region in zip(names, grid):
             a = batched.feature_set(name)
-            b = scalar.feature_set(name)
+            # scalar = a batch of one through the public propagation API
+            b = region_boxes(
+                conv_model,
+                BoxBatch(region.lower[None], region.upper[None]),
+                cut_layer,
+            ).box(0)
             np.testing.assert_allclose(a.lower, b.lower, atol=1e-9)
             np.testing.assert_allclose(a.upper, b.upper, atol=1e-9)
 
@@ -154,13 +159,14 @@ class TestRegionMajorExecution:
     ):
         batched = _engine(conv_model, cut_layer)
         batched.add_region_sets(grid)
-        scalar = _engine(conv_model, cut_layer, batch_prescreen=False)
-        scalar.add_region_sets(grid, batch=False)
+        # scalar reference: each query alone, outside a planned campaign
+        scalar = _engine(conv_model, cut_layer)
+        scalar.add_region_sets(grid)
 
         batched_report = batched.run(campaign)
-        scalar_report = scalar.run(campaign)
+        scalar_results = [scalar.run_query(query) for query in campaign]
         assert [r.verdict.verdict for r in batched_report.results] == [
-            r.verdict.verdict for r in scalar_report.results
+            r.verdict.verdict for r in scalar_results
         ]
         # the batched planner computed every enclosure in one pass ...
         assert (
@@ -169,7 +175,7 @@ class TestRegionMajorExecution:
         )
         # ... so per-query prescreens only ever hit the cache
         assert batched_report.cache_stats.get("miss:prescreen-enclosure", 0) == 0
-        assert scalar_report.cache_stats["miss:prescreen-enclosure"] == len(grid)
+        assert scalar.cache_stats["miss:prescreen-enclosure"] == len(grid)
 
     def test_prescreen_excludes_safe_region_queries(
         self, conv_model, cut_layer, grid, campaign
@@ -203,16 +209,14 @@ class TestRegionMajorExecution:
         engine = _engine(conv_model, cut_layer)
         engine.add_region_sets(grid)
         risks = [steer_far_left(0.0)]
-        campaign = Campaign.from_scenario_grid(
-            grid, risks, prescreen_domain="zonotope"
-        )
-        scalar = _engine(conv_model, cut_layer, batch_prescreen=False)
-        scalar.add_region_sets(grid, batch=False)
+        campaign = Campaign.from_scenario_grid(grid, risks, domain="zonotope")
+        scalar = _engine(conv_model, cut_layer)
+        scalar.add_region_sets(grid)
         a = engine.run(campaign)
-        b = scalar.run(campaign)
+        b = [scalar.run_query(query) for query in campaign]
         assert a.cache_stats["batch:prescreen-enclosure:zonotope"] == len(grid)
         assert [r.verdict.verdict for r in a.results] == [
-            r.verdict.verdict for r in b.results
+            r.verdict.verdict for r in b
         ]
 
     def test_output_enclosures_seed_the_campaign_prescreen(

@@ -11,10 +11,15 @@ to the eager grid at O(shard) memory:
 - coverage-guided sampling visits distinct, in-range regions and
   reports coverage for exactly the sampled population;
 - the memory guard rejects eager grids that cannot fit, pointing at
-  the streaming path, while ``run_stream`` itself stays unguarded.
+  the streaming path, while ``run_stream`` itself stays unguarded;
+- a shard's own exception under ``workers > 1`` propagates once,
+  without a sequential rerun and without leaking shared memory.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from repro.api import Campaign, VerificationEngine
 from repro.nn import Dense, Flatten, ReLU, Sequential
 from repro.properties.library import steer_far_left
 from repro.scenario import regions as regions_mod
+from repro.scenario import streaming as streaming_mod
 from repro.scenario.regions import (
     RegionMemoryError,
     ensure_regions_fit,
@@ -173,6 +179,38 @@ class TestVerdictParity:
         # (which needs every QueryResult) must refuse, not return empty
         with pytest.raises(ValueError):
             report.campaign_report("nope")
+
+
+def _shm_segments() -> set[str]:
+    root = Path("/dev/shm")
+    return {p.name for p in root.glob("psm_*")} if root.is_dir() else set()
+
+
+class TestFaultContainment:
+    def test_failing_shard_raises_once_and_releases_shm(
+        self, engine, enclosure_range, monkeypatch
+    ):
+        lo, hi = enclosure_range
+        parent = os.getpid()
+        parent_calls = []
+        decide = streaming_mod._decide_shard
+
+        def failing_decide(engine, index, grid, risks, options):
+            if os.getpid() == parent:
+                parent_calls.append(index)
+            if index == 1:
+                raise ValueError("shard 1 is broken")
+            return decide(engine, index, grid, risks, options)
+
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(streaming_mod, "_decide_shard", failing_decide)
+        before = _shm_segments()
+        plan = StreamPlan(n_scenes=4, seed=3, shard_size=2)
+        with pytest.raises(ValueError, match="shard 1 is broken"):
+            run_stream(engine, plan, [steer_far_left(round(hi + 0.25, 3))],
+                       workers=2)
+        assert parent_calls == []  # no sequential rerun in the parent
+        assert _shm_segments() - before == set()
 
 
 class TestCoverageSampling:

@@ -1,10 +1,10 @@
-"""Unit tests for the SafetyVerifier workflow (on small MLP systems)."""
+"""Unit tests for the Figure 1 workflow on the engine (small MLP systems)."""
 
 import numpy as np
 import pytest
 
+from repro.api import VerificationEngine
 from repro.core.verdict import Verdict
-from repro.core.workflow import SafetyVerifier
 from repro.nn import Dense, ReLU, Sequential, Sigmoid
 from repro.perception.characterizer import train_characterizer
 from repro.perception.network import build_mlp_perception_network, default_cut_layer
@@ -28,45 +28,45 @@ class TestSetup:
             [Dense(4), Sigmoid(), Dense(2)], input_shape=(3,), seed=0
         )
         with pytest.raises(ValueError, match="piecewise-linear"):
-            SafetyVerifier(model, cut_layer=1)
+            VerificationEngine(model, cut_layer=1)
 
     def test_unknown_set_name(self, mlp_system):
         model, _, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
+        engine = VerificationEngine(model, cut)
         with pytest.raises(KeyError, match="no feature set"):
-            verifier.feature_set("nope")
+            engine.feature_set("nope")
 
     def test_characterizer_layer_mismatch(self, mlp_system, rng):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
+        engine = VerificationEngine(model, cut)
         features = model.prefix_apply(images, cut)
         labels = (features[:, 0] > features[:, 0].mean()).astype(float)
         char, _ = train_characterizer(
             "p", cut + 1, features, labels, features, labels, epochs=5
         )
         with pytest.raises(ValueError, match="trained at layer"):
-            verifier.attach_characterizer(char)
+            engine.attach_characterizer(char)
 
     def test_raw_set_dimension_checked(self, mlp_system):
         model, _, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
+        engine = VerificationEngine(model, cut)
         with pytest.raises(ValueError, match="does not match"):
-            verifier.add_raw_set(Box(np.zeros(3), np.ones(3)), sound=False, name="x")
+            engine.add_raw_set(Box(np.zeros(3), np.ones(3)), sound=False, name="x")
 
 
 class TestFeatureSets:
     def test_data_set_contains_training_features(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        feature_set = verifier.add_feature_set_from_data(images)
+        engine = VerificationEngine(model, cut)
+        feature_set = engine.add_feature_set_from_data(images)
         features = model.prefix_apply(images, cut)
         assert feature_set.contains(features).all()
 
     def test_static_interval_set_contains_data_set(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        data_set = verifier.add_feature_set_from_data(images, kind="box")
-        static_set = verifier.add_static_feature_set(0.0, 1.0, name="static")
+        engine = VerificationEngine(model, cut)
+        data_set = engine.add_feature_set_from_data(images, kind="box")
+        static_set = engine.add_static_feature_set(0.0, 1.0, name="static")
         dlo, dhi = data_set.bounds()
         slo, shi = static_set.bounds()
         assert np.all(slo <= dlo + 1e-9)
@@ -74,16 +74,16 @@ class TestFeatureSets:
 
     def test_static_zonotope_set(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        z_set = verifier.add_static_feature_set(0.0, 1.0, domain="zonotope", name="z")
+        engine = VerificationEngine(model, cut)
+        z_set = engine.add_static_feature_set(0.0, 1.0, domain="zonotope", name="z")
         features = model.prefix_apply(images, cut)
         assert z_set.contains(features).all()  # sound for all in [0,1]^d inputs
 
     def test_unknown_domain(self, mlp_system):
         model, _, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
+        engine = VerificationEngine(model, cut)
         with pytest.raises(ValueError, match="unknown domain"):
-            verifier.add_static_feature_set(domain="polytope")
+            engine.add_static_feature_set(domain="polytope")
 
 
 class TestVerify:
@@ -95,47 +95,47 @@ class TestVerify:
 
     def test_unsafe_in_set_with_witness(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
         risk = self._reachable_risk(model, images, cut, 0.5)
-        verdict = verifier.verify(risk)
+        verdict = engine.verify(risk)
         assert verdict.verdict is Verdict.UNSAFE_IN_SET
         assert verdict.counterexample is not None
         assert not verdict.proved
 
     def test_conditionally_safe_on_unreachable_risk(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        feature_set = verifier.add_feature_set_from_data(images)
-        hull = propagate_box(verifier.suffix, Box(*feature_set.bounds()))
+        engine = VerificationEngine(model, cut)
+        feature_set = engine.add_feature_set_from_data(images)
+        hull = propagate_box(engine.suffix, Box(*feature_set.bounds()))
         risk = RiskCondition("never", (output_geq(2, 0, float(hull.upper[0]) + 1.0),))
-        verdict = verifier.verify(risk)
+        verdict = engine.verify(risk)
         assert verdict.verdict is Verdict.CONDITIONALLY_SAFE
         assert verdict.monitored and verdict.proved
 
     def test_sound_set_gives_unconditional_safe(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        static = verifier.add_static_feature_set(0.0, 1.0, name="static")
-        hull = propagate_box(verifier.suffix, Box(*static.bounds()))
+        engine = VerificationEngine(model, cut)
+        static = engine.add_static_feature_set(0.0, 1.0, name="static")
+        hull = propagate_box(engine.suffix, Box(*static.bounds()))
         risk = RiskCondition("never", (output_geq(2, 0, float(hull.upper[0]) + 1.0),))
-        verdict = verifier.verify(risk, set_name="static")
+        verdict = engine.verify(risk, set_name="static")
         assert verdict.verdict is Verdict.SAFE
         assert not verdict.monitored
 
     def test_characterizer_conjunct_used(self, mlp_system, rng):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
         features = model.prefix_apply(images, cut)
         labels = (features[:, 0] > np.median(features[:, 0])).astype(float)
         char, _ = train_characterizer(
             "high_f0", cut, features, labels, features, labels, epochs=100, seed=0
         )
-        verifier.attach_characterizer(char)
+        engine.attach_characterizer(char)
         risk = self._reachable_risk(model, images, cut, 0.5)
-        with_char = verifier.verify(risk, property_name="high_f0")
-        without = verifier.verify(risk)
+        with_char = engine.verify(risk, property_name="high_f0")
+        without = engine.verify(risk)
         # conjunction can only shrink the feasible region
         if without.verdict is Verdict.CONDITIONALLY_SAFE:
             assert with_char.verdict is Verdict.CONDITIONALLY_SAFE
@@ -144,36 +144,36 @@ class TestVerify:
 
     def test_missing_characterizer(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
         risk = self._reachable_risk(model, images, cut, 0.5)
         with pytest.raises(KeyError, match="no characterizer"):
-            verifier.verify(risk, property_name="ghost")
+            engine.verify(risk, property_name="ghost")
 
     def test_all_solver_backends_agree(self, mlp_system):
         model, images, cut = mlp_system
         risk = self._reachable_risk(model, images, cut, 0.9)
         verdicts = []
         for solver in ("branch-and-bound", "highs", "phase-split"):
-            verifier = SafetyVerifier(model, cut, solver=solver)
-            verifier.add_feature_set_from_data(images)
-            verdicts.append(verifier.verify(risk, prescreen_domain=None).verdict)
+            engine = VerificationEngine(model, cut, solver=solver)
+            engine.add_feature_set_from_data(images)
+            verdicts.append(engine.verify(risk, domain=None).verdict)
         assert verdicts[0] == verdicts[1] == verdicts[2]
 
     def test_summary_text(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
         risk = self._reachable_risk(model, images, cut, 0.5)
-        text = verifier.verify(risk).summary()
+        text = engine.verify(risk).summary()
         assert "verdict" in text and "solver" in text
 
 
 class TestMonitorFactory:
     def test_monitor_uses_registered_set(self, mlp_system):
         model, images, cut = mlp_system
-        verifier = SafetyVerifier(model, cut)
-        verifier.add_feature_set_from_data(images)
-        monitor = verifier.make_monitor()
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
+        monitor = engine.make_monitor()
         report = monitor.run(images[:20])
         assert report.violations == 0

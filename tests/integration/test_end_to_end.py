@@ -46,12 +46,12 @@ class TestVerificationQueries:
     def test_far_left_threshold_ladder(self, verified_system):
         """Raising the risk threshold flips UNSAFE to CONDITIONALLY_SAFE."""
         sys_ = verified_system
-        feature_set = sys_.verifier.feature_set("data")
-        hull = propagate_box(sys_.verifier.suffix, Box(*feature_set.bounds()))
+        feature_set = sys_.engine.feature_set("data")
+        hull = propagate_box(sys_.engine.suffix, Box(*feature_set.bounds()))
         impossible = float(hull.upper[0]) + 1.0
 
-        low = sys_.verifier.verify(steer_far_left(-100.0), property_name="bends_right")
-        high = sys_.verifier.verify(
+        low = sys_.engine.verify(steer_far_left(-100.0), property_name="bends_right")
+        high = sys_.engine.verify(
             steer_far_left(impossible), property_name="bends_right"
         )
         assert low.verdict is Verdict.UNSAFE_IN_SET  # everything steers "far left" of -100
@@ -59,12 +59,12 @@ class TestVerificationQueries:
 
     def test_witness_is_valid_feature_vector(self, verified_system):
         sys_ = verified_system
-        verdict = sys_.verifier.verify(
+        verdict = sys_.engine.verify(
             steer_far_left(-100.0), property_name="bends_right"
         )
         cx = verdict.counterexample
         assert cx is not None
-        feature_set = sys_.verifier.feature_set("data")
+        feature_set = sys_.engine.feature_set("data")
         # LP solutions may sit on the boundary up to solver tolerance
         assert feature_set.contains(cx.features[None], tol=1e-6)[0]
         # the characterizer really accepts the witness (boundary-tolerant)
@@ -73,15 +73,15 @@ class TestVerificationQueries:
 
     def test_monitor_accepts_training_stream(self, verified_system):
         sys_ = verified_system
-        monitor = sys_.verifier.make_monitor()
+        monitor = sys_.engine.make_monitor()
         report = monitor.run(sys_.train_data.images[:40])
         assert report.violations == 0
 
     def test_statistical_guarantee_attached(self, verified_system):
         sys_ = verified_system
-        feature_set = sys_.verifier.feature_set("data")
-        hull = propagate_box(sys_.verifier.suffix, Box(*feature_set.bounds()))
-        verdict = sys_.verifier.verify(
+        feature_set = sys_.engine.feature_set("data")
+        hull = propagate_box(sys_.engine.suffix, Box(*feature_set.bounds()))
+        verdict = sys_.engine.verify(
             steer_far_left(float(hull.upper[0]) + 1.0),
             property_name="bends_right",
             confusion=sys_.confusions["bends_right"],

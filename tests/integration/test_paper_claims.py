@@ -28,8 +28,8 @@ def ranges(verified_system):
     out = {}
     for kind in ("box", "box+diff", "box+pairs"):
         fs = feature_set_from_data(sys_.train_features, kind=kind)
-        out[(kind, "no-h")] = output_range(sys_.verifier.suffix, fs, None, 0)
-        out[(kind, "h")] = output_range(sys_.verifier.suffix, fs, characterizer, 0)
+        out[(kind, "no-h")] = output_range(sys_.engine.suffix, fs, None, 0)
+        out[(kind, "h")] = output_range(sys_.engine.suffix, fs, characterizer, 0)
     return out
 
 
@@ -44,7 +44,7 @@ class TestClaimProvableProperty:
     def test_adaptive_far_left_threshold_proved(self, verified_system, ranges):
         sys_ = verified_system
         frontier = ranges[("box+diff", "h")].upper
-        verdict = sys_.verifier.verify(
+        verdict = sys_.engine.verify(
             steer_far_left(frontier + 0.25), property_name="bends_right"
         )
         assert verdict.verdict is Verdict.CONDITIONALLY_SAFE
@@ -79,10 +79,10 @@ class TestClaimProvableProperty:
         if without_h - with_h < 0.1:
             pytest.skip("characterizer gap too small on this seed")
         threshold = 0.5 * (with_h + without_h)
-        proved = sys_.verifier.verify(
+        proved = sys_.engine.verify(
             steer_far_left(threshold), property_name="bends_right"
         )
-        unconstrained = sys_.verifier.verify(steer_far_left(threshold))
+        unconstrained = sys_.engine.verify(steer_far_left(threshold))
         assert proved.verdict is Verdict.CONDITIONALLY_SAFE
         assert unconstrained.verdict is Verdict.UNSAFE_IN_SET
 
@@ -92,7 +92,7 @@ class TestClaimUnprovableProperty:
     straight, when the road image is bending to the right'."""
 
     def test_steer_straight_not_proved(self, verified_system):
-        verdict = verified_system.verifier.verify(
+        verdict = verified_system.engine.verify(
             STEER_STRAIGHT, property_name="bends_right"
         )
         assert verdict.verdict is Verdict.UNSAFE_IN_SET
@@ -128,18 +128,18 @@ class TestClaimBoxTooCoarse:
     def test_diff_set_proves_at_least_as_much(self, verified_system):
         """Any risk provable under box is provable under box+diff."""
         sys_ = verified_system
-        sys_.verifier.add_feature_set_from_features(
+        sys_.engine.add_feature_set_from_features(
             sys_.train_features, kind="box", name="box-only"
         )
-        sys_.verifier.add_feature_set_from_features(
+        sys_.engine.add_feature_set_from_features(
             sys_.train_features, kind="box+diff", name="box-diff"
         )
         for threshold in np.linspace(0.5, 6.0, 6):
             risk = steer_far_left(float(threshold))
-            box_verdict = sys_.verifier.verify(
+            box_verdict = sys_.engine.verify(
                 risk, property_name="bends_right", set_name="box-only"
             )
-            diff_verdict = sys_.verifier.verify(
+            diff_verdict = sys_.engine.verify(
                 risk, property_name="bends_right", set_name="box-diff"
             )
             if box_verdict.proved:
@@ -202,27 +202,27 @@ class TestClaimOddCounterexamples:
 
     def test_static_set_much_wider_than_data_set(self, verified_system):
         sys_ = verified_system
-        static = sys_.verifier.add_static_feature_set(0.0, 1.0, name="static-e7")
-        data = sys_.verifier.feature_set("data")
+        static = sys_.engine.add_static_feature_set(0.0, 1.0, name="static-e7")
+        data = sys_.engine.feature_set("data")
         swidth = static.bounds()[1] - static.bounds()[0]
         dwidth = data.bounds()[1] - data.bounds()[0]
         assert np.median(swidth / np.maximum(dwidth, 1e-9)) > 3.0
 
     def test_provable_under_data_not_under_static(self, verified_system, ranges):
         sys_ = verified_system
-        static = sys_.verifier.add_static_feature_set(0.0, 1.0, name="static-e7b")
+        static = sys_.engine.add_static_feature_set(0.0, 1.0, name="static-e7b")
         threshold = ranges[("box+diff", "h")].upper + 0.25
         static_range = output_range(
-            sys_.verifier.suffix,
+            sys_.engine.suffix,
             static,
             sys_.characterizers["bends_right"].as_piecewise_linear(),
             0,
         )
         assert static_range.upper > threshold  # static analysis cannot prove it
-        data_verdict = sys_.verifier.verify(
+        data_verdict = sys_.engine.verify(
             steer_far_left(threshold), property_name="bends_right", set_name="data"
         )
-        static_verdict = sys_.verifier.verify(
+        static_verdict = sys_.engine.verify(
             steer_far_left(threshold),
             property_name="bends_right",
             set_name="static-e7b",
@@ -232,6 +232,6 @@ class TestClaimOddCounterexamples:
         # the static counterexample is out-of-ODD: its features violate
         # the data envelope the monitor would enforce
         cx = static_verdict.counterexample
-        assert not sys_.verifier.feature_set("data").contains(
+        assert not sys_.engine.feature_set("data").contains(
             cx.features[None], tol=1e-6
         )[0]

@@ -96,7 +96,7 @@ class TestClosedLoopPerception:
             num_steps=120,
             initial_offset=0.3,
             scene_config=sys_.config.scene,
-            monitor=sys_.verifier.make_monitor(keep_events=False),
+            monitor=sys_.engine.make_monitor(keep_events=False),
             seed=11,
         )
         assert 0.0 <= monitored.fallback_rate <= 1.0
@@ -118,7 +118,7 @@ class TestClosedLoopPerception:
         unmonitored = simulate_closed_loop(sys_.model, **common)
         hot_standby = simulate_closed_loop(
             sys_.model,
-            monitor=sys_.verifier.make_monitor(keep_events=False),
+            monitor=sys_.engine.make_monitor(keep_events=False),
             **common,
         )
         assert hot_standby.fallback_rate > 0.05  # the monitor engaged

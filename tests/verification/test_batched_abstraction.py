@@ -29,9 +29,7 @@ from repro.verification.abstraction.domain import get_domain
 from repro.verification.abstraction.interval import propagate_box, transform
 from repro.verification.abstraction.propagate import (
     IntervalBoundError,
-    layer_interval,
-    layer_interval_batch,
-    propagate_input_box,
+    propagate_regions,
     region_boxes,
 )
 from repro.verification.abstraction.zonotope import ZonotopeBatch, propagate_zonotope
@@ -54,7 +52,7 @@ def _zonotope_batch(net, batch):
 
 
 def _region_box(model, lower, upper, to_layer):
-    """Canonical batch-of-one replacement for propagate_input_box."""
+    """One region's cut-layer box, as a batch of one."""
     return region_boxes(
         model, BoxBatch(lower[None], upper[None]), to_layer
     ).box(0)
@@ -291,39 +289,25 @@ class TestSoundnessProperties:
 
 
 class TestIntervalBoundErrorContext:
-    """Inverted bounds must name the failing layer and region.
+    """Inverted bounds must name the failing layer and region."""
 
-    The first three tests exercise the *deprecated* shims' context
-    plumbing on purpose (the shims stay importable until removal), so
-    they opt in to the DeprecationWarning explicitly.
-    """
+    def test_batch_reports_offending_region(self, batched_convnet, monkeypatch):
+        """A transformer failing mid-propagation is re-raised with the
+        model layer of the failing op and the offending region."""
+        calls = []
 
-    def test_scalar_layer_context(self, batched_convnet):
-        layer = batched_convnet.layers[0]
-        bad = np.ones((1, 12, 12))
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError, match="layer 3.*region 5") as exc:
-                layer_interval(layer, bad, -bad, layer_index=3, region_index=5)
-        assert exc.value.layer_index == 3
-        assert exc.value.region_index == 5
+        def failing_transform(op, element):
+            calls.append(op)
+            raise IntervalBoundError("interval has lower > upper bound",
+                                     region_index=2)
 
-    def test_batch_reports_offending_region(self, batched_convnet):
-        layer = batched_convnet.layers[0]
+        monkeypatch.setattr(INTERVAL, "transform", failing_transform)
         lower = np.zeros((4, 1, 12, 12))
-        upper = np.ones((4, 1, 12, 12))
-        upper[2] = -1.0  # only region 2 is inverted
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError, match="region 2") as exc:
-                layer_interval_batch(layer, lower, upper, layer_index=0)
+        with pytest.raises(IntervalBoundError, match="layer 0.*region 2") as exc:
+            propagate_regions(batched_convnet, BoxBatch(lower, lower + 1.0), 2)
+        assert len(calls) == 1  # the first op is the layer-0 convolution
         assert exc.value.layer_index == 0
         assert exc.value.region_index == 2
-
-    def test_propagate_names_entry_layer(self, batched_convnet):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(IntervalBoundError) as exc:
-                propagate_input_box(batched_convnet, 1.0, 0.0, 2)
-        assert exc.value.layer_index is None  # rejected before any layer ran
-        assert "lower > upper" in str(exc.value)
 
     def test_batch_constructor_rejects_inverted_bounds(self):
         with pytest.raises(ValueError, match="region 1"):
