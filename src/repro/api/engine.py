@@ -47,6 +47,7 @@ import inspect
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -61,6 +62,7 @@ from repro.perception.characterizer import Characterizer
 from repro.perception.features import extract_features
 from repro.properties.risk import RiskCondition
 from repro.scenario.regions import RegionGrid
+from repro.scenario.streaming import _POOL_FAILURES
 from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import (
     _check_precision,
@@ -1396,8 +1398,10 @@ class VerificationEngine:
         Results are returned in query order regardless of worker
         scheduling, and each worker process builds its own encoding cache
         (the engine is shipped once per worker, caches excluded).  If the
-        platform refuses to spawn processes the engine falls back to
-        sequential execution and says so in ``report.executor``.
+        pool itself fails — the platform refuses to spawn processes, a
+        worker dies, the engine does not pickle — the engine falls back
+        to sequential execution and says so in ``report.executor``; any
+        other exception propagates.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
@@ -1417,7 +1421,7 @@ class VerificationEngine:
                 try:
                     results = self._run_parallel(queries, workers)
                     executor = f"process-pool[{workers}]"
-                except Exception as exc:  # no fork/spawn, unpicklable state, ...
+                except _POOL_FAILURES as exc:
                     results = None
                     executor = f"sequential (pool unavailable: {type(exc).__name__})"
 
@@ -1447,7 +1451,7 @@ class VerificationEngine:
 
         The streaming twin of :meth:`add_region_sets` +
         :meth:`run` over an eager grid: region shards are generated,
-        triaged attack-first, decided, aggregated and discarded, so a
+        triaged prescreen-first, decided, aggregated and discarded, so a
         million-region sweep peaks at one shard of memory.  ``plan`` is
         a :class:`~repro.scenario.streaming.StreamPlan`; keyword options
         are forwarded (``workers``, ``domain``, ``attack_steps``,
@@ -1469,12 +1473,16 @@ class VerificationEngine:
         )
         block = self._pack_enclosure_shm()
         try:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(self,),
-            ) as pool:
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=context,
+                    initializer=_worker_init,
+                    initargs=(self,),
+                )
+            except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
+                raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
+            with pool:
                 return list(pool.map(_worker_run, queries))
         finally:
             self._enclosure_shm = None

@@ -252,7 +252,7 @@ def _stream_campaign(engine: VerificationEngine, args: argparse.Namespace) -> in
     Covers the same grid as the eager scenario-grid campaign — identical
     scene/perturbation axes, identical enclosure-derived risk thresholds
     — but through :func:`repro.scenario.streaming.run_stream`: sharded
-    region generation, attack-first triage, and O(shard) peak memory at
+    region generation, prescreen-first triage, and O(shard) peak memory at
     any grid size.  ``--sample K`` switches to coverage-guided
     sub-exhaustive sweeping; ``--portfolio`` races the adaptive solver
     portfolio over every region the prescreen cannot decide.
@@ -700,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="stream the scenario grid in shards (constant memory at any "
-        "size) with an attack-first triage pass; verdict-identical to "
+        "size) with a prescreen-first triage pass; verdict-identical to "
         "the eager --scenario-grid sweep on the same parameters",
     )
     campaign.add_argument(

@@ -14,12 +14,13 @@ with a *stream*:
   drops from a full re-render to a vectorized envelope over cached
   variants, bitwise-identical to :func:`region_from_scene`);
 - :func:`run_stream` drives a whole campaign over the stream:
-  **attack-first** triage (one batched PGD pass per shard kills
-  falsifiable regions before any solver starts), the engine's
-  precision-ladder prescreen on the survivors, an optional per-region
-  complete-solver fallback, and streaming aggregation into a
-  :class:`StreamReport` (verdict histogram + ODD-coverage per
-  perturbation axis) whose peak memory is O(shard), not O(grid).
+  **prescreen-first** triage (the engine's precision-ladder prescreen
+  proves the risk unreachable where it can, then one batched PGD pass
+  per risk falsifies what it left before any solver starts), an
+  optional per-region complete-solver fallback, and streaming
+  aggregation into a :class:`StreamReport` (verdict histogram +
+  ODD-coverage per perturbation axis) whose peak memory is O(shard),
+  not O(grid).
 
 Shards cross the process-pool boundary through the
 :mod:`repro.verification.shm` zero-copy path: the parent packs each
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.scenario.camera import PinholeCamera
 from repro.scenario.dataset import SceneConfig, SceneParams, sample_scene
 from repro.scenario.regions import (
     PerturbationAxes,
@@ -262,15 +264,19 @@ class _VariantCache:
     every region; within one scene those renderings only depend on
     ``(camera_jitter, traffic)``, which repeat across the weather axis.
     Caching them turns the per-region cost into a vectorized weather
-    envelope over already-rendered variants.  The cache holds one scene
-    at a time (scene-major order makes that sufficient), keeping memory
-    constant.
+    envelope over already-rendered variants.  The textured ground under
+    the traffic depends on the camera alone (its rng is re-seeded from
+    ``scene.texture_seed`` on every call), so it is rendered once per
+    camera and shared across the traffic levels.  The cache holds one
+    scene at a time (scene-major order makes that sufficient), keeping
+    memory constant.
     """
 
     def __init__(self, config: SceneConfig):
         self._config = config
         self._scene: SceneParams | None = None
         self._cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._ground: dict[PinholeCamera, tuple[np.ndarray, np.ndarray]] = {}
 
     def variants(
         self, scene: SceneParams, axes: PerturbationAxes
@@ -279,6 +285,7 @@ class _VariantCache:
         if scene is not self._scene:
             self._scene = scene
             self._cache.clear()
+            self._ground.clear()
         key = (axes.camera_jitter, axes.traffic)
         cached = self._cache.get(key)
         if cached is not None:
@@ -286,10 +293,14 @@ class _VariantCache:
         images: list[np.ndarray] = []
         distances: list[np.ndarray] = []
         for camera in _camera_variants(self._config.camera, axes.camera_jitter):
-            # one textured base rendering per camera, exactly as the
-            # eager path does (same seed, same call order)
-            rng = np.random.default_rng(scene.texture_seed)
-            base_image, base_distance = render_ground(scene.road, camera, rng)
+            ground = self._ground.get(camera)
+            if ground is None:
+                # one textured base rendering per camera, exactly as the
+                # eager path does (same seed, same call order)
+                rng = np.random.default_rng(scene.texture_seed)
+                ground = render_ground(scene.road, camera, rng)
+                self._ground[camera] = ground
+            base_image, base_distance = ground
             for vehicles in _traffic_variants(scene, axes.traffic):
                 image = base_image.copy()
                 distance = base_distance.copy()
@@ -535,15 +546,17 @@ def _decide_shard(
     risks: "Sequence[RiskCondition]",
     options: _StreamOptions,
 ) -> ShardOutcome:
-    """Run the attack-first pipeline over one shard.
+    """Run the prescreen-first pipeline over one shard.
 
     Stages, cheapest first: (1) one batched propagation of all region
-    boxes to the cut layer; (2) batched PGD over every undecided
-    property-free query's input box — a hit is a genuine counterexample,
-    so the region is UNSAFE without any solver; (3) the precision-ladder
-    prescreen (identical enclosure calls to the eager engine) proving
-    risks unreachable; (4) optionally, the engine's full strategy ladder
-    per surviving query via temporarily registered region sets.
+    boxes to the cut layer; (2) the precision-ladder prescreen
+    (identical enclosure calls to the eager engine) proving risks
+    unreachable; (3) batched PGD over every property-free query's input
+    box the prescreen left — a hit is a genuine counterexample, so the
+    region is UNSAFE without any solver, and one batched prefix pass
+    maps that risk's hit images to their feature witnesses; (4)
+    optionally, the engine's full strategy ladder per surviving query
+    via temporarily registered region sets.
     """
     from repro.api.engine import RegisteredFeatureSet
     from repro.api.campaign import QueryResult
@@ -588,54 +601,9 @@ def _decide_shard(
     ]
     decided: dict[tuple[int, str | None, int], "QueryResult"] = {}
 
-    # 1. attack first: one batched PGD pass per risk kills falsifiable
-    #    regions before any enclosure or solver work happens
-    if options.attack_steps > 0 and None in options.properties:
-        for r, risk in enumerate(risks):
-            indices = [
-                i for i in range(len(grid)) if (i, None, r) not in decided
-            ]
-            if not indices:
-                continue
-            hits = pgd_hits_in_boxes(
-                engine.model,
-                risk,
-                boxes.lower[indices],
-                boxes.upper[indices],
-                steps=options.attack_steps,
-            )
-            for local, cex in hits:
-                i = indices[local]
-                features = engine.model.prefix_apply(
-                    cex.image[None, ...], engine.cut_layer
-                )[0]
-                counterexample = FeatureCounterexample(
-                    features=features,
-                    predicted_output=cex.output,
-                    risk_margin=cex.risk_margin,
-                    characterizer_logit=None,
-                )
-                query = make_query(grid[i], None, risk)
-                verdict = engine._make_verdict(
-                    registered[i],
-                    query,
-                    SolveResult(
-                        status=SolveStatus.SAT,
-                        witness=features,
-                        stats={
-                            "decided": "attack",
-                            "pgd_iterations": cex.iterations,
-                        },
-                    ),
-                    counterexample=counterexample,
-                )
-                decided[(i, None, r)] = QueryResult(
-                    query=query, verdict=verdict, decided_by="attack"
-                )
-
-    # 2. precision-ladder prescreen over the survivors: the same
-    #    output_enclosure_batch + screen_enclosure calls the eager
-    #    engine makes, so SAFE decisions are identical
+    # 1. precision-ladder prescreen: the same output_enclosure_batch +
+    #    screen_enclosure calls the eager engine makes, so SAFE decisions
+    #    are identical, and every excluded box is spared the attack
     for rung in precision_ladder(options.domain):
         undecided_regions = sorted(
             {
@@ -671,6 +639,55 @@ def _decide_shard(
             decided[(i, prop, r)] = QueryResult(
                 query=query, verdict=verdict, decided_by="prescreen"
             )
+
+    # 2. one batched PGD pass per risk over the prescreen's survivors: a
+    #    hit is a genuine counterexample, and a sound prescreen never
+    #    excludes a box an attack can hit, so the order changes no verdict
+    if options.attack_steps > 0 and None in options.properties:
+        for r, risk in enumerate(risks):
+            indices = [
+                i for i in range(len(grid)) if (i, None, r) not in decided
+            ]
+            if not indices:
+                continue
+            hits = pgd_hits_in_boxes(
+                engine.model,
+                risk,
+                boxes.lower[indices],
+                boxes.upper[indices],
+                steps=options.attack_steps,
+            )
+            if not hits:
+                continue
+            # one feature pass over every hit image of this risk
+            hit_features = engine.model.prefix_apply(
+                np.stack([cex.image for _, cex in hits]), engine.cut_layer
+            )
+            for (local, cex), features in zip(hits, hit_features):
+                i = indices[local]
+                counterexample = FeatureCounterexample(
+                    features=features,
+                    predicted_output=cex.output,
+                    risk_margin=cex.risk_margin,
+                    characterizer_logit=None,
+                )
+                query = make_query(grid[i], None, risk)
+                verdict = engine._make_verdict(
+                    registered[i],
+                    query,
+                    SolveResult(
+                        status=SolveStatus.SAT,
+                        witness=features,
+                        stats={
+                            "decided": "attack",
+                            "pgd_iterations": cex.iterations,
+                        },
+                    ),
+                    counterexample=counterexample,
+                )
+                decided[(i, None, r)] = QueryResult(
+                    query=query, verdict=verdict, decided_by="attack"
+                )
 
     # 3. complete-solver fallback through the engine's own ladder, over
     #    temporarily registered sets (removed afterwards: O(shard) state)
@@ -811,10 +828,11 @@ def run_stream(
 
     The streaming twin of building an eager grid and running
     ``Campaign.from_scenario_grid`` over it — verdict-identical on the
-    same parameters, but with O(shard) peak memory and an attack-first
-    pass that spares the solver every falsifiable region.  ``workers >
-    1`` ships shards to a process pool through shared memory; the
-    parent only ever holds the bounded number of in-flight shards.
+    same parameters, but with O(shard) peak memory, a prescreen that
+    spares the attack every provable region and an attack pass that
+    spares the solver every falsifiable one.  ``workers > 1`` ships
+    shards to a process pool through shared memory; the parent only
+    ever holds the bounded number of in-flight shards.
     """
     if not risks:
         raise ValueError("run_stream needs at least one risk condition")

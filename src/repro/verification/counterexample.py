@@ -218,14 +218,14 @@ def pgd_hits_in_boxes(
     steps: int = 10,
     step_fraction: float = 0.25,
 ) -> list[tuple[int, InputCounterexample]]:
-    """All-hits twin of :func:`pgd_in_boxes` for attack-first triage.
+    """All-hits twin of :func:`pgd_in_boxes` for streamed triage.
 
     Where :func:`pgd_in_boxes` stops at the *first* box whose iterate
     satisfies the risk (the CEGAR concretization contract), the
-    streaming campaign executor wants to falsify as many regions of a
-    shard as one batched ascent can reach: every box keeps climbing for
-    the full ``steps`` budget, each box's first hit is frozen, and all
-    hits are returned together.
+    streaming campaign executor wants to falsify as many of the regions
+    its prescreen left as one batched ascent can reach: every box keeps
+    climbing for the full ``steps`` budget, each box's first hit is
+    frozen, and all hits are returned together.
 
     Returns
     -------

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.95) -> float:
@@ -35,6 +34,11 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.95)
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if successes == trials:
         return 1.0
+    # imported here, not at module level: scipy.stats is one of the
+    # slowest and largest imports, and every ``repro`` import reaches
+    # this module while few callers need a confidence bound
+    from scipy import stats
+
     return float(stats.beta.ppf(confidence, successes + 1, trials - successes))
 
 

@@ -1,6 +1,7 @@
 """Campaign execution: parallel determinism, reports, per-query parity."""
 
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -111,3 +112,44 @@ class TestCampaignRun:
         assert report.results[0].verdict is not None
         assert report.results[1].output_range is not None
         assert report.results[2].output_range.output_index == 1
+
+
+class TestPoolFallback:
+    """Only a failure of the pool itself reruns a campaign sequentially."""
+
+    def test_query_error_propagates(self, campaign_engine, sweep, monkeypatch):
+        calls = []
+
+        def failing_parallel(queries, workers):
+            calls.append(workers)
+            raise ValueError("not a pool failure")
+
+        monkeypatch.setattr(campaign_engine, "_run_parallel", failing_parallel)
+        with pytest.raises(ValueError, match="not a pool failure"):
+            campaign_engine.run(sweep, workers=2)
+        assert calls == [2]
+
+    def test_broken_pool_falls_back(self, campaign_engine, sweep, monkeypatch):
+        def broken_parallel(queries, workers):
+            raise BrokenProcessPool("worker died")
+
+        sequential = campaign_engine.run(sweep)
+        monkeypatch.setattr(campaign_engine, "_run_parallel", broken_parallel)
+        report = campaign_engine.run(sweep, workers=2)
+        assert report.executor == "sequential (pool unavailable: BrokenProcessPool)"
+        assert [r.verdict.verdict for r in report.results] == [
+            r.verdict.verdict for r in sequential.results
+        ]
+
+    def test_pool_start_failure_falls_back(
+        self, campaign_engine, sweep, monkeypatch
+    ):
+        from repro.api import engine as engine_mod
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+        report = campaign_engine.run(sweep, workers=2)
+        assert report.executor == "sequential (pool unavailable: BrokenProcessPool)"
+        assert not report.errors

@@ -10,6 +10,9 @@ to the eager grid at O(shard) memory:
   sizes and thresholds);
 - coverage-guided sampling visits distinct, in-range regions and
   reports coverage for exactly the sampled population;
+- the cascade runs prescreen first: the attack only sees the boxes the
+  prescreen left, and its witnesses' batched feature pass matches a
+  per-row one;
 - the memory guard rejects eager grids that cannot fit, pointing at
   the streaming path, while ``run_stream`` itself stays unguarded;
 - a shard's own exception under ``workers > 1`` propagates once,
@@ -42,6 +45,9 @@ from repro.scenario.streaming import (
     stream_enclosure_range,
     stream_scenario_regions,
 )
+from repro.verification.abstraction.domain import get_domain
+from repro.verification.abstraction.propagate import propagate_regions
+from repro.verification.prescreen import output_enclosure_batch, screen_enclosure
 
 _SETTINGS = settings(
     max_examples=10,
@@ -179,6 +185,93 @@ class TestVerdictParity:
         # (which needs every QueryResult) must refuse, not return empty
         with pytest.raises(ValueError):
             report.campaign_report("nope")
+
+
+@pytest.fixture
+def attack_calls(monkeypatch):
+    """Record every ``pgd_hits_in_boxes`` call the stream makes."""
+    calls = []
+    attack = streaming_mod.pgd_hits_in_boxes
+
+    def recorder(model, risk, lower, upper, **kwargs):
+        hits = attack(model, risk, lower, upper, **kwargs)
+        calls.append((np.array(lower), np.array(upper), hits))
+        return hits
+
+    monkeypatch.setattr(streaming_mod, "pgd_hits_in_boxes", recorder)
+    return calls
+
+
+class TestCascadeOrder:
+    """Prescreen first: the attack only sees what the prescreen left."""
+
+    def test_provable_risk_never_attacked(
+        self, engine, enclosure_range, attack_calls
+    ):
+        lo, hi = enclosure_range
+        plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+        report = run_stream(
+            engine, plan, [steer_far_left(round(hi + 0.25, 3))],
+            collect_results=True,
+        )
+        assert attack_calls == []
+        assert report.results is not None
+        assert {r.decided_by for r in report.results} == {"prescreen"}
+
+    def test_attack_receives_prescreen_survivors(
+        self, engine, enclosure_range, attack_calls
+    ):
+        lo, hi = enclosure_range
+        risk = steer_far_left(round(0.5 * (lo + hi), 3))
+        plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+        # the survivors, screened independently of the stream
+        grid = scenario_region_grid(n_scenes=2, seed=3)
+        boxes = grid.box_batch()
+        element = propagate_regions(engine.model, boxes, engine.cut_layer)
+        domain = get_domain("interval")
+        enclosures = output_enclosure_batch(
+            engine.suffix,
+            [domain.feature_set(e) for e in domain.enclosures(element)],
+            "interval",
+        )
+        left = [
+            i for i, enclosure in enumerate(enclosures)
+            if not screen_enclosure(enclosure, risk, "interval").excluded
+        ]
+        assert 0 < len(left) < len(grid)  # the risk splits the shard
+
+        report = run_stream(engine, plan, [risk], collect_results=True)
+        assert len(attack_calls) == 1
+        lower, upper, hits = attack_calls[0]
+        assert np.array_equal(lower, boxes.lower[left])
+        assert np.array_equal(upper, boxes.upper[left])
+        assert report.results is not None
+        by = [r.decided_by for r in report.results]
+        assert [i for i, d in enumerate(by) if d != "prescreen"] == left
+        assert by.count("attack") == len(hits) > 1
+
+    def test_attack_witness_features_match_per_row_pass(
+        self, engine, enclosure_range, attack_calls
+    ):
+        lo, hi = enclosure_range
+        plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+        report = run_stream(
+            engine, plan, [steer_far_left(round(0.5 * (lo + hi), 3))],
+            collect_results=True,
+        )
+        images = [cex.image for _, _, hits in attack_calls for _, cex in hits]
+        assert report.results is not None
+        witnesses = [
+            r.verdict.counterexample
+            for r in report.results
+            if r.decided_by == "attack"
+        ]
+        assert len(witnesses) == len(images) > 1
+        for image, witness in zip(images, witnesses):
+            expected = engine.model.prefix_apply(
+                image[None, ...], engine.cut_layer
+            )[0]
+            np.testing.assert_allclose(witness.features, expected, atol=1e-12)
 
 
 def _shm_segments() -> set[str]:

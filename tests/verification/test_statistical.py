@@ -1,5 +1,9 @@
 """Unit and property tests for the Section III statistical layer."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,26 @@ from repro.verification.statistical import (
     estimate_confusion,
     residual_risk_bound,
 )
+
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
+def test_scipy_stats_is_imported_lazily():
+    """The CLI, streaming, daemon and CEGAR imports leave scipy.stats out."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import repro.cli, repro.scenario.streaming, repro.service.httpd\n"
+        "import repro.verification.cegar\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", script, REPO_SRC],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "False"
 
 
 class TestClopperPearson:
