@@ -34,8 +34,6 @@ from repro.nn.graph import (
     AffineOp,
     ConvOp,
     ElementwiseAffineOp,
-    FusedAffineReLU,
-    FusedConvReLU,
     IROp,
     LeakyReLUOp,
     MaxGroupOp,
@@ -57,12 +55,7 @@ CORE_OPS: tuple[type, ...] = (
 #: prefix-only ops (conv kept in kernel form, smooth monotone maps)
 PREFIX_OPS: tuple[type, ...] = (ConvOp, MonotoneOp)
 
-#: fused ops produced by the lowering-time fusion pass; every domain
-#: that covers the unfused parts must also cover the fused pair, or the
-#: fast-path ``fused=True`` view would raise mid-propagation.
-FUSED_OPS: tuple[type, ...] = (FusedAffineReLU, FusedConvReLU)
-
-ALL_OPS: tuple[type, ...] = CORE_OPS + PREFIX_OPS + FUSED_OPS
+ALL_OPS: tuple[type, ...] = CORE_OPS + PREFIX_OPS
 
 #: the frozen floor: every (domain, op) transformer the stack ships.
 #: A registered transformer disappearing from under any of these pairs
@@ -70,8 +63,8 @@ ALL_OPS: tuple[type, ...] = CORE_OPS + PREFIX_OPS + FUSED_OPS
 COVERAGE_FLOOR: dict[str, tuple[type, ...]] = {
     "interval": ALL_OPS,
     "octagon": ALL_OPS,
-    "zonotope": CORE_OPS + (ConvOp,) + FUSED_OPS,
-    "symbolic": CORE_OPS + (FusedAffineReLU,),
+    "zonotope": CORE_OPS + (ConvOp,),
+    "symbolic": CORE_OPS,
 }
 
 
@@ -139,20 +132,6 @@ def _sample_op(op_type: type, rng: np.random.Generator) -> IROp:
         )
     if op_type is MonotoneOp:
         return MonotoneOp("tanh", 4)
-    if op_type is FusedAffineReLU:
-        return FusedAffineReLU(
-            AffineOp(rng.normal(size=(3, 4)), rng.normal(size=3))
-        )
-    if op_type is FusedConvReLU:
-        return FusedConvReLU(
-            ConvOp(
-                rng.normal(size=(2, 1, 2, 2)),
-                rng.normal(size=2),
-                stride=1,
-                padding=0,
-                in_shape=(1, 3, 3),
-            )
-        )
     raise TypeError(f"no sample for op type {op_type.__name__}")
 
 
@@ -214,43 +193,6 @@ def _smoke_check(
             )
         )
     return diags
-
-
-def _fast32_smoke_check(op: IROp, rng: np.random.Generator) -> list[Diagnostic]:
-    """Fast-path containment smoke check: fast32 hull must contain exact64.
-
-    Runs the float32 raw-speed backend on a one-op program and checks
-    its hull is an outer approximation of the exact interval hull — the
-    directed-rounding contract of
-    :mod:`repro.verification.abstraction.fast32`.  Ops the fast backend
-    cannot express are skipped (the runtime falls back to exact64 for
-    them, so there is nothing to check).
-    """
-    from repro.nn.graph import PiecewiseLinearNetwork
-    from repro.verification.abstraction import fast32
-    from repro.verification.abstraction.domain import get_domain
-    from repro.verification.sets import BoxBatch
-
-    program = PiecewiseLinearNetwork([op], op.in_dim)
-    center = rng.normal(size=(3, op.in_dim))
-    radius = rng.uniform(0.05, 0.6, size=(3, op.in_dim))
-    batch = BoxBatch(center - radius, center + radius)
-    try:
-        fast = fast32.propagate_interval_fast32(program, batch)
-    except fast32.Fast32Unsupported:
-        return []
-    dom = get_domain("interval")
-    exact = dom.concretize(dom.transform(op, dom.lift(batch))).flat()
-    if np.all(fast.lower <= exact.lower) and np.all(fast.upper >= exact.upper):
-        return []
-    return [
-        Diagnostic(
-            "RC008",
-            "error",
-            f"interval/fast32: {type(op).__name__} hull does not contain "
-            f"the exact64 hull (broken outward rounding)",
-        )
-    ]
 
 
 def audit_registry(*, smoke: bool = False, seed: int = 0) -> RegistryAudit:
@@ -332,8 +274,6 @@ def audit_registry(*, smoke: bool = False, seed: int = 0) -> RegistryAudit:
                 op = _sample_op(op_type, rng)
                 audit.smoke_checks += 1
                 audit.diagnostics.extend(_smoke_check(name, op, rng))
-                if name == "interval":
-                    audit.diagnostics.extend(_fast32_smoke_check(op, rng))
     return audit
 
 

@@ -17,9 +17,6 @@ IR005     error     foldable elementwise affine left unfused (BatchNorm)
 IR006     error     requested domain has no transformer for an op
 IR010     error     op parameters drifted off the canonical float dtype
 IR011     error     program metadata (out_dim) disagrees with dataflow
-IR012     error     fusion contract: fused op in a MILP view, a fusable
-                    affine→relu pair left unfused in a fused view, or a
-                    fused op wrapping a mismatched part
 IR013     error     merged-program contract: merge-group metadata
                     (abstract group → original neuron ids) missing, not
                     a partition of the source layer, inconsistent with
@@ -49,8 +46,6 @@ from repro.nn.graph import (
     AffineOp,
     ConvOp,
     ElementwiseAffineOp,
-    FusedAffineReLU,
-    FusedConvReLU,
     IROp,
     LeakyReLUOp,
     MaxGroupOp,
@@ -192,7 +187,7 @@ class IRValidationError(ValueError):
 
 
 def _param_arrays(op: IROp) -> list[np.ndarray]:
-    if isinstance(op, (AffineOp, ConvOp, FusedAffineReLU, FusedConvReLU)):
+    if isinstance(op, (AffineOp, ConvOp)):
         return [op.weight, op.bias]
     if isinstance(op, ElementwiseAffineOp):
         return [op.scale, op.shift]
@@ -201,10 +196,6 @@ def _param_arrays(op: IROp) -> list[np.ndarray]:
 
 def _lipschitz_gain(op: IROp) -> float:
     """Upper bound on the op's L-infinity operator norm."""
-    if isinstance(op, FusedAffineReLU):
-        return _lipschitz_gain(op.affine)  # relu is 1-Lipschitz
-    if isinstance(op, FusedConvReLU):
-        return _lipschitz_gain(op.conv)
     if isinstance(op, AffineOp):
         if op.weight.shape[0] == 0:
             return 0.0
@@ -255,7 +246,6 @@ def _structural_diagnostics(program: LoweredProgram) -> list[Diagnostic]:
     # folding contract only binds the base lowering
     source = getattr(program, "source", "") or ""
     check_folding = not source.endswith("/pl")
-    check_fusion = source.endswith("/fused")
     previous: IROp | None = None
     for index, op in enumerate(program.ops):
         kind = type(op).__name__
@@ -312,31 +302,6 @@ def _structural_diagnostics(program: LoweredProgram) -> list[Diagnostic]:
                 f"elementwise affine op is foldable into the preceding "
                 f"{type(previous).__name__} but was left unfused "
                 f"(BatchNorm folding contract)",
-            )
-        if isinstance(op, (FusedAffineReLU, FusedConvReLU)):
-            part = op.affine if isinstance(op, FusedAffineReLU) else op.conv
-            expected = AffineOp if isinstance(op, FusedAffineReLU) else ConvOp
-            if not isinstance(part, expected) or (
-                part.in_dim,
-                part.out_dim,
-            ) != (op.in_dim, op.out_dim):
-                diag(
-                    "IR012",
-                    "error",
-                    f"fused op wraps {type(part).__name__} "
-                    f"({part.in_dim}->{part.out_dim}); expected "
-                    f"{expected.__name__} matching {op.in_dim}->{op.out_dim}",
-                )
-        if (
-            check_fusion
-            and isinstance(op, ReLUOp)
-            and isinstance(previous, (AffineOp, ConvOp))
-        ):
-            diag(
-                "IR012",
-                "error",
-                f"relu following {type(previous).__name__} was left "
-                f"unfused in a fused view (fusion contract)",
             )
         current = op.out_dim
         previous = op
@@ -544,16 +509,6 @@ def analyze_program(
                 f"view; such layers may only appear before the "
                 f"verification cut",
             )
-        if (
-            isinstance(op, (FusedAffineReLU, FusedConvReLU))
-            and expect_piecewise_linear
-        ):
-            diag(
-                "IR012",
-                "error",
-                "fused op inside a piecewise-linear view; the MILP "
-                "encoder consumes the unfused program only",
-            )
         if domain is not None and domain not in supported:
             diag(
                 "IR006",
@@ -578,9 +533,7 @@ def analyze_program(
                     f"{zero_scales} zero scale entr(ies): those features "
                     f"are constant",
                 )
-        if isinstance(op, (ReLUOp, LeakyReLUOp)) and isinstance(
-            previous, (ReLUOp, FusedAffineReLU, FusedConvReLU)
-        ):
+        if isinstance(op, (ReLUOp, LeakyReLUOp)) and isinstance(previous, ReLUOp):
             diag(
                 "IR008",
                 "warning",

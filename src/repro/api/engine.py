@@ -64,10 +64,7 @@ from repro.properties.risk import RiskCondition
 from repro.scenario.regions import RegionGrid
 from repro.scenario.streaming import _POOL_FAILURES
 from repro.verification.abstraction.domain import get_domain, precision_ladder
-from repro.verification.abstraction.propagate import (
-    _check_precision,
-    propagate_regions,
-)
+from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.assume_guarantee import feature_set_from_data
 from repro.verification.cegar import (
     CegarConfig,
@@ -167,7 +164,6 @@ class VerificationEngine:
         cegar_workers: int = 1,
         cegar_budget: int = 64,
         cegar_structural: bool = False,
-        precision: str = "exact64",
         store=None,
         **solver_options,
     ):
@@ -199,17 +195,11 @@ class VerificationEngine:
         self.refine_fallback = refine_fallback
         if cegar_workers < 1 or cegar_budget < 1:
             raise ValueError("cegar_workers and cegar_budget must be >= 1")
-        _check_precision(precision)
         self.cegar_workers = cegar_workers
         self.cegar_budget = cegar_budget
         #: engine-wide default for the structural (neuron-merging) CEGAR
         #: axis; per-query ``structural=True`` turns it on regardless
         self.cegar_structural = cegar_structural
-        #: "fast32" routes batched abstraction passes (region lifting,
-        #: prescreen enclosures) through the float32 raw-speed backend;
-        #: results provably contain the exact64 ones, so verdicts stay
-        #: sound.  MILP solves always run at exact64.
-        self.precision = precision
         #: optional :class:`repro.service.store.ResultStore` consulted
         #: before computing verdict queries and fed after (None = off,
         #: the default — one-shot runs pay no digesting overhead)
@@ -425,7 +415,6 @@ class VerificationEngine:
             BoxBatch(input_box[0][None], input_box[1][None]),
             self.cut_layer,
             domain,
-            precision=self.precision,
         )
         feature_set = dom.feature_set(dom.extract(element, 0))
         self._register_set(
@@ -490,9 +479,7 @@ class VerificationEngine:
                     f"overwrite=True to replace them"
                 )
         dom = get_domain(domain)
-        element = propagate_regions(
-            self.model, boxes, self.cut_layer, domain, precision=self.precision
-        )
+        element = propagate_regions(self.model, boxes, self.cut_layer, domain)
         feature_sets = [
             dom.feature_set(enclosure) for enclosure in dom.enclosures(element)
         ]
@@ -579,9 +566,7 @@ class VerificationEngine:
         ]
         if missing:
             sets = [registered[name].feature_set for name in missing]
-            enclosures = output_enclosure_batch(
-                self.suffix, sets, domain, precision=self.precision
-            )
+            enclosures = output_enclosure_batch(self.suffix, sets, domain)
             for name, enclosure in zip(missing, enclosures):
                 self._enclosure_cache[(name, domain)] = enclosure
             label = f"batch:prescreen-enclosure:{domain}"
@@ -594,12 +579,7 @@ class VerificationEngine:
             self._enclosure_cache,
             (set_name, domain),
             "prescreen-enclosure",
-            lambda: output_enclosure(
-                self.suffix,
-                registered.feature_set,
-                domain,
-                precision=self.precision,
-            ),
+            lambda: output_enclosure(self.suffix, registered.feature_set, domain),
         )
         if hit:
             hits.append("prescreen-enclosure")
@@ -842,7 +822,6 @@ class VerificationEngine:
             ),
             domain=query.domain or "none",
             method=query.method.value,
-            precision=self.precision,
         )
 
     def _store_put(self, key, payload: QueryResult) -> None:
@@ -1380,9 +1359,7 @@ class VerificationEngine:
             if len(names) < 2:
                 continue
             sets = [self._sets[name].feature_set for name in names]
-            enclosures = output_enclosure_batch(
-                self.suffix, sets, domain, precision=self.precision
-            )
+            enclosures = output_enclosure_batch(self.suffix, sets, domain)
             for name, enclosure in zip(names, enclosures):
                 self._enclosure_cache[(name, domain)] = enclosure
             label = f"batch:prescreen-enclosure:{domain}"

@@ -1,14 +1,13 @@
-"""Portfolio racing: competing (domain, method, precision) configurations.
+"""Portfolio racing: competing (domain, method, solver) configurations.
 
 Competition solvers dominate any single configuration by running a
 *portfolio*: several differently-tuned solvers race on each instance and
 the first sound answer wins.  :class:`Portfolio` applies that discipline
 to verification queries:
 
-- a :class:`RacerConfig` rewrites a query's (domain, method, precision,
-  solver, budget) knobs — e.g. an interval-only prescreener, a
-  straight-to-MILP config, a float32 fast-path screener, an anytime
-  CEGAR refiner;
+- a :class:`RacerConfig` rewrites a query's (domain, method, solver,
+  budget) knobs — e.g. an interval-only prescreener, a straight-to-MILP
+  config, an anytime CEGAR refiner;
 - :meth:`Portfolio.run_query` races the applicable configs and returns
   the first *sound decided* answer (SAFE / UNSAFE_IN_SET /
   CONDITIONALLY_SAFE — UNKNOWN and errors keep racing);
@@ -54,10 +53,7 @@ class RacerConfig:
     """One portfolio entry: how to rewrite a query before racing it.
 
     ``domain=None`` disables the prescreen entirely (straight to the
-    support-cache / LP / complete solver — the UNSAFE specialist);
-    ``precision`` overrides the engine's abstraction precision for this
-    racer only (``"fast32"`` enclosures provably contain the exact64
-    ones, so verdicts stay sound).
+    support-cache / LP / complete solver — the UNSAFE specialist).
 
     Examples
     --------
@@ -78,7 +74,6 @@ class RacerConfig:
     domain: str | None = "interval"
     method: str = "exact"
     solver: str | None = None
-    precision: str | None = None
     refine_budget: int | None = None
     #: cegar-only: race with the structural (neuron-merging) axis on
     structural: bool = False
@@ -158,13 +153,12 @@ class RacerStats:
 
 
 #: the stock portfolio: a cheap sound prescreener, the full-precision
-#: ladder, a float32 fast-path screener, an UNSAFE-specialist that skips
-#: prescreening entirely, an anytime CEGAR refiner, and a structural
-#: (neuron-merging) CEGAR refiner for width-bound instances
+#: ladder, an UNSAFE-specialist that skips prescreening entirely, an
+#: anytime CEGAR refiner, and a structural (neuron-merging) CEGAR
+#: refiner for width-bound instances
 DEFAULT_RACERS: tuple[RacerConfig, ...] = (
     RacerConfig("interval-exact", domain="interval"),
     RacerConfig("symbolic-exact", domain="symbolic"),
-    RacerConfig("fast32-screen", domain="interval", precision="fast32"),
     RacerConfig("direct-milp", domain=None),
     RacerConfig("cegar-refine", domain="interval", method="cegar", refine_budget=16),
     RacerConfig(
@@ -193,26 +187,8 @@ def _verdict_side(result: QueryResult) -> bool:
 
 
 def _run_config(engine, config: RacerConfig, query: VerificationQuery) -> QueryResult:
-    """Run one racer on one engine, honoring its precision override.
-
-    A precision override swaps in a per-precision enclosure cache for
-    the duration: enclosure cache keys are ``(set, domain)`` without the
-    precision, so sharing one cache across precisions would silently mix
-    fast32 and exact64 enclosures (still sound — fast32 contains exact64
-    — but no longer reproducible).
-    """
-    applied = config.apply(query)
-    if config.precision is None or config.precision == engine.precision:
-        return engine.run_query_safe(applied)
-    saved_precision = engine.precision
-    saved_cache = engine._enclosure_cache
-    engine.precision = config.precision
-    engine._enclosure_cache = {}
-    try:
-        return engine.run_query_safe(applied)
-    finally:
-        engine.precision = saved_precision
-        engine._enclosure_cache = saved_cache
+    """Run one racer on one engine."""
+    return engine.run_query_safe(config.apply(query))
 
 
 class Portfolio:

@@ -89,18 +89,14 @@ def _build(args: argparse.Namespace) -> int:
 
 
 def _load(
-    out: Path,
-    solver: str = "branch-and-bound",
-    precision: str = "exact64",
+    out: Path, solver: str = "branch-and-bound"
 ) -> tuple[VerificationEngine, dict]:
     """Rebuild a :class:`VerificationEngine` from a persisted system."""
     meta = json.loads((out / "meta.json").read_text())
     model = load_model(out / "perception.npz")
     with np.load(out / "features.npz") as arrays:
         train_features = arrays["train_features"]
-    engine = VerificationEngine(
-        model, meta["cut_layer"], solver=solver, precision=precision
-    )
+    engine = VerificationEngine(model, meta["cut_layer"], solver=solver)
     engine.add_feature_set_from_features(train_features, kind="box+diff")
     for name in meta["properties"]:
         network = load_model(out / f"characterizer_{name}.npz")
@@ -191,9 +187,7 @@ def _refine(args: argparse.Namespace) -> int:
     """Anytime CEGAR refinement of one scenario region (`repro refine`)."""
     from repro.scenario.regions import scenario_region_grid
 
-    engine, _ = _load(
-        Path(args.out), solver=args.solver, precision=args.precision
-    )
+    engine, _ = _load(Path(args.out), solver=args.solver)
     engine.cegar_workers = args.workers
     grid = scenario_region_grid(
         n_scenes=1,
@@ -309,9 +303,7 @@ def _stream_campaign(engine: VerificationEngine, args: argparse.Namespace) -> in
 
 
 def _campaign(args: argparse.Namespace) -> int:
-    engine, meta = _load(
-        Path(args.out), solver=args.solver, precision=args.precision
-    )
+    engine, meta = _load(Path(args.out), solver=args.solver)
     if getattr(args, "structural", False):
         # every cegar run this campaign triggers (including the exact
         # fallback) gets the neuron-merging axis
@@ -537,7 +529,6 @@ def _serve(args: argparse.Namespace) -> int:
         store,
         workers=args.workers,
         solver=args.solver,
-        precision=args.precision,
         root=args.root,
     )
     server, _thread = start_server(service, host=args.host, port=args.port)
@@ -722,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--portfolio",
         action="store_true",
-        help="race the adaptive (domain, method, precision) portfolio per "
+        help="race the adaptive (domain, method, solver) portfolio per "
         "query — first sound decided answer wins, losers are cancelled "
         "— instead of the engine's fixed strategy ladder",
     )
@@ -732,14 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["interval", "octagon", "zonotope", "symbolic"],
         help="abstract domain for prescreen enclosures and region sets "
         "(the engine escalates its precision ladder up to this domain)",
-    )
-    campaign.add_argument(
-        "--precision",
-        default="exact64",
-        choices=["exact64", "fast32"],
-        help="abstraction arithmetic: fast32 runs region lifting and "
-        "prescreen enclosures on the float32 raw-speed backend with "
-        "outward rounding (sound; MILP solves stay exact64)",
     )
     campaign.add_argument("--json", default=None, help="write the JSON report here")
     campaign.add_argument(
@@ -786,14 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="interval",
         choices=["interval", "octagon", "zonotope", "symbolic"],
         help="abstract domain of the per-round CEGAR frontier prescreen",
-    )
-    refine.add_argument(
-        "--precision",
-        default="exact64",
-        choices=["exact64", "fast32"],
-        help="abstraction arithmetic: fast32 runs region lifting and "
-        "prescreen enclosures on the float32 raw-speed backend with "
-        "outward rounding (sound; MILP solves stay exact64)",
     )
     refine.add_argument(
         "--structural",
@@ -948,12 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--solver", default="branch-and-bound")
     serve.add_argument(
-        "--precision",
-        default="exact64",
-        choices=["exact64", "fast32"],
-        help="abstraction arithmetic of the daemon's engines",
-    )
-    serve.add_argument(
         "--store",
         default=None,
         metavar="FILE",
@@ -1004,7 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="exact",
         choices=["exact", "relaxed", "cegar", "portfolio"],
         help="query strategy; portfolio races the adaptive (domain, "
-        "method, precision) ladder per disjunct",
+        "method, solver) ladder per disjunct",
     )
     submit.add_argument(
         "--domain",

@@ -352,102 +352,11 @@ class MonotoneOp:
         return MONOTONE_FNS[self.kind][1](np.asarray(x, dtype=FLOAT))
 
 
-@dataclass
-class FusedAffineReLU:
-    """``y = relu(W x + b)`` as one primitive op.
-
-    Produced by the lowering fuser (``lower_network(..., fused=True)``):
-    keeping the affine map and its activation in one op lets a backend
-    evaluate both without materializing the pre-activation bounds in a
-    separate pass.  The op *contains* its parts, so abstract domains can
-    stay exact by transforming ``affine`` then ``relu`` with their
-    existing transformers.
-    """
-
-    affine: AffineOp
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.affine, AffineOp):
-            raise TypeError(
-                f"FusedAffineReLU wraps an AffineOp, got {type(self.affine).__name__}"
-            )
-
-    @property
-    def relu(self) -> ReLUOp:
-        return ReLUOp(self.affine.out_dim)
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.affine.weight
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.affine.bias
-
-    @property
-    def in_dim(self) -> int:
-        return self.affine.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.affine.out_dim
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(self.affine.apply(x), 0.0)
-
-
-@dataclass
-class FusedConvReLU:
-    """``y = relu(conv(x))`` as one primitive op (conv kept in kernel form).
-
-    The convolution twin of :class:`FusedAffineReLU`; same containment
-    contract (``conv`` then ``relu`` reproduces the semantics exactly).
-    """
-
-    conv: ConvOp
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.conv, ConvOp):
-            raise TypeError(
-                f"FusedConvReLU wraps a ConvOp, got {type(self.conv).__name__}"
-            )
-
-    @property
-    def relu(self) -> ReLUOp:
-        return ReLUOp(self.conv.out_dim)
-
-    @property
-    def weight(self) -> np.ndarray:
-        return self.conv.weight
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.conv.bias
-
-    @property
-    def out_shape(self) -> tuple[int, int, int]:
-        return self.conv.out_shape
-
-    @property
-    def in_dim(self) -> int:
-        return self.conv.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.conv.out_dim
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(self.conv.apply(x), 0.0)
-
-
-#: ops produced by the lowering fuser (never seen by the MILP encoder)
-FusedOp = FusedAffineReLU | FusedConvReLU
-
 #: ops with an exact piecewise-linear semantics (MILP-encodable)
 PLOp = AffineOp | ElementwiseAffineOp | ReLUOp | LeakyReLUOp | MaxGroupOp | ReshapeOp
 
 #: every op a lowered program may contain
-IROp = PLOp | ConvOp | MonotoneOp | FusedOp
+IROp = PLOp | ConvOp | MonotoneOp
 
 
 class PiecewiseLinearNetwork:
@@ -473,15 +382,6 @@ class PiecewiseLinearNetwork:
         self.ops = list(ops)
         self.in_dim = in_dim
         self.out_dim = dim
-
-    def __getstate__(self) -> dict:
-        # derived views and compiled fast-path plans are per-process
-        # (the latter close over ctypes function pointers); receivers
-        # rebuild both lazily
-        state = self.__dict__.copy()
-        state.pop("_fused_view_cache", None)
-        state.pop("_fast32_plans", None)
-        return state
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Evaluate on a flat vector or a batch of flat vectors."""

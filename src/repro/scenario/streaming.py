@@ -28,10 +28,10 @@ shard's stacked bounds into one shared segment and ships only the
 handle; workers attach read-only views.
 
 Verdict parity with the eager path is by construction: prescreen
-decisions reuse the exact same propagation and enclosure calls at the
-same precision, an attack hit is a *genuine* input counterexample (so
-the complete solver would answer SAT over the same sound feature set),
-and the solver fallback answers through
+decisions reuse the exact same propagation and enclosure calls, an
+attack hit is a *genuine* input counterexample (so the complete solver
+would answer SAT over the same sound feature set), and the solver
+fallback answers through
 :meth:`~repro.api.engine.VerificationEngine.run_query_safe` itself.
 """
 
@@ -567,8 +567,7 @@ def _decide_shard(
     boxes = grid.box_batch()
     dom = get_domain(options.domain)
     element = propagate_regions(
-        engine.model, boxes, engine.cut_layer, options.domain,
-        precision=engine.precision,
+        engine.model, boxes, engine.cut_layer, options.domain
     )
     feature_sets = [dom.feature_set(enc) for enc in dom.enclosures(element)]
     registered = [
@@ -618,7 +617,6 @@ def _decide_shard(
             engine.suffix,
             [feature_sets[i] for i in undecided_regions],
             rung,
-            precision=engine.precision,
         )
         by_region = dict(zip(undecided_regions, enclosures))
         for (i, prop, r) in keys:
@@ -932,13 +930,10 @@ def stream_enclosure_range(
     dom = get_domain(domain)
     for grid in stream_scenario_regions(plan):
         element = propagate_regions(
-            engine.model, grid.box_batch(), engine.cut_layer, domain,
-            precision=engine.precision,
+            engine.model, grid.box_batch(), engine.cut_layer, domain
         )
         sets = [dom.feature_set(enc) for enc in dom.enclosures(element)]
-        for enclosure in output_enclosure_batch(
-            engine.suffix, sets, domain, precision=engine.precision
-        ):
+        for enclosure in output_enclosure_batch(engine.suffix, sets, domain):
             lo = min(lo, float(enclosure.lower[output_index]))
             hi = max(hi, float(enclosure.upper[output_index]))
     if not math.isfinite(lo):

@@ -67,7 +67,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, {"error": message})
 
     def _read_json(self) -> dict[str, Any] | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown, so the connection cannot be
+            # resynced either; a negative read would block until EOF
+            self.close_connection = True
+            self._error(400, f"invalid Content-Length {header!r}")
+            return None
         if length > _MAX_BODY:
             # the unread body bytes cannot be resynced as a next
             # request, so the connection must not be kept alive

@@ -16,7 +16,7 @@ Job lifecycle::
 - *priorities*: higher runs first among queued jobs (FIFO within a
   priority);
 - *single-flight*: two concurrent jobs with the same (model digest,
-  property digest, method, domain, precision) key compute once — the
+  property digest, method, domain, solver) key compute once — the
   follower waits for the leader and copies its outcome;
 - *cancellation*: queued jobs cancel immediately; running CEGAR jobs
   are executed in budget slices and checkpoint between slices, leaving
@@ -218,7 +218,6 @@ class VerificationService:
         *,
         workers: int = 2,
         solver: str = "branch-and-bound",
-        precision: str = "exact64",
         root: str | Path | None = None,
         cegar_slice: int = _CEGAR_SLICE,
     ):
@@ -229,7 +228,6 @@ class VerificationService:
         self.store = store if store is not None else ResultStore()
         self.workers = workers
         self.solver = solver
-        self.precision = precision
         self.root = Path(root).resolve() if root is not None else None
         self.cegar_slice = cegar_slice
         self.started_at = time.time()
@@ -409,11 +407,7 @@ class VerificationService:
                 digest = model_digest(model)
                 cut = model.piecewise_linear_cut_points()[0]
                 engine = VerificationEngine(
-                    model,
-                    cut,
-                    solver=self.solver,
-                    precision=self.precision,
-                    store=self.store,
+                    model, cut, solver=self.solver, store=self.store
                 )
                 # a retrained model invalidates its old digest's store
                 # entries — the IR cache's training hook carries it
@@ -455,7 +449,6 @@ class VerificationService:
             prop_digest,
             spec.method,
             spec.domain,
-            self.precision,
             spec.solver or self.solver,
         )
 

@@ -3,8 +3,8 @@
 Append-only JSONL under ``~/.cache/repro`` (override with the
 ``REPRO_CACHE_DIR`` environment variable or an explicit path): each line
 is either a result record keyed by ``(model digest, query digest,
-domain, method, precision)`` or an ``invalidate`` tombstone naming a
-model digest.  Load replays the log in order, so later writes win and a
+domain, method)`` or an ``invalidate`` tombstone naming a model
+digest.  Load replays the log in order, so later writes win and a
 tombstone evicts everything the named model wrote before it —
 append-only on disk, last-writer-wins in memory, no locking beyond one
 process-level mutex (concurrent daemons should share one store through
@@ -42,6 +42,12 @@ from repro.verification.solver.result import SolveResult, SolveStatus
 #: are skipped on load instead of misread
 STORE_VERSION = 1
 
+#: the abstraction arithmetic every record names.  exact64 is the only
+#: one; the field stays in the record so the format is unchanged.
+#: Replay ignores it, so records naming an older arithmetic (same
+#: verdicts by contract) are still served
+_RECORD_PRECISION = "exact64"
+
 
 def default_store_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
@@ -59,7 +65,6 @@ class StoreKey:
     query: str  #: query digest (risk + set provenance + characterizer)
     domain: str  #: prescreen/CEGAR abstract domain ("none" when skipped)
     method: str  #: verdict method ("exact" / "relaxed" / "cegar" / ...)
-    precision: str  #: engine abstraction precision ("exact64" / "fast32")
 
 
 @dataclass(frozen=True)
@@ -267,7 +272,6 @@ class ResultStore:
                             query=record["query"],
                             domain=record["domain"],
                             method=record["method"],
-                            precision=record["precision"],
                         )
                         self._entries[key] = StoredResult.from_dict(
                             record["payload"]
@@ -319,7 +323,7 @@ class ResultStore:
                     "query": key.query,
                     "domain": key.domain,
                     "method": key.method,
-                    "precision": key.precision,
+                    "precision": _RECORD_PRECISION,
                     "created": created,
                     "payload": result.to_dict(),
                 }
@@ -381,7 +385,7 @@ class ResultStore:
                     "query": key.query,
                     "domain": key.domain,
                     "method": key.method,
-                    "precision": key.precision,
+                    "precision": _RECORD_PRECISION,
                     "created": self._created.get(key, 0.0),
                     **self._entries[key].to_dict(),
                 }

@@ -73,29 +73,6 @@ def register_transformer(domain: str, *op_types: type):
     return decorate
 
 
-def register_fused_transformers(domain: str, *, conv: bool = True) -> None:
-    """Register exact transformers for the fused lowering ops.
-
-    Fused ops contain their parts (see
-    :class:`~repro.nn.graph.FusedAffineReLU`), so any domain that covers
-    the parts covers the fusion exactly: transform the affine/conv part,
-    then the activation, with the domain's own registered transformers.
-    Called by each domain module after its primitive registrations
-    (``conv=False`` for domains without a ``ConvOp`` transformer).
-    """
-    from repro.nn.graph import FusedAffineReLU, FusedConvReLU
-
-    @register_transformer(domain, FusedAffineReLU)
-    def _fused_affine_relu(dom, op: FusedAffineReLU, element):
-        return dom.transform(op.relu, dom.transform(op.affine, element))
-
-    if conv:
-
-        @register_transformer(domain, FusedConvReLU)
-        def _fused_conv_relu(dom, op: FusedConvReLU, element):
-            return dom.transform(op.relu, dom.transform(op.conv, element))
-
-
 def register_domain(domain: "AbstractDomain") -> "AbstractDomain":
     """Register a domain instance under its ``name``."""
     if domain.name in _DOMAINS:

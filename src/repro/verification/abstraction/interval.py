@@ -30,7 +30,6 @@ from repro.nn.graph import (
 from repro.verification.abstraction.domain import (
     AbstractDomain,
     register_domain,
-    register_fused_transformers,
     register_transformer,
 )
 from repro.verification.sets import Box, BoxBatch
@@ -112,9 +111,6 @@ def _reshape(domain, op: ReshapeOp, batch: BoxBatch) -> BoxBatch:
 def _monotone(domain, op: MonotoneOp, batch: BoxBatch) -> BoxBatch:
     """Exact interval image of an elementwise monotone activation."""
     return BoxBatch(op.apply(batch.lower), op.apply(batch.upper))
-
-
-register_fused_transformers("interval")
 
 
 class IntervalDomain(AbstractDomain):

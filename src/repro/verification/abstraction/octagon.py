@@ -42,7 +42,6 @@ from repro.nn.graph import (
 from repro.verification.abstraction.domain import (
     AbstractDomain,
     register_domain,
-    register_fused_transformers,
     register_transformer,
 )
 from repro.verification.abstraction.interval import INTERVAL
@@ -222,9 +221,6 @@ def _leaky_relu(domain, op: LeakyReLUOp, element: OctagonBatch) -> OctagonBatch:
 def _box_only(domain, op, element: OctagonBatch) -> OctagonBatch:
     """Ops with no difference-aware transformer: box exact, diffs coarse."""
     return _with_box_fallback(INTERVAL.transform(op, element.box))
-
-
-register_fused_transformers("octagon")
 
 
 def _linprog_lower_bound(enclosure: BoxWithDiffs, a: np.ndarray) -> float | None:

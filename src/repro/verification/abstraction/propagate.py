@@ -19,23 +19,12 @@ from repro.verification.abstraction.domain import get_domain
 from repro.verification.ir import lowered_prefix
 from repro.verification.sets import BoxBatch, IntervalBoundError
 
-PRECISIONS = ("exact64", "fast32")
-
-
-def _check_precision(precision: str) -> None:
-    if precision not in PRECISIONS:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected one of {PRECISIONS}"
-        )
-
 
 def propagate_regions(
     model: Sequential,
     regions: BoxBatch,
     to_layer: int,
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ):
     """Push ``n`` input regions through layers ``1 .. to_layer`` at once.
 
@@ -45,15 +34,7 @@ def propagate_regions(
     for per-region boxes, or extract per-region enclosure values /
     feature sets.  :class:`IntervalBoundError` raised mid-propagation
     carries the offending layer and region.
-
-    ``precision="fast32"`` routes the interval domain through the
-    float32 raw-speed backend over the fused program view (see
-    :mod:`repro.verification.abstraction.fast32`); the result provably
-    *contains* the exact64 element, so every sound verdict derived from
-    it stays sound.  Domains or programs the fast backend cannot
-    express fall back to exact64 silently.
     """
-    _check_precision(precision)
     model._check_index(to_layer, allow_zero=True)
     shape = model.input_shape
     if regions.lower.shape[1:] != shape:
@@ -61,16 +42,6 @@ def propagate_regions(
             f"batch members have shape {regions.lower.shape[1:]}, "
             f"model input is {shape}"
         )
-    if precision == "fast32" and domain == "interval":
-        from repro.verification.abstraction import fast32
-
-        fused = lowered_prefix(model, to_layer, fused=True)
-        try:
-            # the plan flattens internally — no need to revalidate the
-            # batch through ``.flat()`` on the hot path
-            return fast32.propagate_interval_fast32(fused, regions)
-        except fast32.Fast32Unsupported:
-            pass
     program = lowered_prefix(model, to_layer)
     dom = get_domain(domain)
     if not dom.supports_program(program):
@@ -104,13 +75,9 @@ def region_boxes(
     regions: BoxBatch,
     to_layer: int,
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ) -> BoxBatch:
     """Per-region cut-layer interval hulls (flat ``(n, d_l)``)."""
     dom = get_domain(domain)
-    element = propagate_regions(
-        model, regions, to_layer, domain, precision=precision
-    )
+    element = propagate_regions(model, regions, to_layer, domain)
     return dom.concretize(element).flat()
 

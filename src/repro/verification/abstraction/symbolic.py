@@ -39,7 +39,6 @@ from repro.nn.graph import (
 from repro.verification.abstraction.domain import (
     AbstractDomain,
     register_domain,
-    register_fused_transformers,
     register_transformer,
 )
 from repro.verification.abstraction.interval import INTERVAL
@@ -333,9 +332,6 @@ def _max_group(domain, op: MaxGroupOp, element: SymbolicBatch) -> SymbolicBatch:
 @register_transformer("symbolic", ReshapeOp)
 def _reshape(domain, op: ReshapeOp, element: SymbolicBatch) -> SymbolicBatch:
     return element
-
-
-register_fused_transformers("symbolic", conv=False)
 
 
 class SymbolicDomain(AbstractDomain):

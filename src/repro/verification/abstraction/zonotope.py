@@ -38,7 +38,6 @@ from repro.nn.graph import (
 from repro.verification.abstraction.domain import (
     AbstractDomain,
     register_domain,
-    register_fused_transformers,
     register_transformer,
 )
 from repro.verification.sets import Box, BoxBatch
@@ -305,9 +304,6 @@ def _max_group(domain, op: MaxGroupOp, batch: ZonotopeBatch) -> ZonotopeBatch:
 @register_transformer("zonotope", ReshapeOp)
 def _reshape(domain, op: ReshapeOp, batch: ZonotopeBatch) -> ZonotopeBatch:
     return batch
-
-
-register_fused_transformers("zonotope")
 
 
 class ZonotopeDomain(AbstractDomain):

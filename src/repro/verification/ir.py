@@ -43,8 +43,6 @@ from repro.nn.graph import (
     AffineOp,
     ConvOp,
     ElementwiseAffineOp,
-    FusedAffineReLU,
-    FusedConvReLU,
     IROp,
     LeakyReLUOp,
     MaxGroupOp,
@@ -168,10 +166,6 @@ def _op_vjp(op: IROp, op_in: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return grad
     if isinstance(op, MonotoneOp):
         return grad * op.derivative(op_in)
-    if isinstance(op, (FusedAffineReLU, FusedConvReLU)):
-        part = op.affine if isinstance(op, FusedAffineReLU) else op.conv
-        pre = part.apply(op_in)
-        return _op_vjp(part, op_in, grad * (pre > 0.0))
     raise TypeError(f"no VJP for op {type(op).__name__}")
 
 
@@ -235,73 +229,6 @@ def _build_program(
     return LoweredProgram(ops, in_dim, op_layers=tuple(op_layers), source=source)
 
 
-def _fused_view(program: LoweredProgram) -> LoweredProgram:
-    """The fast-backend view: activation and diagonal-affine fusion.
-
-    Three rewrite rules, applied in one left-to-right pass:
-
-    - ``ElementwiseAffineOp`` followed by ``AffineOp`` folds forward into
-      the dense map (``W diag(s) x + (W t + b)`` — exact in real
-      arithmetic), covering the diagonal ops the backward fold in
-      :func:`_fold_elementwise` could not absorb;
-    - ``AffineOp`` followed by ``ReLUOp`` fuses into
-      :class:`~repro.nn.graph.FusedAffineReLU`;
-    - ``ConvOp`` followed by ``ReLUOp`` fuses into
-      :class:`~repro.nn.graph.FusedConvReLU`.
-
-    Fused ops contain their parts, so every abstract domain transforms
-    them exactly (part then activation); the float32 backend evaluates
-    them in one kernel pass.  The view is never handed to the MILP
-    encoder (which consumes the piecewise-linear view of the *unfused*
-    program).
-    """
-    layers = getattr(
-        program, "op_layers", tuple([None] * len(program.ops))
-    )
-    ops: list[IROp] = []
-    op_layers: list[int] = []
-    for op, layer in zip(program.ops, layers):
-        prev = ops[-1] if ops else None
-        if isinstance(op, AffineOp) and isinstance(prev, ElementwiseAffineOp):
-            ops.pop()
-            op_layers.pop()
-            op = AffineOp(
-                op.weight * prev.scale[None, :],
-                op.weight @ prev.shift + op.bias,
-            )
-            prev = ops[-1] if ops else None
-        if isinstance(op, ReLUOp):
-            if isinstance(prev, AffineOp):
-                ops[-1] = FusedAffineReLU(prev)
-                continue
-            if isinstance(prev, ConvOp):
-                ops[-1] = FusedConvReLU(prev)
-                continue
-        ops.append(op)
-        op_layers.append(layer)
-    return LoweredProgram(
-        ops,
-        program.in_dim,
-        op_layers=tuple(op_layers),
-        source=f"{getattr(program, 'source', '')}/fused",
-    )
-
-
-def fused_view(program: PiecewiseLinearNetwork) -> LoweredProgram:
-    """Public cached access to the fused view of any flat program.
-
-    Accepts a plain :class:`~repro.nn.graph.PiecewiseLinearNetwork`
-    (e.g. a verification suffix) or a :class:`LoweredProgram`; the
-    result is cached on the program instance, so repeated fast-path
-    propagations rebuild nothing.
-    """
-    cached = program.__dict__.get("_fused_view_cache")
-    if cached is None:
-        cached = _fused_view(program)
-        program.__dict__["_fused_view_cache"] = cached
-    return cached
-
-
 def _piecewise_linear_view(program: LoweredProgram) -> LoweredProgram:
     """The MILP-encodable view: conv materialized, monotone ops rejected."""
     ops: list[IROp] = []
@@ -330,7 +257,6 @@ def lower_network(
     end: int | None = None,
     *,
     piecewise_linear: bool = False,
-    fused: bool = False,
 ) -> LoweredProgram:
     """Lower layers ``start+1 .. end`` of a model, cached per view.
 
@@ -339,10 +265,7 @@ def lower_network(
     The default view keeps convolutions in kernel form and admits smooth
     monotone activations (what abstract prefix propagation wants);
     ``piecewise_linear=True`` materializes convolutions and rejects
-    non-piecewise-linear ops (what the MILP encoder wants);
-    ``fused=True`` additionally applies the activation/diagonal-affine
-    fusion rules (:func:`_fused_view` — what the float32 fast backend
-    consumes; incompatible with ``piecewise_linear``).
+    non-piecewise-linear ops (what the MILP encoder wants).
 
     The program is cached on the model keyed by ``(start, end, view)``
     and reused across prescreen, CEGAR, MILP encoding and PGD
@@ -359,12 +282,8 @@ def lower_network(
     model._check_index(end, allow_zero=True)
     if end < start:
         raise ValueError(f"cannot lower a negative span: start={start} end={end}")
-    if piecewise_linear and fused:
-        raise ValueError(
-            "fused programs are never MILP-encoded; request one view or the other"
-        )
     cache = model.__dict__.setdefault("_lowering_cache", {})
-    key = (start, end, piecewise_linear, fused)
+    key = (start, end, piecewise_linear)
     cached = cache.get(key)
     if cached is not None:
         _STATS["hits"] += 1
@@ -372,8 +291,6 @@ def lower_network(
     _STATS["misses"] += 1
     if piecewise_linear:
         program = _piecewise_linear_view(lower_network(model, start, end))
-    elif fused:
-        program = _fused_view(lower_network(model, start, end))
     else:
         program = _build_program(model, start, end, source=f"layers[{start}:{end}]")
     from repro.analysis.ir_analysis import validate_program
@@ -383,11 +300,9 @@ def lower_network(
     return program
 
 
-def lowered_prefix(
-    model: "Sequential", cut_layer: int, *, fused: bool = False
-) -> LoweredProgram:
+def lowered_prefix(model: "Sequential", cut_layer: int) -> LoweredProgram:
     """The abstract-propagation view of layers ``1 .. cut_layer``."""
-    return lower_network(model, 0, cut_layer, fused=fused)
+    return lower_network(model, 0, cut_layer)
 
 
 def lowered_suffix(model: "Sequential", cut_layer: int) -> LoweredProgram:

@@ -44,8 +44,6 @@ def output_enclosure(
     suffix: PiecewiseLinearNetwork,
     feature_set: FeatureSet,
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ):
     """Risk-independent half of the pre-screen: the output enclosure.
 
@@ -58,17 +56,13 @@ def output_enclosure(
     (``repro.api.VerificationEngine``) compute it once and reuse it via
     :func:`screen_enclosure`.
     """
-    return output_enclosure_batch(
-        suffix, [feature_set], domain, precision=precision
-    )[0]
+    return output_enclosure_batch(suffix, [feature_set], domain)[0]
 
 
 def output_enclosure_batch(
     suffix: PiecewiseLinearNetwork,
     feature_sets: "Sequence[FeatureSet] | BoxBatch",
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ) -> list:
     """Batched twin of :func:`output_enclosure` over many feature sets.
 
@@ -79,12 +73,6 @@ def output_enclosure_batch(
     of the domain's batched transformers, returning one enclosure value
     per set — each interchangeable with the scalar path's result in
     :func:`screen_enclosure`.
-
-    ``precision="fast32"`` routes the interval and zonotope domains
-    through the float32 backend over the fused suffix view; enclosures
-    are then outer approximations of the exact64 ones (every
-    "excluded" verdict they admit is still sound).  Other domains, and
-    programs the fast path cannot express, fall back to exact64.
     """
     dom = get_domain(domain)
     if isinstance(feature_sets, BoxBatch):
@@ -93,21 +81,6 @@ def output_enclosure_batch(
         return []
     else:
         hulls = BoxBatch.from_boxes([Box(*fs.bounds()) for fs in feature_sets])
-    if precision == "fast32" and domain in ("interval", "zonotope"):
-        from repro.verification.abstraction import fast32
-        from repro.verification.ir import fused_view
-
-        try:
-            fused = fused_view(suffix)
-            if domain == "interval":
-                element = fast32.propagate_interval_fast32(fused, hulls)
-            else:
-                element = fast32.propagate_zonotope_fast32(
-                    fused, dom.lift(hulls)
-                )
-            return dom.enclosures(element)
-        except fast32.Fast32Unsupported:
-            pass
     element = dom.propagate(suffix, dom.lift(hulls))
     return dom.enclosures(element)
 
@@ -131,8 +104,6 @@ def prescreen(
     feature_set: FeatureSet,
     risk: RiskCondition,
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ) -> PrescreenResult:
     """Try to refute reachability of ``risk`` by bound propagation.
 
@@ -145,9 +116,7 @@ def prescreen(
         raise ValueError(
             f"risk is over {risk.dim} outputs, network has {suffix.out_dim}"
         )
-    enclosure = output_enclosure(
-        suffix, feature_set, domain, precision=precision
-    )
+    enclosure = output_enclosure(suffix, feature_set, domain)
     return screen_enclosure(enclosure, risk, domain)
 
 
@@ -156,8 +125,6 @@ def prescreen_batch(
     feature_sets: Sequence[FeatureSet],
     risk: RiskCondition,
     domain: str = "interval",
-    *,
-    precision: str = "exact64",
 ) -> list[PrescreenResult]:
     """Region-major prescreen: one risk over many feature sets.
 
@@ -170,7 +137,5 @@ def prescreen_batch(
         raise ValueError(
             f"risk is over {risk.dim} outputs, network has {suffix.out_dim}"
         )
-    enclosures = output_enclosure_batch(
-        suffix, feature_sets, domain, precision=precision
-    )
+    enclosures = output_enclosure_batch(suffix, feature_sets, domain)
     return [screen_enclosure(enc, risk, domain) for enc in enclosures]

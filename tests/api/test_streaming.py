@@ -380,7 +380,6 @@ class TestMemoryGuard:
         class _Args:
             out = "unused"
             solver = "highs"
-            precision = "exact64"
             refine_budget = 0
             scenario_grid = 10_000
             stream = False

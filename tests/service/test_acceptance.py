@@ -1,7 +1,7 @@
 """The PR's acceptance bar: the store turns recomputation into lookup.
 
 A cold submission pays for a genuine MILP solve; resubmitting the same
-(model, property, method, domain, precision) must answer from the
+(model, property, method, domain) must answer from the
 persistent store at least **10x faster** with the identical verdict —
 across a daemon restart, since the store is the only state carried over.
 """

@@ -153,25 +153,23 @@ class TestErrors:
         assert status == 400 and "must be an object" in body["error"]
 
     def test_oversized_body_is_413(self, client):
-        import http.client
-        from urllib.parse import urlparse
-
         # declare an oversized Content-Length without sending the body:
         # the server must answer (and close) without reading it
-        parsed = urlparse(client.base_url)
-        conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=60)
-        try:
-            conn.putrequest("POST", "/v1/jobs")
-            conn.putheader("Content-Type", "application/json")
-            conn.putheader("Content-Length", str((1 << 20) + 1))
-            conn.endheaders()
-            response = conn.getresponse()
-            body = json.loads(response.read().decode())
-        finally:
-            conn.close()
-        assert response.status == 413
+        status, body, connection = _post_headers_only(
+            client.base_url, str((1 << 20) + 1)
+        )
+        assert status == 413
         assert "body too large" in body["error"]
-        assert response.getheader("Connection") == "close"
+        assert connection == "close"
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_malformed_content_length_is_400(self, client, length):
+        # a non-numeric or negative length must get an answer and a
+        # closed connection, not a crashed (or blocked) handler thread
+        status, body, connection = _post_headers_only(client.base_url, length)
+        assert status == 400
+        assert "invalid Content-Length" in body["error"]
+        assert connection == "close"
 
     def test_invalid_wait_value_is_400(self, client):
         job = client.submit({"model": "model.onnx", "property": "unsat.vnnlib"})
@@ -214,6 +212,28 @@ def _exchange(base, method, path, payload=None, raw=None):
             return response.status, json.loads(response.read().decode())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read().decode())
+
+
+def _post_headers_only(base, content_length):
+    """POST ``/v1/jobs`` headers declaring ``content_length``, no body.
+
+    Returns (status, parsed JSON body, ``Connection`` header).
+    """
+    import http.client
+    from urllib.parse import urlparse
+
+    parsed = urlparse(base)
+    conn = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=60)
+    try:
+        conn.putrequest("POST", "/v1/jobs")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders()
+        response = conn.getresponse()
+        body = json.loads(response.read().decode())
+    finally:
+        conn.close()
+    return response.status, body, response.getheader("Connection")
 
 
 def _normalize(node):

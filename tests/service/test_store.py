@@ -17,10 +17,7 @@ from repro.verification.solver.result import SolveResult, SolveStatus
 
 
 def _key(model="m" * 8, query="q" * 8, method="exact") -> StoreKey:
-    return StoreKey(
-        model=model, query=query, domain="interval", method=method,
-        precision="exact64",
-    )
+    return StoreKey(model=model, query=query, domain="interval", method=method)
 
 
 def _unsat_result() -> StoredResult:
@@ -139,6 +136,57 @@ class TestPersistence:
         reloaded = ResultStore(path)
         assert reloaded.get(_key()) == _unsat_result()
         assert reloaded.skipped_lines == 1
+
+
+class TestFormatCompatibility:
+    """Logs written before the ``precision`` knob was removed still replay.
+
+    Those records name the arithmetic their verdict was computed in:
+    ``"exact64"`` or the retired float32 backend's name, with identical
+    verdicts by contract.  The lines below are byte-for-byte what that
+    writer appended.
+    """
+
+    LINES = (
+        '{"created": 1700000000.0, "domain": "interval", "kind": "result", '
+        '"method": "exact", "model": "mmmmmmmm", "payload": {"decided_by": '
+        '"prescreen", "elapsed": 0.25, "feature_set_kind": "static", '
+        '"ladder": ["prescreen"], "monitored": false, "solver_status": '
+        '"unsat", "verdict": "safe"}, "precision": "fast32", "query": '
+        '"q1q1q1q1", "v": 1}',
+        '{"created": 1700000001.0, "domain": "interval", "kind": "result", '
+        '"method": "exact", "model": "mmmmmmmm", "payload": '
+        '{"counterexample": {"characterizer_logit": null, "features": '
+        '[0.1, -0.7, 0.3], "output": [1.5, -0.2], "risk_margin": 0.5}, '
+        '"decided_by": "solve", "elapsed": 0.0, "feature_set_kind": '
+        '"static", "ladder": [], "monitored": false, "solver_status": '
+        '"sat", "verdict": "unsafe-in-set"}, "precision": "exact64", '
+        '"query": "q2q2q2q2", "v": 1}',
+    )
+
+    def test_older_records_of_either_precision_replay_and_serve(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join(self.LINES) + "\n")
+        store = ResultStore(path)
+        assert store.skipped_lines == 0
+        assert len(store) == 2
+        model = "mmmmmmmm"
+        assert store.get(_key(model=model, query="q1q1q1q1")) == _unsat_result()
+        assert store.get(_key(model=model, query="q2q2q2q2")) == _sat_result()
+        assert store.stats.hits == 2
+
+    def test_fresh_put_writes_the_exact64_field(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("\n".join(self.LINES) + "\n")
+        store = ResultStore(path)
+        store.put(_key(query="q3q3q3q3"), _unsat_result())
+        record = json.loads(path.read_text().splitlines()[-1])
+        assert record["precision"] == "exact64"
+        assert sorted(record) == [
+            "created", "domain", "kind", "method", "model", "payload",
+            "precision", "query", "v",
+        ]
+        assert len(ResultStore(path)) == 3
 
 
 class TestStorability:

@@ -64,7 +64,6 @@ def store_keys(draw):
         query=draw(_names),
         domain=draw(st.sampled_from(["interval", "zonotope", "none"])),
         method=draw(st.sampled_from(["exact", "relaxed", "cegar"])),
-        precision=draw(st.sampled_from(["exact64", "fast32"])),
     )
 
 
