@@ -980,7 +980,7 @@ class VerificationEngine:
             with self._scoped(relaxed) as problem:
                 append_risk_rows(problem.model, problem.output_vars, risk)
                 lp = solve_lp_relaxation(problem.model.to_arrays())
-                if not lp.feasible:
+                if lp.infeasible:
                     verdict = self._make_verdict(
                         registered,
                         query,
@@ -992,10 +992,14 @@ class VerificationEngine:
                     return QueryResult(
                         query=query, verdict=verdict, decided_by="relaxed-lp"
                     )
-                violation = max(
-                    (split.violation(lp.x) for split in problem.splits),
-                    default=0.0,
-                )
+                # an LP that proved nothing (limit, numerics) falls
+                # through to the complete solver
+                violation = np.inf
+                if lp.feasible:
+                    violation = max(
+                        (split.violation(lp.x) for split in problem.splits),
+                        default=0.0,
+                    )
                 if violation <= _LP_SEMANTICS_TOL:
                     # per-neuron tolerance can amplify through the layers:
                     # only claim SAT if the point replays through the real

@@ -223,23 +223,31 @@ def _box_only(domain, op, element: OctagonBatch) -> OctagonBatch:
     return _with_box_fallback(INTERVAL.transform(op, element.box))
 
 
-def _linprog_lower_bound(enclosure: BoxWithDiffs, a: np.ndarray) -> float | None:
-    """``min a . y`` over box + difference constraints via a tiny LP."""
-    try:
-        from scipy.optimize import linprog
-    except ImportError:  # pragma: no cover - scipy is a hard dep in CI
-        return None
+def _lp_lower_bound(enclosure: BoxWithDiffs, a: np.ndarray) -> float | None:
+    """``min a . y`` over box + difference constraints via a tiny LP.
+
+    ``None`` unless the LP solved to optimality (the box bound stands).
+    """
+    # imported here: the solver package imports the encoders, which
+    # import this domain
+    from repro.verification.milp.model import MILPArrays
+    from repro.verification.solver.lp import solve_lp_relaxation
+
     a_ub, b_ub = enclosure.linear_constraints()
-    result = linprog(
-        np.asarray(a, dtype=float),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=list(zip(enclosure.box.lower, enclosure.box.upper)),
-        method="highs",
+    dim = enclosure.dim
+    result = solve_lp_relaxation(
+        MILPArrays(
+            c=np.asarray(a, dtype=float),
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=np.zeros((0, dim)),
+            b_eq=np.zeros(0),
+            lower=enclosure.box.lower,
+            upper=enclosure.box.upper,
+            binary_mask=np.zeros(dim, dtype=bool),
+        )
     )
-    if not result.success:
-        return None
-    return float(result.fun)
+    return result.objective if result.feasible else None
 
 
 class OctagonDomain(AbstractDomain):
@@ -268,7 +276,7 @@ class OctagonDomain(AbstractDomain):
     def linear_lower_bound(self, enclosure, a: np.ndarray) -> float:
         fallback = super().linear_lower_bound(enclosure, a)
         if isinstance(enclosure, BoxWithDiffs):
-            tightened = _linprog_lower_bound(enclosure, a)
+            tightened = _lp_lower_bound(enclosure, a)
             if tightened is not None:
                 # the LP feasible region is a subset of the box, so its
                 # minimum can only be larger (sound either way)

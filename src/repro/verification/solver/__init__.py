@@ -1,8 +1,11 @@
 """Solver backends behind a uniform registry.
 
 - :mod:`repro.verification.solver.branch_bound` — our own
-  branch-and-bound over LP relaxations (``scipy.optimize.linprog`` /
-  HiGHS as the LP oracle);
+  branch-and-bound over LP relaxations, all node LPs of one search on
+  one hot-started HiGHS instance;
+- :mod:`repro.verification.solver.lp` — that LP oracle
+  (:class:`~repro.verification.solver.lp.LPSession`); its answers are
+  optimal, proven infeasible or unknown;
 - :mod:`repro.verification.solver.highs` — direct hand-off to
   ``scipy.optimize.milp`` (HiGHS branch-and-cut), used to cross-check
   the home-grown solver in tests;

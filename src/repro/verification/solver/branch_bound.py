@@ -9,6 +9,11 @@ value is explored first).
 For feasibility problems (zero objective, the verification use case) the
 first integral solution decides SAT.  For optimization the incumbent
 bound additionally prunes relaxations that cannot improve it.
+
+All node LPs of one search run on one :class:`~repro.verification.solver.lp.LPSession`,
+so each node hot-starts from the previous node's basis.  Only a proven
+infeasible relaxation prunes: a node LP that fails for any other reason
+ends the search like a resource limit (``stats["limit"] == "lp"``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.verification.milp.model import MILPModel
-from repro.verification.solver.lp import solve_lp_relaxation
+from repro.verification.solver.lp import LPSession
 from repro.verification.solver.result import SolveResult, SolveStatus
 
 _INT_TOL = 1e-6
@@ -45,12 +50,13 @@ class BranchAndBoundSolver:
     def _search(self, model: MILPModel, optimize: bool) -> SolveResult:
         start = time.perf_counter()
         arrays = model.to_arrays()
+        session = LPSession(arrays)
         binary_idx = np.nonzero(arrays.binary_mask)[0]
 
         incumbent_x: np.ndarray | None = None
         incumbent_obj = np.inf
         nodes = 0
-        hit_limit = False
+        limit: str | None = None
 
         # stack of (lower, upper, parent LP objective) triples; the root's
         # parent bound is -inf.  Each open node's parent bound is a valid
@@ -62,14 +68,20 @@ class BranchAndBoundSolver:
         ]
 
         while stack:
-            if nodes >= self.node_limit or time.perf_counter() - start > self.time_limit:
-                hit_limit = True
+            remaining = self.time_limit - (time.perf_counter() - start)
+            if nodes >= self.node_limit or remaining < 0:
+                limit = "nodes" if nodes >= self.node_limit else "time"
                 break
-            lower, upper, _ = stack.pop()
+            lower, upper, parent_bound = stack.pop()
             nodes += 1
-            relaxation = solve_lp_relaxation(arrays, lower, upper)
-            if not relaxation.feasible:
+            relaxation = session.solve(lower, upper, time_limit=remaining)
+            if relaxation.infeasible:
                 continue
+            if not relaxation.feasible:
+                # the LP proved nothing: keep the node open for the bound
+                stack.append((lower, upper, parent_bound))
+                limit = "lp"
+                break
             if optimize and relaxation.objective >= incumbent_obj - 1e-9:
                 continue  # cannot improve the incumbent
 
@@ -108,20 +120,21 @@ class BranchAndBoundSolver:
 
         elapsed = time.perf_counter() - start
         best_bound = min((entry[2] for entry in stack), default=np.inf)
-        if hit_limit and incumbent_x is None:
+        if limit is not None and incumbent_x is None:
             return SolveResult(
                 status=SolveStatus.UNKNOWN,
                 nodes_explored=nodes,
                 solve_time=elapsed,
                 stats={
-                    "limit": "nodes" if nodes >= self.node_limit else "time",
+                    "limit": limit,
                     "open_nodes": len(stack),
                     "best_bound": best_bound,
                 },
             )
         if optimize and incumbent_x is not None:
-            stats: dict = {"proved_optimal": not hit_limit}
-            if hit_limit:
+            stats: dict = {"proved_optimal": limit is None}
+            if limit is not None:
+                stats["limit"] = limit
                 stats["open_nodes"] = len(stack)
                 stats["best_bound"] = min(best_bound, incumbent_obj)
             return SolveResult(

@@ -6,7 +6,8 @@ is the non-MILP lineage.  The search state is a partial assignment of
 *phases* to the split points recorded by the relaxed encoding; each node
 solves one LP:
 
-- infeasible → prune;
+- proven infeasible → prune (an LP that fails without a proof ends the
+  search UNKNOWN, ``stats["limit"] == "lp"``);
 - feasible and every split's exact semantics holds at the LP point →
   **SAT** with that point as witness (undecided splits are fine — the
   point already realizes them);
@@ -46,18 +47,22 @@ class PhaseSplitSolver:
         # stack entries: tuple of chosen (split_index, option_index)
         stack: list[tuple[tuple[int, int], ...]] = [()]
         nodes = 0
-        hit_limit = False
+        limit: str | None = None
 
         while stack:
-            if nodes >= self.node_limit or time.perf_counter() - start > self.time_limit:
-                hit_limit = True
+            remaining = self.time_limit - (time.perf_counter() - start)
+            if nodes >= self.node_limit or remaining < 0:
+                limit = "nodes" if nodes >= self.node_limit else "time"
                 break
             assignment = stack.pop()
             nodes += 1
             arrays = self._arrays_for(base, splits, assignment)
-            relaxation = solve_lp_relaxation(arrays)
-            if not relaxation.feasible:
+            relaxation = solve_lp_relaxation(arrays, time_limit=remaining)
+            if relaxation.infeasible:
                 continue
+            if not relaxation.feasible:
+                limit = "lp"
+                break
             x = relaxation.x
 
             decided = {index for index, _ in assignment}
@@ -89,12 +94,12 @@ class PhaseSplitSolver:
                 stack.append(assignment + ((worst_index, option_index),))
 
         elapsed = time.perf_counter() - start
-        if hit_limit:
+        if limit is not None:
             return SolveResult(
                 status=SolveStatus.UNKNOWN,
                 nodes_explored=nodes,
                 solve_time=elapsed,
-                stats={"limit": "nodes" if nodes >= self.node_limit else "time"},
+                stats={"limit": limit},
             )
         return SolveResult(
             status=SolveStatus.UNSAT, nodes_explored=nodes, solve_time=elapsed

@@ -298,6 +298,36 @@ class TestMethodPaths:
         assert result.verdict.verdict in (Verdict.UNKNOWN, Verdict.UNSAFE_IN_SET)
 
 
+class TestFailedScreenLP:
+    """A relaxed LP that stops without an answer must never decide UNSAT."""
+
+    @staticmethod
+    def _engine(api_system, solver):
+        model, images, cut, _ = api_system
+        engine = VerificationEngine(model, cut, solver=solver)
+        engine.add_feature_set_from_data(images)
+        return engine
+
+    def test_screen_falls_through_to_the_complete_solver(self, api_system, fail_lps):
+        engine = self._engine(api_system, "highs")
+        query = VerificationQuery(risk=_unreachable_risk(engine), domain=None)
+        assert engine.run_query(query).decided_by == "relaxed-lp"
+        fail_lps()
+        result = self._engine(api_system, "highs").run_query(query)
+        assert result.decided_by == "solve:highs"
+        assert result.verdict.verdict is Verdict.CONDITIONALLY_SAFE
+
+    @pytest.mark.parametrize("method", [Method.EXACT, Method.RELAXED])
+    @pytest.mark.parametrize("solver", ["branch-and-bound", "phase-split"])
+    def test_no_path_answers_unsat(self, api_system, fail_lps, method, solver):
+        engine = self._engine(api_system, solver)
+        fail_lps()
+        result = engine.run_query(
+            VerificationQuery(risk=_unreachable_risk(engine), domain=None, method=method)
+        )
+        assert result.verdict.verdict is Verdict.UNKNOWN
+
+
 class TestVerifyConvenience:
     def test_verify_matches_run_query(self, api_system):
         """One-off ``verify`` on a fresh engine == ``run_query`` on a

@@ -6,6 +6,8 @@ are session-scoped; everything else is built per test from fixed seeds.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.nn import (
     Sequential,
 )
 from repro.scenario.dataset import SceneConfig, generate_dataset
+from repro.verification.solver import lp
 
 
 @pytest.fixture
@@ -75,3 +78,33 @@ def verified_system():
         seed=0,
     )
     return build_verified_system(config)
+
+
+@pytest.fixture(params=["binding", "linprog"])
+def lp_backend(request, monkeypatch):
+    """Run the test on each LP path: the HiGHS binding and the ``linprog`` fallback."""
+    if request.param == "linprog":
+        monkeypatch.setattr(lp, "HIGHS_BINDING", False)
+
+
+@pytest.fixture
+def fail_lps(monkeypatch):
+    """``fail_lps(after=k)``: every LP solve after the first ``k`` stops unanswered.
+
+    The stub answers like an LP that hit an iteration limit: neither a
+    solution nor a proof of infeasibility.  Calling it again restarts
+    the count.
+    """
+    real_solve = lp.LPSession.solve
+
+    def install(after: int = 0) -> None:
+        calls = itertools.count()
+
+        def solve(self, *args, **kwargs):
+            if next(calls) < after:
+                return real_solve(self, *args, **kwargs)
+            return lp.LPResult(lp.LPStatus.UNKNOWN)
+
+        monkeypatch.setattr(lp.LPSession, "solve", solve)
+
+    return install

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Conv2D, Dense, Flatten, LeakyReLU, MaxPool2D, ReLU, Sequential
@@ -147,8 +147,13 @@ class TestThreeEngineCrossValidation:
     """Big-M branch-and-bound, HiGHS and the phase-split engine must agree."""
 
     @given(st.integers(0, 100_000))
-    @settings(max_examples=15, deadline=None)
-    def test_agreement_on_random_instances(self, seed):
+    @settings(
+        max_examples=15,
+        deadline=None,
+        # lp_backend patches one module flag that holds for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_agreement_on_random_instances(self, lp_backend, seed):
         rng = np.random.default_rng(seed)
         net = _relu_net(seed=seed % 71, widths=(5, 4))
         features = rng.normal(size=(30, 4))

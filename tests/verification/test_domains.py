@@ -237,3 +237,13 @@ class TestFeatureSetExtraction:
             box_bound = get_domain("interval").linear_lower_bound(box, a)
             lp_bound = octagon.linear_lower_bound(enclosure, a)
             assert lp_bound >= box_bound - ATOL
+
+    def test_octagon_failed_lp_keeps_box_bound(self, fail_lps):
+        """An LP that stops without an optimum tightens nothing."""
+        octagon = get_domain("octagon")
+        box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+        enclosure = BoxWithDiffs(box, np.array([-0.1]), np.array([0.1]))
+        a = np.array([1.0, -1.0])
+        assert octagon.linear_lower_bound(enclosure, a) == pytest.approx(-0.1)
+        fail_lps()
+        assert octagon.linear_lower_bound(enclosure, a) == pytest.approx(-2.0)

@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Dense, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq
 from repro.verification.assume_guarantee import box_from_data
 from repro.verification.milp.encoder import encode_verification_problem
-from repro.verification.milp.model import MILPModel
+from repro.verification.milp.model import MILPArrays, MILPModel
+from repro.verification.milp.relaxed import encode_relaxed_problem
 from repro.verification.solver import (
     BranchAndBoundSolver,
     HighsSolver,
+    PhaseSplitSolver,
     SolveStatus,
     make_solver,
 )
+from repro.verification.solver.lp import LPSession, LPStatus, solve_lp_relaxation
 from repro.verification.solver.result import SolveResult
 
 
@@ -69,7 +73,7 @@ class TestBranchAndBound:
         assert result.witness[d0] == pytest.approx(1.0)
         assert result.witness[d1] == pytest.approx(0.0)
 
-    def test_node_limit_gives_unknown(self):
+    def test_node_limit_gives_unknown(self, lp_backend):
         rng = np.random.default_rng(0)
         model = Sequential(
             [Dense(14), ReLU(), Dense(14), ReLU(), Dense(2)], input_shape=(6,), seed=0
@@ -97,7 +101,7 @@ class TestBranchAndBound:
         assert result.stats["open_nodes"] == 2
         assert "best_bound" in result.stats
 
-    def test_truncated_minimize_bound_brackets_optimum(self):
+    def test_truncated_minimize_bound_brackets_optimum(self, lp_backend):
         """best_bound <= true optimum when optimization hits its limit."""
         # min -(b0 + b1) s.t. b0 + b1 <= 1.5: the LP root is fractional
         # (0.75, 0.75, objective -1.5); DFS finds the integral incumbent
@@ -165,8 +169,13 @@ class TestCrossValidation:
     """Our branch-and-bound must agree with HiGHS on random instances."""
 
     @given(st.integers(0, 100_000))
-    @settings(max_examples=20, deadline=None)
-    def test_agree_on_random_verification_instances(self, seed):
+    @settings(
+        max_examples=20,
+        deadline=None,
+        # lp_backend patches one module flag that holds for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_agree_on_random_verification_instances(self, lp_backend, seed):
         rng = np.random.default_rng(seed)
         model = Sequential(
             [Dense(5), ReLU(), Dense(4), ReLU(), Dense(2)],
@@ -199,3 +208,141 @@ class TestCrossValidation:
         ours = BranchAndBoundSolver().minimize(problem.model)
         reference = HighsSolver().minimize(problem.model)
         assert ours.objective == pytest.approx(reference.objective, abs=1e-5)
+
+
+def bounded_lp(rng) -> MILPArrays:
+    """A small bounded LP with binaries, feasible at its root."""
+    n = int(rng.integers(3, 9))
+    binary = np.zeros(n, dtype=bool)
+    binary[rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)] = True
+    lower = np.where(binary, 0.0, rng.uniform(-3.0, 0.0, n))
+    upper = np.where(binary, 1.0, rng.uniform(0.0, 3.0, n))
+    x0 = rng.uniform(lower, upper)
+    a_ub = rng.normal(size=(int(rng.integers(1, 7)), n))
+    a_eq = rng.normal(size=(int(rng.integers(0, 2)), n))
+    return MILPArrays(
+        c=rng.normal(size=n),
+        a_ub=a_ub,
+        b_ub=a_ub @ x0 + rng.uniform(0.0, 1.0, a_ub.shape[0]),
+        a_eq=a_eq,
+        b_eq=a_eq @ x0,
+        lower=lower,
+        upper=upper,
+        binary_mask=binary,
+    )
+
+
+class TestLPSession:
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_hot_start_matches_cold_solves(self, seed):
+        """A DFS of fixings and backtracks on one session answers like cold solves."""
+        rng = np.random.default_rng(seed)
+        arrays = bounded_lp(rng)
+        binaries = np.nonzero(arrays.binary_mask)[0]
+        session = LPSession(arrays)
+        path = [(arrays.lower, arrays.upper)]
+        for _ in range(12):
+            if len(path) > 1 and rng.random() < 0.35:
+                path.pop()
+            else:
+                lower, upper = path[-1][0].copy(), path[-1][1].copy()
+                j = rng.choice(binaries)
+                lower[j] = upper[j] = float(rng.integers(2))
+                path.append((lower, upper))
+            lower, upper = path[-1]
+            hot = session.solve(lower, upper)
+            cold = solve_lp_relaxation(arrays, lower, upper)
+            reference = scipy.optimize.linprog(
+                arrays.c,
+                A_ub=arrays.a_ub,
+                b_ub=arrays.b_ub,
+                A_eq=arrays.a_eq if arrays.a_eq.size else None,
+                b_eq=arrays.b_eq if arrays.a_eq.size else None,
+                bounds=np.column_stack([lower, upper]),
+                method="highs",
+            )
+            assert reference.status in (0, 2)  # bounded: solved or infeasible
+            assert hot.status is cold.status
+            assert hot.feasible == (reference.status == 0)
+            if not hot.feasible:
+                continue
+            for result in (hot, cold):
+                assert result.objective == pytest.approx(reference.fun, rel=1e-7, abs=1e-9)
+            x = hot.x
+            assert np.all(x >= lower - 1e-7) and np.all(x <= upper + 1e-7)
+            assert np.all(arrays.a_ub @ x <= arrays.b_ub + 1e-7)
+            np.testing.assert_allclose(arrays.a_eq @ x, arrays.b_eq, atol=1e-7)
+
+    def test_crossed_bounds_are_infeasible(self, lp_backend):
+        arrays = bounded_lp(np.random.default_rng(0))
+        lower = arrays.lower.copy()
+        lower[0] = arrays.upper[0] + 1.0
+        assert solve_lp_relaxation(arrays, lower).status is LPStatus.INFEASIBLE
+
+    def test_unbounded_is_unknown(self, lp_backend):
+        """Unbounded proves nothing about feasibility of the MILP."""
+        arrays = bounded_lp(np.random.default_rng(1))
+        upper = arrays.upper.copy()
+        upper[~arrays.binary_mask] = np.inf
+        c = np.where(arrays.binary_mask, 0.0, -1.0)
+        free = MILPArrays(
+            c=c,
+            a_ub=np.zeros((0, c.size)),
+            b_ub=np.zeros(0),
+            a_eq=np.zeros((0, c.size)),
+            b_eq=np.zeros(0),
+            lower=arrays.lower,
+            upper=upper,
+            binary_mask=arrays.binary_mask,
+        )
+        assert solve_lp_relaxation(free).status is LPStatus.UNKNOWN
+
+    def test_exhausted_time_limit_is_unknown(self, lp_backend):
+        arrays = bounded_lp(np.random.default_rng(2))
+        assert solve_lp_relaxation(arrays, time_limit=0.0).status is LPStatus.UNKNOWN
+        assert solve_lp_relaxation(arrays).status is LPStatus.OPTIMAL
+
+
+class TestFailedLPIsNotInfeasible:
+    """Only a proven-infeasible LP may prune a node or decide UNSAT."""
+
+    def test_branch_and_bound_answers_unknown(self, fail_lps):
+        fail_lps()
+        result = BranchAndBoundSolver().solve(infeasible_model())
+        assert result.status is SolveStatus.UNKNOWN
+        assert result.stats["limit"] == "lp"
+        assert result.stats["open_nodes"] == 1
+        assert result.stats["best_bound"] == -np.inf
+
+    def test_minimize_keeps_incumbent_with_sound_bound(self, fail_lps):
+        """Failing at any node: UNKNOWN, or an unproved SAT bracketing the optimum."""
+        model = MILPModel()
+        b0, b1 = model.add_binary("b0"), model.add_binary("b1")
+        model.add_leq({b0: 1.0, b1: 1.0}, 1.5)
+        model.set_objective({b0: -1.0, b1: -1.0})
+        full = BranchAndBoundSolver().minimize(model)
+        outcomes = set()
+        for good in range(full.nodes_explored):
+            fail_lps(after=good)
+            result = BranchAndBoundSolver().minimize(model)
+            outcomes.add(result.status)
+            assert result.status in (SolveStatus.UNKNOWN, SolveStatus.SAT)
+            assert result.stats["limit"] == "lp"
+            assert result.stats["best_bound"] <= full.objective + 1e-9
+            if result.is_sat:
+                assert not result.stats["proved_optimal"]
+                assert result.objective >= full.objective - 1e-9
+        assert outcomes == {SolveStatus.UNKNOWN, SolveStatus.SAT}
+
+    def test_phase_split_answers_unknown(self, fail_lps):
+        rng = np.random.default_rng(7)
+        model = Sequential([Dense(5), ReLU(), Dense(2)], input_shape=(3,), seed=7)
+        sbox = box_from_data(rng.normal(size=(30, 3)))
+        risk = RiskCondition("never", (output_geq(2, 0, 1e6),))
+        problem = encode_relaxed_problem(model.full_network(), sbox, risk)
+        assert PhaseSplitSolver().solve(problem).is_unsat
+        fail_lps()
+        result = PhaseSplitSolver().solve(problem)
+        assert result.status is SolveStatus.UNKNOWN
+        assert result.stats["limit"] == "lp"
