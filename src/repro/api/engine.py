@@ -6,12 +6,14 @@ paper's Figure 1 workflow, answers declarative
 :class:`~repro.api.campaign.Campaign` batches — sequentially or fanned
 out over a process pool.
 
-Per query the engine plans a **strategy ladder**:
+Queries run in batches (a single query is a batch of one) through one
+**stage list**; each stage answers what it can and passes the rest on:
 
 1. *prescreen* — sound bound propagation over cached output enclosures,
    escalating the abstract-domain precision ladder (interval → octagon
    → zonotope → symbolic) up to the query's ``domain``, one cached
-   enclosure per ``(set, domain)`` rung;
+   enclosure per ``(set, domain)`` rung, each rung one batched pass over
+   the sets still pending at it;
 2. *support-cache* — for single-inequality risks ``a·y >= t`` (the
    threshold-sweep family), one exact MILP optimization of ``a·y`` over
    the constrained region answers **every** threshold: ``t`` beyond the
@@ -21,7 +23,8 @@ Per query the engine plans a **strategy ladder**:
 3. *relaxed-lp* — one LP over the cached binary-free relaxation: an
    infeasible LP is a proof, an LP point satisfying the exact neuron
    semantics is a genuine witness;
-4. *solve* — the complete backend (registry-dispatched by encoding);
+4. *solve* — the complete backend (registry-dispatched by encoding),
+   with a fallback on resource exhaustion:
 5. *cegar* — anytime counterexample-guided refinement of the feature
    set's input region (:class:`repro.verification.cegar.CegarLoop`):
    batched prescreen of the split frontier per round, concretization
@@ -49,7 +52,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,7 +65,7 @@ from repro.perception.characterizer import Characterizer
 from repro.perception.features import extract_features
 from repro.properties.risk import RiskCondition
 from repro.scenario.regions import RegionGrid
-from repro.scenario.streaming import _POOL_FAILURES
+from repro.scenario.streaming import _POOL_FAILURES, run_stream
 from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.assume_guarantee import feature_set_from_data
@@ -108,20 +111,57 @@ class RegisteredFeatureSet:
     input_box: tuple[np.ndarray, np.ndarray] | None = None
 
 
+#: methods the prescreen and relaxed-LP stages answer; every other
+#: method passes them by, to the support cache (exact only) and solve
+_SCREENED = (Method.EXACT, Method.RELAXED)
+
+
+@dataclass(eq=False)
+class _Item:
+    """One query in flight through a batch's stage list."""
+
+    query: VerificationQuery
+    #: the set the query is decided over (None for set-free methods)
+    registered: RegisteredFeatureSet | None = None
+    ladder: list[str] = field(default_factory=list)
+    hits: list[str] = field(default_factory=list)
+    elapsed: float = 0.0
+    #: where a decided answer is written back (None: not stored)
+    store_key: object = None
+    result: QueryResult | None = None
+
+
+@dataclass
+class _Batch:
+    """Queries decided together by one run of a stage list."""
+
+    items: list[_Item]
+    #: a campaign repeats (set, characterizer, direction) families, so
+    #: the support-cache stage optimizes eagerly
+    campaign: bool = False
+    #: capture a query's exception as its error result (False: raise)
+    safe: bool = True
+
+    def pending(self) -> list[_Item]:
+        return [item for item in self.items if item.result is None]
+
+
 class VerificationEngine:
     """Declarative-query engine for one model at one cut layer.
 
     ``solver`` is the default backend (any :func:`register_solver` name);
-    individual queries may override it.  ``lp_screen`` enables ladder
-    step 2; ``refine_fallback`` enables step 4 (needs
-    :meth:`set_refinement_data`).
+    individual queries may override it.  ``lp_screen`` enables the
+    relaxed-LP stage; ``refine_fallback`` enables the solve stage's
+    CEGAR/refine fallback (the latter needs :meth:`set_refinement_data`).
 
-    Campaigns are planned *region-major*: before any query runs, the
-    distinct ``(feature set, prescreen domain)`` pairs a campaign
-    touches are bounded in **one** batched
-    abstraction pass (:func:`~repro.verification.prescreen.output_enclosure_batch`)
+    Every query runs through one stage list — prescreen, support cache,
+    relaxed LP, solve — as part of a batch: :meth:`run_query` is a batch
+    of one, :meth:`run` a campaign batch, and a streamed shard a batch
+    with an attack stage after the prescreen.  Each prescreen rung
+    bounds every set still pending at it in **one** batched abstraction
+    pass (:func:`~repro.verification.prescreen.output_enclosure_batch`)
     that seeds the enclosure cache; only queries the prescreen cannot
-    exclude then descend the per-query solver ladder.  Combined with
+    exclude descend to the solver stages.  Combined with
     :meth:`add_region_sets` (batched input-box propagation to the cut
     layer) this makes scenario-grid sweeps pay roughly one propagation
     instead of one per region.
@@ -225,7 +265,6 @@ class VerificationEngine:
         self._direction_seen: dict[tuple, int] = {}
         #: (set, risk) -> resumable CegarLoop with its shared encoding
         self._cegar_loops: dict[tuple, CegarLoop] = {}
-        self._campaign_mode = False
         self.cache_stats: dict[str, int] = {}
 
     def clear_caches(self) -> None:
@@ -248,40 +287,37 @@ class VerificationEngine:
         return analyze_model(self.model, domain=domain)
 
     def __getstate__(self) -> dict:
-        # most caches hold per-process mutable MILP models; workers
-        # rebuild those.  Output enclosures are immutable Box/Zonotope
-        # values, so a region-major batched prescreen plan computed
-        # before the fan-out ships with the engine.
+        # caches hold per-process mutable MILP models, and pool workers
+        # only run what the parent's prescreen left, so every cache ships
+        # empty.  Box enclosures a portfolio race stages in shared memory
+        # ride the ShmHandle instead; workers re-attach them lazily.
         state = self.__dict__.copy()
         for key in (
             "_char_net_cache",
             "_bounds_cache",
+            "_enclosure_cache",
             "_encoding_cache",
             "_support_cache",
             "_direction_seen",
             "_cegar_loops",
         ):
             state[key] = {}
-        state["_enclosure_cache"] = dict(self._enclosure_cache)
-        if self._enclosure_shm is not None:
-            # box enclosures staged in shared memory ride the ShmHandle
-            # instead of the pickle stream; workers re-attach them lazily
-            for key in self._enclosure_shm[1]:
-                state["_enclosure_cache"].pop(key, None)
         state["cache_stats"] = {}
         # the store holds a thread lock and an open-by-path log; workers
         # compute without it and the parent's copy keeps collecting
         state["store"] = None
         return state
 
-    def _cached(self, cache: dict, key, label: str, build):
-        """Uniform get-or-build with hit/miss accounting."""
+    def _cached(self, cache: dict, key, label: str, build, hits: list[str]):
+        """Uniform get-or-build with hit/miss accounting; a hit is also
+        noted in the query's ``hits``."""
         if key in cache:
             self.cache_stats[f"hit:{label}"] = self.cache_stats.get(f"hit:{label}", 0) + 1
-            return cache[key], True
+            hits.append(label)
+            return cache[key]
         value = cache[key] = build()
         self.cache_stats[f"miss:{label}"] = self.cache_stats.get(f"miss:{label}", 0) + 1
-        return value, False
+        return value
 
     # -- characterizers ----------------------------------------------------
 
@@ -327,12 +363,9 @@ class VerificationEngine:
             characterizer = self.characterizers[property_name]
             return characterizer.as_piecewise_linear(), characterizer.threshold
 
-        value, hit = self._cached(
-            self._char_net_cache, property_name, "characterizer-lowering", build
+        return self._cached(
+            self._char_net_cache, property_name, "characterizer-lowering", build, hits
         )
-        if hit:
-            hits.append("characterizer-lowering")
-        return value
 
     # -- feature sets ------------------------------------------------------
 
@@ -499,24 +532,26 @@ class VerificationEngine:
     def remove_feature_sets(self, names: "list[str] | tuple[str, ...]") -> None:
         """Unregister feature sets and purge every cache entry they seeded.
 
-        The streaming campaign executor registers each shard's surviving
-        regions only for the solver fallback and removes them right
-        after — without the purge the enclosure/encoding/support/cegar
-        caches would grow O(grid) over a million-region sweep.  Unknown
-        names are ignored (the set may never have been registered).
+        The streaming campaign executor registers each shard's regions
+        for the shard's lifetime and removes them right after — without
+        the purge the enclosure/encoding/support/cegar caches would grow
+        O(grid) over a million-region sweep.  One pass per cache, however
+        many names.  Unknown names are ignored (the set may never have
+        been registered).
         """
-        for name in names:
+        doomed = set(names)
+        for name in doomed:
             self._sets.pop(name, None)
-            for cache in (
-                self._bounds_cache,
-                self._enclosure_cache,
-                self._encoding_cache,
-                self._support_cache,
-                self._direction_seen,
-                self._cegar_loops,
-            ):
-                for key in [k for k in cache if k[0] == name]:
-                    del cache[key]
+        for cache in (
+            self._bounds_cache,
+            self._enclosure_cache,
+            self._encoding_cache,
+            self._support_cache,
+            self._direction_seen,
+            self._cegar_loops,
+        ):
+            for key in [k for k in cache if k[0] in doomed]:
+                del cache[key]
 
     def feature_set(self, name: str) -> FeatureSet:
         return self._registered(name).feature_set
@@ -537,15 +572,13 @@ class VerificationEngine:
 
     def _op_bounds(self, set_name: str, net_key: str, network, hits: list[str]):
         registered = self._registered(set_name)
-        value, hit = self._cached(
+        return self._cached(
             self._bounds_cache,
             (set_name, net_key),
             "abstraction-bounds",
             lambda: op_bounds_for_set(network, registered.feature_set),
+            hits,
         )
-        if hit:
-            hits.append("abstraction-bounds")
-        return value
 
     def output_enclosures(
         self, set_names: list[str], domain: str = "interval"
@@ -572,18 +605,6 @@ class VerificationEngine:
             label = f"batch:prescreen-enclosure:{domain}"
             self.cache_stats[label] = self.cache_stats.get(label, 0) + len(missing)
         return [self._enclosure_cache[(name, domain)] for name in set_names]
-
-    def _enclosure(self, set_name: str, domain: str, hits: list[str]):
-        registered = self._registered(set_name)
-        value, hit = self._cached(
-            self._enclosure_cache,
-            (set_name, domain),
-            "prescreen-enclosure",
-            lambda: output_enclosure(self.suffix, registered.feature_set, domain),
-        )
-        if hit:
-            hits.append("prescreen-enclosure")
-        return value
 
     def _base_encoding(
         self, set_name: str, property_name: str | None, encoding: str, hits: list[str]
@@ -619,15 +640,13 @@ class VerificationEngine:
                 characterizer_bounds=characterizer_bounds,
             )
 
-        value, hit = self._cached(
+        return self._cached(
             self._encoding_cache,
             (set_name, property_name, encoding),
             f"encoding:{encoding}",
             build,
+            hits,
         )
-        if hit:
-            hits.append(f"encoding:{encoding}")
-        return value
 
     @contextmanager
     def _scoped(self, problem):
@@ -656,38 +675,35 @@ class VerificationEngine:
         to the regular solve path — the failure is cached too, so a sweep
         does not re-pay a hopeless optimization per query).
 
-        Always runs under the engine-level solver options: the planner
-        only routes un-budgeted queries here, so per-query budgets never
+        Always runs under the engine-level solver options: the support
+        stage only routes un-budgeted queries here, so per-query budgets never
         truncate (and thereby poison) the cached value.
         """
-        key = (query.set_name, query.property_name, direction)
-        if key in self._support_cache:
-            self.cache_stats["hit:support"] = self.cache_stats.get("hit:support", 0) + 1
-            hits.append("support")
-            return self._support_cache[key]
 
-        base = self._base_encoding(query.set_name, query.property_name, "milp", hits)
-        spec = solver_spec(self._milp_solver_name(query))
-        backend = spec.factory(**self._options_for(spec, None))
-        with self._scoped(base) as problem:
-            coeffs = {
-                problem.output_vars[j]: direction[j]
-                for j in range(len(problem.output_vars))
-                if direction[j] != 0.0
-            }
-            problem.model.set_objective(coeffs)
-            result = backend.minimize(problem.model)
-        if result.status is SolveStatus.UNSAT:
-            entry: tuple[float, np.ndarray | None] | None = (float("inf"), None)
-        elif result.status is SolveStatus.SAT and result.stats.get(
-            "proved_optimal", True
-        ):
-            entry = (float(result.objective), result.witness)
-        else:
-            entry = None  # resource limit: remember not to retry
-        self._support_cache[key] = entry
-        self.cache_stats["miss:support"] = self.cache_stats.get("miss:support", 0) + 1
-        return entry
+        def build() -> tuple[float, np.ndarray | None] | None:
+            base = self._base_encoding(
+                query.set_name, query.property_name, "milp", hits
+            )
+            spec = solver_spec(self._milp_solver_name(query))
+            backend = spec.factory(**self._options_for(spec, None))
+            with self._scoped(base) as problem:
+                coeffs = {
+                    problem.output_vars[j]: direction[j]
+                    for j in range(len(problem.output_vars))
+                    if direction[j] != 0.0
+                }
+                problem.model.set_objective(coeffs)
+                result = backend.minimize(problem.model)
+            if result.status is SolveStatus.UNSAT:
+                return float("inf"), None
+            if result.status is SolveStatus.SAT and result.stats.get(
+                "proved_optimal", True
+            ):
+                return float(result.objective), result.witness
+            return None  # resource limit: remember not to retry
+
+        key = (query.set_name, query.property_name, direction)
+        return self._cached(self._support_cache, key, "support", build, hits)
 
     # -- backends ----------------------------------------------------------
 
@@ -713,10 +729,6 @@ class VerificationEngine:
                 options["node_limit"] = query.node_limit
         return options
 
-    def _backend(self, query: VerificationQuery):
-        spec = solver_spec(query.solver or self.solver_name)
-        return spec, spec.factory(**self._options_for(spec, query))
-
     def _milp_solver_name(self, query: VerificationQuery) -> str:
         """A MILP-encoding backend name for paths that need ``minimize``."""
         for candidate in (query.solver, self.solver_name):
@@ -730,7 +742,8 @@ class VerificationEngine:
     # -- query execution ---------------------------------------------------
 
     def run_query(self, query: VerificationQuery) -> QueryResult:
-        """Answer one query (raises on invalid queries; see :meth:`run`).
+        """Answer one query: a batch of one (raises on invalid queries;
+        see :meth:`run`).
 
         With a :attr:`store` attached, verdict queries first look up the
         persistent result store under the query's content digest; a hit
@@ -738,37 +751,416 @@ class VerificationEngine:
         touching a solver, and a computed *decided* answer is written
         back for future runs.
         """
-        start = time.perf_counter()
+        return self._run_queries([query], safe=False)[0]
+
+    def run_query_safe(self, query: VerificationQuery) -> QueryResult:
+        """Like :meth:`run_query` but captures exceptions in the result."""
+        return self._run_queries([query])[0]
+
+    def _run_queries(
+        self,
+        queries: list[VerificationQuery],
+        *,
+        campaign: bool = False,
+        safe: bool = True,
+        stages: tuple | None = None,
+    ) -> list[QueryResult]:
+        """Admit ``queries`` as one batch, run ``stages`` (default: the
+        full stage list) over it and return the results in query order."""
+        batch = self._batch(queries, campaign=campaign, safe=safe)
+        self._decide(batch, self._stages() if stages is None else stages)
+        return self._finish(batch)
+
+    # -- the decision cascade ----------------------------------------------
+    #
+    # A stage takes the batch and its pending items, answers what it can
+    # through :meth:`_answer` and returns the items it left.  Cheap stages
+    # run first; survivors descend.
+
+    def _stages(self) -> tuple:
+        """The full stage list, cheapest first."""
+        return (self._prescreen_stage, *self._solver_stages())
+
+    def _solver_stages(self) -> tuple:
+        """The stages after the prescreen: support cache, relaxed LP,
+        complete solve."""
+        return (self._support_stage, self._relaxed_lp_stage, self._solve_stage)
+
+    def _batch(
+        self, queries: list[VerificationQuery], *, campaign: bool, safe: bool = True
+    ) -> _Batch:
+        """One item per query, each looked up in the store and validated."""
+        batch = _Batch([_Item(query) for query in queries], campaign, safe)
+        self._each(batch, batch.items, self._admit)
+        return batch
+
+    def _admit(self, item: _Item) -> None:
+        query = item.query
         key = self._store_key(query)
         if key is not None:
             stored = self.store.get(key)
             label = "hit:result-store" if stored is not None else "miss:result-store"
             self.cache_stats[label] = self.cache_stats.get(label, 0) + 1
             if stored is not None:
-                payload = stored.to_query_result(query)
-                payload.elapsed = time.perf_counter() - start
-                return payload
+                item.ladder.append("result-store")
+                item.hits.append("result-store")
+                item.result = stored.to_query_result(query)
+                return
+            item.store_key = key
+        if query.method in (Method.EXACT, Method.RELAXED, Method.CEGAR):
+            self._check_risk(query.risk)
+            item.registered = self._registered(query.set_name)
 
-        hits: list[str] = []
-        ladder: list[str] = []
+    def _check_risk(self, risk: RiskCondition) -> None:
+        if risk.dim != self.suffix.out_dim:
+            raise ValueError(
+                f"risk condition is over {risk.dim} outputs, network has "
+                f"{self.suffix.out_dim}"
+            )
 
-        if query.method is Method.ROBUSTNESS:
-            payload = self._run_robustness(query, ladder)
-        elif query.method is Method.RANGE:
-            payload = self._run_range(query, ladder, hits)
-        elif query.method is Method.REFINE:
-            payload = self._run_refine(query, ladder)
-        elif query.method is Method.CEGAR:
-            payload = self._run_cegar(query, ladder, hits)
-        else:
-            payload = self._run_verdict(query, ladder, hits)
+    @staticmethod
+    def _decide(batch: _Batch, stages: tuple) -> None:
+        """Run ``stages`` in order over the batch's unanswered items."""
+        pending = batch.pending()
+        for stage in stages:
+            if not pending:
+                break
+            pending = stage(batch, pending)
 
-        payload.elapsed = time.perf_counter() - start
-        payload.ladder = tuple(ladder)
-        payload.cache_hits = tuple(hits)
-        if key is not None:
-            self._store_put(key, payload)
-        return payload
+    @staticmethod
+    def _each(batch: _Batch, items: list[_Item], step) -> list[_Item]:
+        """Run ``step`` on every item, timed, keeping failures local.
+
+        Returns the items ``step`` left unanswered.
+        """
+        left = []
+        for item in items:
+            began = time.perf_counter()
+            try:
+                step(item)
+            except Exception as exc:  # one bad query never sinks the batch
+                if not batch.safe:
+                    raise
+                item.result = QueryResult(
+                    query=item.query,
+                    error=f"{type(exc).__name__}: {exc}",
+                    decided_by="error",
+                )
+            item.elapsed += time.perf_counter() - began
+            if item.result is None:
+                left.append(item)
+        return left
+
+    def _answer(
+        self,
+        item: _Item,
+        decided_by: str,
+        status: SolveStatus | None = None,
+        *,
+        result: SolveResult | None = None,
+        witness: np.ndarray | None = None,
+        stats: dict | None = None,
+        counterexample=None,
+        provenance: RegisteredFeatureSet | None = None,
+        **payload,
+    ) -> None:
+        """Answer ``item``: the one place a verdict is built.
+
+        The solver outcome is ``result``, or ``status`` with its
+        ``witness`` and ``stats``.  SAT means unsafe-in-set; UNSAT means
+        safe over a sound set and conditionally safe over a monitored
+        one, judged by ``provenance`` (default: the item's registered
+        set).  Without an outcome (robustness, range) the result carries
+        only ``payload``.
+        """
+        if status is not None:
+            result = SolveResult(status=status, witness=witness, stats=dict(stats or {}))
+        verdict = None
+        if result is not None:
+            registered = provenance or item.registered
+            if result.status is SolveStatus.SAT:
+                kind = Verdict.UNSAFE_IN_SET
+            elif result.status is SolveStatus.UNSAT:
+                kind = Verdict.SAFE if registered.sound else Verdict.CONDITIONALLY_SAFE
+            else:
+                kind = Verdict.UNKNOWN
+            verdict = VerificationVerdict(
+                verdict=kind,
+                property_name=item.query.property_name,
+                risk=item.query.risk,
+                feature_set_kind=registered.kind,
+                monitored=not registered.sound,
+                solve_result=result,
+                counterexample=counterexample,
+                confusion=self.confusions.get(item.query.property_name),
+            )
+        item.result = QueryResult(
+            query=item.query, verdict=verdict, decided_by=decided_by, **payload
+        )
+
+    @staticmethod
+    def _adopt(item: _Item, result: QueryResult) -> None:
+        """Take a result decided elsewhere (a pool worker, a portfolio
+        racer) as ``item``'s answer, after the stages it already ran."""
+        if result.ok:
+            item.ladder.extend(result.ladder)
+            item.hits.extend(result.cache_hits)
+            item.elapsed += result.elapsed
+        item.result = result
+
+    def _finish(self, batch: _Batch) -> list[QueryResult]:
+        """Stamp each answer's provenance, write decided ones to the store."""
+        for item in batch.items:
+            if item.result.ok:
+                item.result.elapsed = item.elapsed
+                item.result.ladder = tuple(item.ladder)
+                item.result.cache_hits = tuple(item.hits)
+        stored = [i for i in batch.items if i.store_key is not None and i.result.ok]
+        self._each(batch, stored, self._store_put)
+        return [item.result for item in batch.items]
+
+    # prescreen --------------------------------------------------------------
+
+    def _prescreen_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
+        """Sound bound propagation, one precision-ladder rung at a time.
+
+        The rungs escalate interval → octagon → zonotope → symbolic up to
+        each query's ``domain``.  A rung bounds every set still pending at
+        it in one batched abstraction pass that seeds the enclosure cache
+        (a lone missing set is computed alone), then screens each query's
+        risk against its set's enclosure, so a cheap rung deciding first
+        spares the expensive ones.  The characterizer conjunct is dropped
+        here, so its lookup waits for the later stages.
+        """
+        open_items = [
+            item
+            for item in pending
+            if item.query.method in _SCREENED and item.query.domain is not None
+        ]
+        ladders = {
+            domain: precision_ladder(domain)
+            for domain in {item.query.domain for item in open_items}
+        }
+        for item in open_items:
+            item.ladder.append("prescreen")
+        for rung in max(ladders.values(), key=len, default=()):
+            at_rung = [
+                item for item in open_items if rung in ladders[item.query.domain]
+            ]
+            if not at_rung:
+                break  # every ladder is a prefix of the longest one
+            began = time.perf_counter()
+            missing = list(
+                dict.fromkeys(
+                    item.query.set_name
+                    for item in at_rung
+                    if (item.query.set_name, rung) not in self._enclosure_cache
+                )
+            )
+            if len(missing) > 1:
+                self.output_enclosures(missing, rung)
+            share = (time.perf_counter() - began) / len(at_rung)
+
+            def screen(item: _Item) -> None:
+                item.elapsed += share
+                enclosure = self._cached(
+                    self._enclosure_cache,
+                    (item.query.set_name, rung),
+                    "prescreen-enclosure",
+                    lambda: output_enclosure(
+                        self.suffix, item.registered.feature_set, rung
+                    ),
+                    item.hits,
+                )
+                outcome = screen_enclosure(enclosure, item.query.risk, rung)
+                if outcome.excluded:
+                    stats = {"prescreen": outcome.domain}
+                    self._answer(item, "prescreen", SolveStatus.UNSAT, stats=stats)
+
+            self._each(batch, at_rung, screen)
+            open_items = [item for item in open_items if item.result is None]
+        return [item for item in pending if item.result is None]
+
+    # support cache ----------------------------------------------------------
+
+    def _support_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
+        """Answer single-inequality risks from one cached optimization.
+
+        A risk ``a·y <= b`` is feasible iff ``b >= min a·y`` over the
+        region, and the cached minimizer is a genuine witness for every
+        such ``b``: one exact optimization answers a whole threshold
+        sweep.  It costs more than one first-incumbent feasibility
+        solve, so a one-off query keeps the feasibility path until its
+        direction repeats; a campaign batch optimizes eagerly.
+        Budget-limited queries never *trigger* it (a truncated
+        optimization would poison the cache for the whole sweep), but an
+        already-cached value answers them for free.
+        """
+
+        def step(item: _Item) -> None:
+            query = item.query
+            if query.method is not Method.EXACT:
+                return
+            a_risk, b_risk = query.risk.as_matrix()
+            if len(b_risk) != 1:
+                return
+            direction = tuple(float(v) for v in a_risk[0])
+            key = (query.set_name, query.property_name, direction)
+            budgeted = query.time_limit is not None or query.node_limit is not None
+            if key not in self._support_cache and (
+                budgeted
+                or not (batch.campaign or self._direction_seen.get(key, 0) >= 1)
+            ):
+                if not budgeted:
+                    self._direction_seen[key] = self._direction_seen.get(key, 0) + 1
+                return
+            item.ladder.append("support-cache")
+            entry = self._support(query, direction, item.hits)
+            if entry is None:
+                return
+            support, witness = entry
+            stats = {"decided": "support-cache", "support": support}
+            if support > float(b_risk[0]):
+                self._answer(item, "support-cache", SolveStatus.UNSAT, stats=stats)
+                return
+            base = self._base_encoding(
+                query.set_name, query.property_name, "milp", item.hits
+            )
+            self._answer(
+                item,
+                "support-cache",
+                SolveStatus.SAT,
+                witness=witness,
+                stats=stats,
+                counterexample=decode_witness(
+                    base, witness, self.model, self.cut_layer, query.risk
+                ),
+            )
+
+        return self._each(batch, pending, step)
+
+    # relaxed LP -------------------------------------------------------------
+
+    def _relaxed_lp_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
+        """One LP over the cached binary-free relaxation.
+
+        An infeasible LP is a proof; an LP point that satisfies the exact
+        neuron semantics and replays through the real network into the
+        risk is a genuine witness.  Skipped when the backend consumes the
+        relaxed encoding anyway (its root node is this LP).  A
+        ``relaxed`` query ends here, UNKNOWN when the LP proved nothing.
+        """
+
+        def step(item: _Item) -> None:
+            query = item.query
+            if query.method not in _SCREENED:
+                return
+            spec = solver_spec(query.solver or self.solver_name)
+            if query.method is not Method.RELAXED and not (
+                self.lp_screen and spec.encoding == "milp"
+            ):
+                return
+            item.ladder.append("relaxed-lp")
+            stats = {"decided": "relaxed-lp"}
+            relaxed = self._base_encoding(
+                query.set_name, query.property_name, "relaxed", item.hits
+            )
+            with self._scoped(relaxed) as problem:
+                append_risk_rows(problem.model, problem.output_vars, query.risk)
+                lp = solve_lp_relaxation(problem.model.to_arrays())
+                if lp.infeasible:
+                    self._answer(item, "relaxed-lp", SolveStatus.UNSAT, stats=stats)
+                    return
+                # an LP that proved nothing (limit, numerics) falls
+                # through to the complete solver
+                violation = np.inf
+                if lp.feasible:
+                    violation = max(
+                        (split.violation(lp.x) for split in problem.splits),
+                        default=0.0,
+                    )
+                if violation <= _LP_SEMANTICS_TOL:
+                    # per-neuron tolerance can amplify through the layers:
+                    # only claim SAT if the point replays through the real
+                    # network AND the replayed output truly violates the
+                    # risk; otherwise let the complete solver decide
+                    try:
+                        counterexample = decode_witness(
+                            problem, lp.x, self.model, self.cut_layer, query.risk
+                        )
+                    except ValueError:
+                        counterexample = None
+                    if counterexample is not None and counterexample.risk_occurs:
+                        self._answer(
+                            item,
+                            "relaxed-lp",
+                            SolveStatus.SAT,
+                            witness=lp.x,
+                            stats=stats,
+                            counterexample=counterexample,
+                        )
+                        return
+            if query.method is Method.RELAXED:
+                self._answer(
+                    item,
+                    "relaxed-lp",
+                    SolveStatus.UNKNOWN,
+                    stats={"relaxed_lp": "inconclusive"},
+                )
+
+        return self._each(batch, pending, step)
+
+    # solve ------------------------------------------------------------------
+
+    def _solve_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
+        """The last stage: the complete backend for verdict queries, each
+        other method's own procedure."""
+        runners = {
+            Method.ROBUSTNESS: self._run_robustness,
+            Method.RANGE: self._run_range,
+            Method.REFINE: self._run_refine,
+            Method.CEGAR: self._run_cegar,
+        }
+        return self._each(
+            batch,
+            pending,
+            lambda item: runners.get(item.query.method, self._run_backend)(item),
+        )
+
+    def _run_backend(self, item: _Item) -> None:
+        """The complete backend (registry-dispatched by encoding), with
+        the refinement fallback on resource exhaustion: CEGAR over the
+        set's input region when it has one (anytime, resumable), else
+        the layer-wise envelope refinement."""
+        query = item.query
+        spec = solver_spec(query.solver or self.solver_name)
+        backend = spec.factory(**self._options_for(spec, query))
+        item.ladder.append(f"solve:{spec.name}")
+        base = self._base_encoding(
+            query.set_name, query.property_name, spec.encoding, item.hits
+        )
+        with self._scoped(base) as problem:
+            append_risk_rows(problem.model, problem.output_vars, query.risk)
+            if spec.encoding == "relaxed":
+                result = backend.solve(problem)
+            else:
+                result = backend.solve(problem.model)
+            counterexample = None
+            if result.status is SolveStatus.SAT:
+                counterexample = decode_witness(
+                    problem, result.witness, self.model, self.cut_layer, query.risk
+                )
+
+        if result.status is SolveStatus.UNKNOWN and self.refine_fallback:
+            if item.registered.input_box is not None and query.property_name is None:
+                self._run_cegar(item, fallback=True)
+                return
+            if self._refinement_images is not None:
+                self._run_refine(item, fallback=True)
+                return
+        self._answer(
+            item, f"solve:{spec.name}", result=result, counterexample=counterexample
+        )
 
     # -- persistent result store -------------------------------------------
 
@@ -824,17 +1216,14 @@ class VerificationEngine:
             method=query.method.value,
         )
 
-    def _store_put(self, key, payload: QueryResult) -> None:
+    def _store_put(self, item: _Item) -> None:
         """Write a decided verdict back; undecided results never persist."""
-        if (
-            payload.error is not None
-            or payload.verdict is None
-            or payload.verdict.verdict is Verdict.UNKNOWN
-        ):
+        payload = item.result
+        if payload.verdict is None or payload.verdict.verdict is Verdict.UNKNOWN:
             return
         from repro.service.store import StoredResult
 
-        self.store.put(key, StoredResult.from_query_result(payload))
+        self.store.put(item.store_key, StoredResult.from_query_result(payload))
 
     def interrupt_cegar(self) -> None:
         """Ask every cached CEGAR loop to checkpoint at the next round.
@@ -847,281 +1236,21 @@ class VerificationEngine:
         for loop in self._cegar_loops.values():
             loop.request_interrupt()
 
-    def run_query_safe(self, query: VerificationQuery) -> QueryResult:
-        """Like :meth:`run_query` but captures exceptions in the result."""
-        try:
-            return self.run_query(query)
-        except Exception as exc:  # campaign survives individual bad queries
-            return QueryResult(
-                query=query, error=f"{type(exc).__name__}: {exc}", decided_by="error"
-            )
-
-    # verdict methods (exact / relaxed) ------------------------------------
-
-    def _run_verdict(
-        self, query: VerificationQuery, ladder: list[str], hits: list[str]
-    ) -> QueryResult:
-        risk = query.risk
-        assert risk is not None  # enforced by VerificationQuery validation
-        if risk.dim != self.suffix.out_dim:
-            raise ValueError(
-                f"risk condition is over {risk.dim} outputs, network has "
-                f"{self.suffix.out_dim}"
-            )
-        registered = self._registered(query.set_name)
-
-        # 1. sound bound-propagation prescreen (runs before the
-        #    characterizer is even looked up: the prescreen drops the
-        #    characterizer conjunct anyway).
-        #    The engine escalates through the precision ladder up to the
-        #    query's domain — interval → octagon → zonotope → symbolic —
-        #    with every rung's enclosure cached per (set, domain), so a
-        #    cheap rung deciding first spares the expensive ones.
-        if query.domain is not None:
-            ladder.append("prescreen")
-            for rung in precision_ladder(query.domain):
-                enclosure = self._enclosure(query.set_name, rung, hits)
-                screen = screen_enclosure(enclosure, risk, rung)
-                if screen.excluded:
-                    verdict = self._make_verdict(
-                        registered,
-                        query,
-                        SolveResult(
-                            status=SolveStatus.UNSAT,
-                            stats={"prescreen": screen.domain},
-                        ),
-                        counterexample=None,
-                    )
-                    return QueryResult(
-                        query=query, verdict=verdict, decided_by="prescreen"
-                    )
-
-        # 2. support-function cache: a single-row risk ``a·y <= b`` is
-        #    feasible iff b >= min a·y over the region, and the cached
-        #    minimizer is a genuine witness for every such b.  One exact
-        #    optimization answers an entire threshold sweep.
-        if query.method is Method.EXACT:
-            a_risk, b_risk = risk.as_matrix()
-            if len(b_risk) == 1:
-                direction = tuple(float(v) for v in a_risk[0])
-                support_key = (query.set_name, query.property_name, direction)
-                # the proved-optimal optimization costs more than one
-                # first-incumbent feasibility solve, so one-off queries
-                # keep the feasibility path; the optimization runs once a
-                # direction repeats (or in a campaign, where it is the
-                # norm).  Budget-limited queries never *trigger* it — a
-                # truncated optimization would poison the cache for the
-                # whole sweep — but an already-cached exact value answers
-                # them for free.
-                budgeted = query.time_limit is not None or query.node_limit is not None
-                plan_support = support_key in self._support_cache or (
-                    not budgeted
-                    and (
-                        self._campaign_mode
-                        or self._direction_seen.get(support_key, 0) >= 1
-                    )
-                )
-                if not plan_support and not budgeted:
-                    self._direction_seen[support_key] = (
-                        self._direction_seen.get(support_key, 0) + 1
-                    )
-            else:
-                plan_support = False
-            if plan_support:
-                ladder.append("support-cache")
-                entry = self._support(query, direction, hits)
-                if entry is not None:
-                    support, witness = entry
-                    if support > float(b_risk[0]):
-                        verdict = self._make_verdict(
-                            registered,
-                            query,
-                            SolveResult(
-                                status=SolveStatus.UNSAT,
-                                stats={"decided": "support-cache", "support": support},
-                            ),
-                            counterexample=None,
-                        )
-                        return QueryResult(
-                            query=query, verdict=verdict, decided_by="support-cache"
-                        )
-                    base = self._base_encoding(
-                        query.set_name, query.property_name, "milp", hits
-                    )
-                    counterexample = decode_witness(
-                        base, witness, self.model, self.cut_layer, risk
-                    )
-                    verdict = self._make_verdict(
-                        registered,
-                        query,
-                        SolveResult(
-                            status=SolveStatus.SAT,
-                            witness=witness,
-                            stats={"decided": "support-cache", "support": support},
-                        ),
-                        counterexample=counterexample,
-                    )
-                    return QueryResult(
-                        query=query, verdict=verdict, decided_by="support-cache"
-                    )
-
-        spec, backend = self._backend(query)
-
-        # 3. relaxation-LP screen (skipped when the backend consumes the
-        #    relaxed encoding anyway — its root node is this LP)
-        lp_applicable = query.method is Method.RELAXED or (
-            self.lp_screen and spec.encoding == "milp"
-        )
-        if lp_applicable:
-            ladder.append("relaxed-lp")
-            relaxed = self._base_encoding(
-                query.set_name, query.property_name, "relaxed", hits
-            )
-            with self._scoped(relaxed) as problem:
-                append_risk_rows(problem.model, problem.output_vars, risk)
-                lp = solve_lp_relaxation(problem.model.to_arrays())
-                if lp.infeasible:
-                    verdict = self._make_verdict(
-                        registered,
-                        query,
-                        SolveResult(
-                            status=SolveStatus.UNSAT, stats={"decided": "relaxed-lp"}
-                        ),
-                        counterexample=None,
-                    )
-                    return QueryResult(
-                        query=query, verdict=verdict, decided_by="relaxed-lp"
-                    )
-                # an LP that proved nothing (limit, numerics) falls
-                # through to the complete solver
-                violation = np.inf
-                if lp.feasible:
-                    violation = max(
-                        (split.violation(lp.x) for split in problem.splits),
-                        default=0.0,
-                    )
-                if violation <= _LP_SEMANTICS_TOL:
-                    # per-neuron tolerance can amplify through the layers:
-                    # only claim SAT if the point replays through the real
-                    # network AND the replayed output truly violates the
-                    # risk; otherwise let the complete solver decide
-                    try:
-                        counterexample = decode_witness(
-                            problem, lp.x, self.model, self.cut_layer, risk
-                        )
-                    except ValueError:
-                        counterexample = None
-                    if counterexample is not None and counterexample.risk_occurs:
-                        result = SolveResult(
-                            status=SolveStatus.SAT,
-                            witness=lp.x,
-                            stats={"decided": "relaxed-lp"},
-                        )
-                        verdict = self._make_verdict(
-                            registered, query, result, counterexample
-                        )
-                        return QueryResult(
-                            query=query, verdict=verdict, decided_by="relaxed-lp"
-                        )
-            if query.method is Method.RELAXED:
-                verdict = self._make_verdict(
-                    registered,
-                    query,
-                    SolveResult(
-                        status=SolveStatus.UNKNOWN,
-                        stats={"relaxed_lp": "inconclusive"},
-                    ),
-                    counterexample=None,
-                )
-                return QueryResult(query=query, verdict=verdict, decided_by="relaxed-lp")
-
-        # 4. complete backend
-        ladder.append(f"solve:{spec.name}")
-        base = self._base_encoding(
-            query.set_name, query.property_name, spec.encoding, hits
-        )
-        with self._scoped(base) as problem:
-            append_risk_rows(problem.model, problem.output_vars, risk)
-            if spec.encoding == "relaxed":
-                result = backend.solve(problem)
-            else:
-                result = backend.solve(problem.model)
-            counterexample = None
-            if result.status is SolveStatus.SAT:
-                counterexample = decode_witness(
-                    problem, result.witness, self.model, self.cut_layer, risk
-                )
-
-        # 5. refinement fallback on resource exhaustion: CEGAR over the
-        #    set's input region when it has one (anytime, resumable),
-        #    else the legacy layer-wise envelope refinement
-        if result.status is SolveStatus.UNKNOWN and self.refine_fallback:
-            if registered.input_box is not None and query.property_name is None:
-                ladder.append("cegar-fallback")
-                fallback = self._run_cegar(
-                    query, ladder=[], hits=hits, coerce_domain=True
-                )
-                fallback.decided_by = "cegar-fallback"
-                return fallback
-            if self._refinement_images is not None:
-                ladder.append("refine-fallback")
-                fallback = self._run_refine(query, ladder=[])
-                fallback.decided_by = "refine-fallback"
-                return fallback
-
-        verdict = self._make_verdict(registered, query, result, counterexample)
-        return QueryResult(query=query, verdict=verdict, decided_by=f"solve:{spec.name}")
-
-    def _make_verdict(
-        self,
-        registered: RegisteredFeatureSet,
-        query: VerificationQuery,
-        result: SolveResult,
-        counterexample,
-    ) -> VerificationVerdict:
-        if result.status is SolveStatus.SAT:
-            verdict = Verdict.UNSAFE_IN_SET
-        elif result.status is SolveStatus.UNSAT:
-            verdict = Verdict.SAFE if registered.sound else Verdict.CONDITIONALLY_SAFE
-        else:
-            verdict = Verdict.UNKNOWN
-        return VerificationVerdict(
-            verdict=verdict,
-            property_name=query.property_name,
-            risk=query.risk,
-            feature_set_kind=registered.kind,
-            monitored=not registered.sound,
-            solve_result=result,
-            counterexample=counterexample,
-            confusion=self.confusions.get(query.property_name),
-        )
-
     # cegar ----------------------------------------------------------------
 
-    def _run_cegar(
-        self,
-        query: VerificationQuery,
-        ladder: list[str],
-        hits: list[str],
-        *,
-        coerce_domain: bool = False,
-    ) -> QueryResult:
+    def _run_cegar(self, item: _Item, *, fallback: bool = False) -> None:
         """Anytime CEGAR over the set's input region, resumable per (set, risk).
 
         The loop shares the engine's cached risk-free MILP encoding for
         the set (leaf solves tighten its bounds transactionally), and
         the loop object itself is cached so a repeated query — e.g. the
         same UNKNOWN query re-submitted with a fresh ``refine_budget``
-        — resumes from the surviving frontier.
+        — resumes from the surviving frontier.  ``fallback`` marks the
+        solve stage's fallback entry.
         """
-        registered = self._registered(query.set_name)
+        query = item.query
+        registered = item.registered
         risk = query.risk
-        assert risk is not None  # enforced by VerificationQuery validation
-        if risk.dim != self.suffix.out_dim:
-            raise ValueError(
-                f"risk condition is over {risk.dim} outputs, network has "
-                f"{self.suffix.out_dim}"
-            )
         if registered.input_box is None:
             raise ValueError(
                 f"cegar needs a feature set with input-region provenance; "
@@ -1133,16 +1262,17 @@ class VerificationEngine:
                 "cegar refines the phi-free reachability question; "
                 "property_name must be None"
             )
-        ladder.append("cegar")
+        label = "cegar-fallback" if fallback else "cegar"
+        item.ladder.append(label)
         solver_name = self._milp_solver_name(query)
         spec = solver_spec(solver_name)
         options = self._options_for(spec, query)
         if query.domain is not None:
             domain = query.domain
-        elif coerce_domain:
-            # fallback entry: the exact-path query may legitimately have
-            # skipped its own prescreen; the per-round batched prescreen
-            # is integral to CEGAR, so refine with the default domain
+        elif fallback:
+            # the exact-path query may legitimately have skipped its own
+            # prescreen; the per-round batched prescreen is integral to
+            # CEGAR, so refine with the default domain
             domain = "interval"
         else:
             raise ValueError(
@@ -1164,7 +1294,7 @@ class VerificationEngine:
         )
         loop = self._cegar_loops.get(key)
         if loop is not None:
-            hits.append("cegar-loop")
+            item.hits.append("cegar-loop")
         else:
             if structural:
                 # the loop encodes its own (merged) suffix while the
@@ -1173,7 +1303,7 @@ class VerificationEngine:
                 # refinement, so don't build it up front
                 leaf = None
             else:
-                base = self._base_encoding(query.set_name, None, "milp", hits)
+                base = self._base_encoding(query.set_name, None, "milp", item.hits)
                 leaf = _ScopedLeafSolver(base, risk, solver_name, options)
             lower, upper = registered.input_box
             loop = CegarLoop(
@@ -1213,42 +1343,45 @@ class VerificationEngine:
             stats["structural"] = True
             stats["structural_splits"] = loop.structural_refinements
         counterexample = None
+        witness = None
         if cegar.status is SolveStatus.SAT:
             image = cegar.counterexample.image
-            features = self.model.prefix_apply(image[None, ...], self.cut_layer)[0]
+            witness = self.model.prefix_apply(image[None, ...], self.cut_layer)[0]
             counterexample = FeatureCounterexample(
-                features=features,
+                features=witness,
                 predicted_output=cegar.counterexample.output,
                 risk_margin=cegar.counterexample.risk_margin,
                 characterizer_logit=None,
             )
-            result = SolveResult(
-                status=SolveStatus.SAT, witness=features, stats=stats
-            )
-        else:
-            result = SolveResult(status=cegar.status, stats=stats)
         # the verdict's provenance is the input region itself: a full
         # CEGAR proof is sound for every input in the region, monitor-free
-        provenance = RegisteredFeatureSet(
-            registered.feature_set,
-            "cegar(input-region)",
-            sound=True,
-            input_box=registered.input_box,
-        )
-        verdict = self._make_verdict(provenance, query, result, counterexample)
-        return QueryResult(
-            query=query, verdict=verdict, cegar=cegar, decided_by="cegar"
+        self._answer(
+            item,
+            label,
+            cegar.status,
+            witness=witness,
+            stats=stats,
+            counterexample=counterexample,
+            provenance=RegisteredFeatureSet(
+                registered.feature_set,
+                "cegar(input-region)",
+                sound=True,
+                input_box=registered.input_box,
+            ),
+            cegar=cegar,
         )
 
     # refine ---------------------------------------------------------------
 
-    def _run_refine(self, query: VerificationQuery, ladder: list[str]) -> QueryResult:
+    def _run_refine(self, item: _Item, *, fallback: bool = False) -> None:
+        query = item.query
         if self._refinement_images is None:
             raise ValueError(
                 "refine queries need training images; call "
                 "engine.set_refinement_data(images) first"
             )
-        ladder.append("refine")
+        label = "refine-fallback" if fallback else "refine"
+        item.ladder.append(label)
         char_net, threshold = self._characterizer_parts(query.property_name, [])
         refinement = verify_with_refinement(
             self.model,
@@ -1258,46 +1391,41 @@ class VerificationEngine:
             characterizer=char_net,
             characterizer_threshold=threshold,
         )
-        nodes = sum(step.nodes for step in refinement.steps)
-        solve_time = sum(step.solve_time for step in refinement.steps)
         if refinement.proved:
-            result = SolveResult(
-                status=SolveStatus.UNSAT,
-                nodes_explored=nodes,
-                solve_time=solve_time,
-                stats={"refinement_levels": len(refinement.steps)},
-            )
+            status = SolveStatus.UNSAT
         elif refinement.counterexample is not None:
-            result = SolveResult(
-                status=SolveStatus.SAT,
-                witness=refinement.counterexample.features,
-                nodes_explored=nodes,
-                solve_time=solve_time,
-                stats={"refinement_levels": len(refinement.steps)},
-            )
+            status = SolveStatus.SAT
         else:
-            result = SolveResult(
-                status=SolveStatus.UNKNOWN,
-                nodes_explored=nodes,
-                solve_time=solve_time,
-                stats={"refinement_levels": len(refinement.steps)},
-            )
+            status = SolveStatus.UNKNOWN
+        result = SolveResult(
+            status=status,
+            witness=(
+                refinement.counterexample.features
+                if status is SolveStatus.SAT
+                else None
+            ),
+            nodes_explored=sum(step.nodes for step in refinement.steps),
+            solve_time=sum(step.solve_time for step in refinement.steps),
+            stats={"refinement_levels": len(refinement.steps)},
+        )
         # refinement builds its own per-layer envelopes from the images,
         # so the verdict's provenance names the chained construction
-        registered = RegisteredFeatureSet(
-            feature_set=None, kind="box+diff(chained-data)", sound=False
-        )
-        verdict = self._make_verdict(
-            registered, query, result, refinement.counterexample
-        )
-        return QueryResult(
-            query=query, verdict=verdict, refinement=refinement, decided_by="refine"
+        self._answer(
+            item,
+            label,
+            result=result,
+            counterexample=refinement.counterexample,
+            provenance=RegisteredFeatureSet(
+                feature_set=None, kind="box+diff(chained-data)", sound=False
+            ),
+            refinement=refinement,
         )
 
     # robustness -----------------------------------------------------------
 
-    def _run_robustness(self, query: VerificationQuery, ladder: list[str]) -> QueryResult:
-        ladder.append("robustness")
+    def _run_robustness(self, item: _Item) -> None:
+        query = item.query
+        item.ladder.append("robustness")
         robustness = verify_local_robustness(
             self.suffix,
             np.asarray(query.anchor, dtype=float),
@@ -1305,84 +1433,44 @@ class VerificationEngine:
             query.delta,
             solver=self._milp_solver_name(query),
         )
-        return QueryResult(query=query, robustness=robustness, decided_by="robustness")
+        self._answer(item, "robustness", robustness=robustness)
 
     # range ----------------------------------------------------------------
 
-    def _run_range(
-        self, query: VerificationQuery, ladder: list[str], hits: list[str]
-    ) -> QueryResult:
+    def _run_range(self, item: _Item) -> None:
+        query = item.query
         if not 0 <= query.output_index < self.suffix.out_dim:
             raise ValueError(
                 f"output index {query.output_index} out of range for "
                 f"{self.suffix.out_dim} outputs"
             )
-        ladder.append("range")
+        item.ladder.append("range")
         spec = solver_spec(self._milp_solver_name(query))
-        base = self._base_encoding(query.set_name, query.property_name, "milp", hits)
+        base = self._base_encoding(
+            query.set_name, query.property_name, "milp", item.hits
+        )
         backend = spec.factory(**self._options_for(spec, query))
         with self._scoped(base) as problem:  # restores the objective
             reach = optimize_range(problem, backend, query.output_index)
-        return QueryResult(query=query, output_range=reach, decided_by="range")
+        self._answer(item, "range", output_range=reach)
 
     # -- campaign execution ------------------------------------------------
-
-    def _plan_batched_prescreen(self, queries: list[VerificationQuery]) -> None:
-        """Region-major prescreen planning: batch all missing enclosures.
-
-        Collects the distinct ``(set, domain)`` pairs the campaign's
-        verdict queries will prescreen against, drops pairs already
-        cached, and computes the rest in one vectorized abstraction pass
-        per domain, seeding ``_enclosure_cache``.  Per-query prescreens
-        then hit the cache, so only queries the bound propagation cannot
-        exclude descend the solver ladder.  A no-op unless at least two
-        enclosures are missing for a domain (nothing to amortize).
-        """
-        needed: dict[str, list[str]] = {}
-        for query in queries:
-            if query.method not in (Method.EXACT, Method.RELAXED):
-                continue
-            if query.domain is None:
-                continue
-            if query.set_name not in self._sets:
-                continue  # invalid queries error per-query, not here
-            # prewarm the rungs that are near-certain to run: the
-            # cheapest (which usually decides, sparing the rest) and
-            # the requested domain (the decider when it does not).
-            # Intermediate rungs stay lazy — computed per set only if a
-            # query actually escalates through them.
-            ladder_rungs = precision_ladder(query.domain)
-            for rung in dict.fromkeys((ladder_rungs[0], ladder_rungs[-1])):
-                key = (query.set_name, rung)
-                if key in self._enclosure_cache:
-                    continue
-                names = needed.setdefault(rung, [])
-                if query.set_name not in names:
-                    names.append(query.set_name)
-        for domain, names in needed.items():
-            if len(names) < 2:
-                continue
-            sets = [self._sets[name].feature_set for name in names]
-            enclosures = output_enclosure_batch(self.suffix, sets, domain)
-            for name, enclosure in zip(names, enclosures):
-                self._enclosure_cache[(name, domain)] = enclosure
-            label = f"batch:prescreen-enclosure:{domain}"
-            self.cache_stats[label] = self.cache_stats.get(label, 0) + len(names)
 
     def run(
         self,
         campaign: Campaign | list[VerificationQuery] | VerificationQuery,
         workers: int = 1,
     ) -> CampaignReport:
-        """Execute a campaign; ``workers > 1`` fans out over a process pool.
+        """Execute a campaign as one batch; ``workers > 1`` fans the
+        prescreen's survivors out over a process pool.
 
         Results are returned in query order regardless of worker
-        scheduling, and each worker process builds its own encoding cache
-        (the engine is shipped once per worker, caches excluded).  If the
-        pool itself fails — the platform refuses to spawn processes, a
-        worker dies, the engine does not pickle — the engine falls back
-        to sequential execution and says so in ``report.executor``; any
-        other exception propagates.
+        scheduling.  The parent runs the prescreen over the whole batch,
+        then ships only the surviving queries (the engine once per
+        worker, caches excluded).  If the pool itself fails — the
+        platform refuses to spawn processes, a worker dies, the engine
+        does not pickle — the engine finishes sequentially and says so in
+        ``report.executor``; any other exception propagates.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
@@ -1390,26 +1478,24 @@ class VerificationEngine:
         start = time.perf_counter()
         stats_before = dict(self.cache_stats)
         executor = "sequential"
-        results: list[QueryResult] | None = None
-
-        # campaigns repeat (set, characterizer, direction) families, so
-        # eager support-function optimization amortizes; one-off
-        # run_query calls stay on the cheaper feasibility path
-        self._campaign_mode = True
-        self._plan_batched_prescreen(queries)
-        try:
-            if workers > 1 and len(queries) > 1:
+        stages = self._stages()
+        batch = self._batch(queries, campaign=True)
+        if workers > 1:
+            self._decide(batch, stages[:1])
+            stages = stages[1:]
+            pending = batch.pending()
+            if len(pending) > 1:
                 try:
-                    results = self._run_parallel(queries, workers)
+                    answers = self._run_parallel(
+                        [item.query for item in pending], workers
+                    )
                     executor = f"process-pool[{workers}]"
+                    for item, answer in zip(pending, answers):
+                        self._adopt(item, answer)
                 except _POOL_FAILURES as exc:
-                    results = None
                     executor = f"sequential (pool unavailable: {type(exc).__name__})"
-
-            if results is None:
-                results = [self.run_query_safe(query) for query in queries]
-        finally:
-            self._campaign_mode = False
+        self._decide(batch, stages)
+        results = self._finish(batch)
 
         total = time.perf_counter() - start
         cache_stats = {
@@ -1427,60 +1513,45 @@ class VerificationEngine:
         )
 
     def run_stream(self, plan, risks, **options):
-        """Stream a scenario campaign in constant memory (see
-        :func:`repro.scenario.streaming.run_stream`).
-
-        The streaming twin of :meth:`add_region_sets` +
-        :meth:`run` over an eager grid: region shards are generated,
-        triaged prescreen-first, decided, aggregated and discarded, so a
-        million-region sweep peaks at one shard of memory.  ``plan`` is
-        a :class:`~repro.scenario.streaming.StreamPlan`; keyword options
-        are forwarded (``workers``, ``domain``, ``attack_steps``,
-        ``solver_fallback``, ``collect_results``, ...).  Returns a
+        """Stream a scenario campaign in constant memory: the twin of
+        :meth:`add_region_sets` + :meth:`run` over an eager grid, one
+        shard at a time.  See :func:`repro.scenario.streaming.run_stream`
+        for ``plan``, ``risks`` and the keyword options; returns a
         :class:`~repro.scenario.streaming.StreamReport`.
         """
-        # local import: repro.scenario.streaming imports engine types
-        # for its fallback path, so a module-level import would cycle
-        from repro.scenario.streaming import run_stream
-
         return run_stream(self, plan, risks, **options)
 
     def _run_parallel(
         self, queries: list[VerificationQuery], workers: int
     ) -> list[QueryResult]:
+        """The solver stages for ``queries`` on a process pool."""
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else methods[0]
         )
-        block = self._pack_enclosure_shm()
         try:
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=(self,),
-                )
-            except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
-                raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
-            with pool:
-                return list(pool.map(_worker_run, queries))
-        finally:
-            self._enclosure_shm = None
-            if block is not None:
-                block.release()
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=_worker_init,
+                initargs=(self,),
+            )
+        except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
+            raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
+        with pool:
+            return list(pool.map(_worker_run, queries))
 
     def _pack_enclosure_shm(self) -> "shm.ShmBlock | None":
         """Stage box-valued enclosure-cache entries in shared memory.
 
-        The batched prescreen plan can seed hundreds of output
-        enclosures before a parallel campaign; shipping them inside the
-        pickled engine copies every array into every worker's pipe.
-        Packing the :class:`~repro.verification.sets.Box` entries into
+        A portfolio race's workers each run their racers' prescreens
+        over the parent's enclosures; shipping them inside the pickled
+        engine would copy every array into every worker's pipe.  Packing
+        the :class:`~repro.verification.sets.Box` entries into
         one shared segment sends only a tiny handle — workers attach the
         segment once and rebuild the boxes as zero-copy read-only views.
-        Non-box enclosures (zonotopes, boxes-with-diffs) still pickle
-        through normally.  Returns the parent-side block to release once
+        Non-box enclosures (zonotopes, boxes-with-diffs) are recomputed
+        in the workers.  Returns the parent-side block to release once
         the pool is done, or None when there is nothing to stage.
         """
         self._enclosure_shm = None
@@ -1563,9 +1634,12 @@ _WORKER_ENGINE: VerificationEngine | None = None
 def _worker_init(engine: VerificationEngine) -> None:
     global _WORKER_ENGINE
     _WORKER_ENGINE = engine
-    engine._attach_enclosure_shm()
 
 
 def _worker_run(query: VerificationQuery) -> QueryResult:
-    assert _WORKER_ENGINE is not None, "worker used before initialization"
-    return _WORKER_ENGINE.run_query_safe(query)
+    """The solver stages for one campaign query the parent's prescreen left."""
+    engine = _WORKER_ENGINE
+    assert engine is not None, "worker used before initialization"
+    return engine._run_queries(
+        [query], campaign=True, stages=engine._solver_stages()
+    )[0]

@@ -13,26 +13,28 @@ with a *stream*:
   pre-weather renderings across the weather axis (the per-region cost
   drops from a full re-render to a vectorized envelope over cached
   variants, bitwise-identical to :func:`region_from_scene`);
-- :func:`run_stream` drives a whole campaign over the stream:
-  **prescreen-first** triage (the engine's precision-ladder prescreen
-  proves the risk unreachable where it can, then one batched PGD pass
-  per risk falsifies what it left before any solver starts), an
-  optional per-region complete-solver fallback, and streaming
-  aggregation into a :class:`StreamReport` (verdict histogram +
-  ODD-coverage per perturbation axis) whose peak memory is O(shard),
-  not O(grid).
+- :func:`run_stream` drives a whole campaign over the stream.  Each
+  shard is registered through the engine's own
+  :meth:`~repro.api.engine.VerificationEngine.add_region_sets` for the
+  shard's lifetime and its queries run the engine's stage list with one
+  stream-only stage inserted after the prescreen: a batched PGD pass
+  per risk that falsifies what the prescreen left before any solver
+  starts.  Survivors go on to the engine's solver stages, the adaptive
+  portfolio, or are left ``stream-undecided``; results aggregate into a
+  :class:`StreamReport` (verdict histogram + ODD-coverage per
+  perturbation axis) whose peak memory is O(shard), not O(grid).
 
 Shards cross the process-pool boundary through the
 :mod:`repro.verification.shm` zero-copy path: the parent packs each
 shard's stacked bounds into one shared segment and ships only the
 handle; workers attach read-only views.
 
-Verdict parity with the eager path is by construction: prescreen
-decisions reuse the exact same propagation and enclosure calls, an
-attack hit is a *genuine* input counterexample (so the complete solver
-would answer SAT over the same sound feature set), and the solver
-fallback answers through
-:meth:`~repro.api.engine.VerificationEngine.run_query_safe` itself.
+Verdict parity with the eager path is by construction: a shard's sets
+are registered by the same propagation, its queries run the same
+stages (``domain`` selects the prescreen ladder, exactly as in
+``Campaign.from_scenario_grid``), and an attack hit is a *genuine*
+input counterexample, so the complete solver would answer SAT over the
+same sound feature set.
 """
 
 from __future__ import annotations
@@ -61,13 +63,15 @@ from repro.scenario.regions import (
 )
 from repro.scenario.render import render_ground, render_vehicles
 from repro.verification import shm
-from repro.verification.abstraction.domain import get_domain, precision_ladder
+from repro.verification.abstraction.domain import get_domain
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.counterexample import (
     FeatureCounterexample,
     pgd_hits_in_boxes,
 )
-from repro.verification.prescreen import output_enclosure_batch, screen_enclosure
+from repro.verification.prescreen import output_enclosure_batch
+# not called here: perfbench/layers.py traces this module attribute
+from repro.verification.prescreen import screen_enclosure  # noqa: F401
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.api.campaign import CampaignReport, QueryResult
@@ -398,10 +402,8 @@ class _StreamOptions:
     solver_fallback: bool = True
     collect_results: bool = False
     max_witnesses: int = 8
-    method: str = "exact"
-    solver: str | None = None
     #: race the default portfolio over the solver-fallback survivors
-    #: instead of walking the engine's fixed strategy ladder
+    #: instead of running the engine's solver stages
     portfolio: bool = False
 
 
@@ -546,196 +548,111 @@ def _decide_shard(
     risks: "Sequence[RiskCondition]",
     options: _StreamOptions,
 ) -> ShardOutcome:
-    """Run the prescreen-first pipeline over one shard.
+    """Decide one shard through the engine's stage list, then aggregate.
 
-    Stages, cheapest first: (1) one batched propagation of all region
-    boxes to the cut layer; (2) the precision-ladder prescreen
-    (identical enclosure calls to the eager engine) proving risks
-    unreachable; (3) batched PGD over every property-free query's input
-    box the prescreen left — a hit is a genuine counterexample, so the
-    region is UNSAFE without any solver, and one batched prefix pass
-    maps that risk's hit images to their feature witnesses; (4)
-    optionally, the engine's full strategy ladder per surviving query
-    via temporarily registered region sets.
+    The shard's regions are registered for the shard's lifetime through
+    :meth:`~repro.api.engine.VerificationEngine.add_region_sets` — the
+    eager grid's own propagation — and their queries, in the eager
+    campaign's order, run the engine's prescreen, then one batched PGD
+    attack per risk over what the prescreen left (a hit is a genuine
+    counterexample, so the region is UNSAFE without any solver), then
+    the engine's solver stages, the adaptive portfolio, or nothing
+    (``stream-undecided``) for the survivors.
     """
-    from repro.api.engine import RegisteredFeatureSet
-    from repro.api.campaign import QueryResult
     from repro.api.query import VerificationQuery
-    from repro.verification.solver.result import SolveResult, SolveStatus
+    from repro.verification.solver.result import SolveStatus
 
     start = time.perf_counter()
-    boxes = grid.box_batch()
-    dom = get_domain(options.domain)
-    element = propagate_regions(
-        engine.model, boxes, engine.cut_layer, options.domain
-    )
-    feature_sets = [dom.feature_set(enc) for enc in dom.enclosures(element)]
-    registered = [
-        RegisteredFeatureSet(
-            feature_sets[i],
-            f"{options.domain}(region)",
-            sound=True,
-            input_box=(boxes.lower[i], boxes.upper[i]),
-        )
-        for i in range(len(grid))
-    ]
 
-    def make_query(region: Region, prop: str | None, risk) -> "VerificationQuery":
-        return VerificationQuery(
-            risk=risk,
-            property_name=prop,
-            set_name=region.name,
-            method=options.method,
-            solver=options.solver,
-            domain=options.domain,
-            metadata=region.metadata(),
-        )
-
-    # (region, property, risk) keys in the eager campaign's query order
-    keys = [
-        (i, prop, r)
-        for i in range(len(grid))
-        for prop in options.properties
-        for r in range(len(risks))
-    ]
-    decided: dict[tuple[int, str | None, int], "QueryResult"] = {}
-
-    # 1. precision-ladder prescreen: the same output_enclosure_batch +
-    #    screen_enclosure calls the eager engine makes, so SAFE decisions
-    #    are identical, and every excluded box is spared the attack
-    for rung in precision_ladder(options.domain):
-        undecided_regions = sorted(
-            {
-                i
-                for (i, prop, r) in keys
-                if (i, prop, r) not in decided
-            }
-        )
-        if not undecided_regions:
-            break
-        enclosures = output_enclosure_batch(
-            engine.suffix,
-            [feature_sets[i] for i in undecided_regions],
-            rung,
-        )
-        by_region = dict(zip(undecided_regions, enclosures))
-        for (i, prop, r) in keys:
-            if (i, prop, r) in decided:
-                continue
-            screen = screen_enclosure(by_region[i], risks[r], rung)
-            if not screen.excluded:
-                continue
-            query = make_query(grid[i], prop, risks[r])
-            verdict = engine._make_verdict(
-                registered[i],
-                query,
-                SolveResult(
-                    status=SolveStatus.UNSAT, stats={"prescreen": rung}
-                ),
-                counterexample=None,
-            )
-            decided[(i, prop, r)] = QueryResult(
-                query=query, verdict=verdict, decided_by="prescreen"
-            )
-
-    # 2. one batched PGD pass per risk over the prescreen's survivors: a
-    #    hit is a genuine counterexample, and a sound prescreen never
-    #    excludes a box an attack can hit, so the order changes no verdict
-    if options.attack_steps > 0 and None in options.properties:
-        for r, risk in enumerate(risks):
-            indices = [
-                i for i in range(len(grid)) if (i, None, r) not in decided
+    def attack(batch, pending):
+        if options.attack_steps <= 0:
+            return pending
+        # one batched PGD pass per risk, then one feature pass over that
+        # risk's hit images; a sound prescreen never excludes a box an
+        # attack can hit, so running it second changes no verdict
+        for risk in risks:
+            targets = [
+                item
+                for item in pending
+                if item.query.risk is risk and item.query.property_name is None
             ]
-            if not indices:
+            if not targets:
                 continue
             hits = pgd_hits_in_boxes(
                 engine.model,
                 risk,
-                boxes.lower[indices],
-                boxes.upper[indices],
+                np.stack([item.registered.input_box[0] for item in targets]),
+                np.stack([item.registered.input_box[1] for item in targets]),
                 steps=options.attack_steps,
             )
             if not hits:
                 continue
-            # one feature pass over every hit image of this risk
             hit_features = engine.model.prefix_apply(
                 np.stack([cex.image for _, cex in hits]), engine.cut_layer
             )
             for (local, cex), features in zip(hits, hit_features):
-                i = indices[local]
-                counterexample = FeatureCounterexample(
-                    features=features,
-                    predicted_output=cex.output,
-                    risk_margin=cex.risk_margin,
-                    characterizer_logit=None,
-                )
-                query = make_query(grid[i], None, risk)
-                verdict = engine._make_verdict(
-                    registered[i],
-                    query,
-                    SolveResult(
-                        status=SolveStatus.SAT,
-                        witness=features,
-                        stats={
-                            "decided": "attack",
-                            "pgd_iterations": cex.iterations,
-                        },
+                engine._answer(
+                    targets[local],
+                    "attack",
+                    SolveStatus.SAT,
+                    witness=features,
+                    stats={"decided": "attack", "pgd_iterations": cex.iterations},
+                    counterexample=FeatureCounterexample(
+                        features=features,
+                        predicted_output=cex.output,
+                        risk_margin=cex.risk_margin,
+                        characterizer_logit=None,
                     ),
-                    counterexample=counterexample,
                 )
-                decided[(i, None, r)] = QueryResult(
-                    query=query, verdict=verdict, decided_by="attack"
-                )
+        return [item for item in pending if item.result is None]
 
-    # 3. complete-solver fallback through the engine's own ladder, over
-    #    temporarily registered sets (removed afterwards: O(shard) state)
-    survivors = [key for key in keys if key not in decided]
-    if survivors and options.solver_fallback:
-        survivor_regions = sorted({i for (i, _, _) in survivors})
-        sub_grid = RegionGrid(
-            [grid[i] for i in survivor_regions], grid.config
-        )
-        names = engine.add_region_sets(
-            sub_grid, overwrite=True, domain=options.domain
-        )
-        try:
-            if options.portfolio:
-                racer = _portfolio_for(engine)
-                for (i, prop, r) in survivors:
-                    query = make_query(grid[i], prop, risks[r])
-                    decided[(i, prop, r)] = racer.run_query(query)
-            else:
-                for (i, prop, r) in survivors:
-                    query = make_query(grid[i], prop, risks[r])
-                    decided[(i, prop, r)] = engine.run_query_safe(query)
-        finally:
-            engine.remove_feature_sets(names)
-    elif survivors:
-        for (i, prop, r) in survivors:
-            query = make_query(grid[i], prop, risks[r])
-            verdict = engine._make_verdict(
-                registered[i],
-                query,
-                SolveResult(
-                    status=SolveStatus.UNKNOWN,
-                    stats={"stream": "no solver fallback"},
-                ),
-                counterexample=None,
-            )
-            decided[(i, prop, r)] = QueryResult(
-                query=query, verdict=verdict, decided_by="stream-undecided"
-            )
+    def race(batch, pending):
+        racer = _portfolio_for(engine)
+        for item in pending:
+            engine._adopt(item, racer.run_query(item.query))
+        return []
 
-    # 4. aggregate and discard
+    def undecided(batch, pending):
+        stats = {"stream": "no solver fallback"}
+        for item in pending:
+            engine._answer(item, "stream-undecided", SolveStatus.UNKNOWN, stats=stats)
+        return []
+
+    if not options.solver_fallback:
+        rest: tuple = (undecided,)
+    elif options.portfolio:
+        rest = (race,)
+    else:
+        rest = engine._solver_stages()
+    queries = [
+        VerificationQuery(
+            risk=risk,
+            property_name=prop,
+            set_name=region.name,
+            domain=options.domain,
+            metadata=region.metadata(),
+        )
+        for region in grid
+        for prop in options.properties
+        for risk in risks
+    ]
+    names = engine.add_region_sets(grid, overwrite=True)
+    try:
+        results = engine._run_queries(
+            queries, stages=(engine._prescreen_stage, attack, *rest)
+        )
+    finally:
+        engine.remove_feature_sets(names)
+
     outcome = ShardOutcome(
         shard_index=shard_index,
         n_regions=len(grid),
-        n_queries=len(keys),
+        n_queries=len(queries),
         results=[] if options.collect_results else None,
     )
-    for key in keys:
-        result = decided[key]
-        i = key[0]
+    per_region = len(queries) // len(grid)
+    for index, result in enumerate(results):
+        region = grid[index // per_region]
         verdict = (
             result.verdict.verdict.value
             if result.ok and result.verdict is not None
@@ -743,7 +660,7 @@ def _decide_shard(
         )
         _count(outcome.verdict_counts, verdict)
         _count(outcome.decided_by_counts, result.decided_by or "?")
-        for axis, level in grid[i].axes.describe():
+        for axis, level in region.axes.describe():
             _count(
                 outcome.coverage.setdefault(axis, {}).setdefault(level, {}),
                 verdict,
@@ -752,7 +669,7 @@ def _decide_shard(
         if cex is not None and len(outcome.witnesses) < options.max_witnesses:
             outcome.witnesses.append(
                 {
-                    "region": grid[i].name,
+                    "region": region.name,
                     "risk": result.query.risk.description,
                     "risk_margin": float(cex.risk_margin),
                     "decided_by": result.decided_by,
@@ -776,7 +693,6 @@ def _stream_worker_init(engine, risks, options) -> None:
     _STREAM_ENGINE = engine
     _STREAM_RISKS = risks
     _STREAM_OPTIONS = options
-    engine._attach_enclosure_shm()
 
 
 def _stream_worker_run(task) -> ShardOutcome:
@@ -830,10 +746,17 @@ def run_stream(
     spares the attack every provable region and an attack pass that
     spares the solver every falsifiable one.  ``workers > 1`` ships
     shards to a process pool through shared memory; the parent only
-    ever holds the bounded number of in-flight shards.
+    ever holds the bounded number of in-flight shards.  ``domain`` is
+    the top of the prescreen ladder, as in ``Campaign.from_scenario_grid``;
+    regions reach the cut layer through the same interval propagation as
+    :meth:`~repro.api.engine.VerificationEngine.add_region_sets`.  Risks
+    over the wrong number of outputs are rejected before the first shard
+    is generated.
     """
     if not risks:
         raise ValueError("run_stream needs at least one risk condition")
+    for risk in risks:
+        engine._check_risk(risk)
     if collect_results:
         # collecting every QueryResult is O(grid) by definition — guard
         # it with the same memory check the eager path applies

@@ -163,11 +163,28 @@ class TestRegionMajorExecution:
         scalar = _engine(conv_model, cut_layer)
         scalar.add_region_sets(grid)
 
+        # one at a time, but each a campaign of one: same stage policy,
+        # so batching must change neither the decider nor the status
+        single = _engine(conv_model, cut_layer)
+        single.add_region_sets(grid)
+
         batched_report = batched.run(campaign)
         scalar_results = [scalar.run_query(query) for query in campaign]
+        single_results = [single.run(query).results[0] for query in campaign]
+
+        def status(result):
+            return result.verdict.solve_result.status
+
         assert [r.verdict.verdict for r in batched_report.results] == [
             r.verdict.verdict for r in scalar_results
         ]
+        assert [status(r) for r in batched_report.results] == [
+            status(r) for r in scalar_results
+        ]
+        assert [
+            (r.verdict.verdict, r.decided_by, status(r))
+            for r in batched_report.results
+        ] == [(r.verdict.verdict, r.decided_by, status(r)) for r in single_results]
         # the batched planner computed every enclosure in one pass ...
         assert (
             batched_report.cache_stats["batch:prescreen-enclosure:interval"]

@@ -30,8 +30,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Campaign, VerificationEngine
-from repro.nn import Dense, Flatten, ReLU, Sequential
+from repro.api import engine as engine_mod
+from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.properties.library import steer_far_left
+from repro.properties.risk import RiskCondition, output_geq
 from repro.scenario import regions as regions_mod
 from repro.scenario import streaming as streaming_mod
 from repro.scenario.regions import (
@@ -45,7 +47,7 @@ from repro.scenario.streaming import (
     stream_enclosure_range,
     stream_scenario_regions,
 )
-from repro.verification.abstraction.domain import get_domain
+from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.prescreen import output_enclosure_batch, screen_enclosure
 
@@ -79,6 +81,32 @@ def engine(model):
 def enclosure_range(engine):
     plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
     return stream_enclosure_range(engine, plan)
+
+
+@pytest.fixture(scope="module")
+def conv_engine():
+    """A conv prefix, as the CLI's built system has: relational domains
+    have no cheap (or no) image-space transformer for it."""
+    model = Sequential(
+        [
+            Conv2D(4, 3, stride=2, padding=1),
+            ReLU(),
+            MaxPool2D(2),
+            Flatten(),
+            Dense(12),
+            ReLU(),
+            Dense(2),
+        ],
+        input_shape=(1, 32, 32),
+        seed=13,
+    )
+    model.forward(
+        np.random.default_rng(0).uniform(0, 1, size=(4, 1, 32, 32)),
+        training=True,
+    )
+    engine = VerificationEngine(model, 6, solver="highs")
+    plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+    return engine, stream_enclosure_range(engine, plan)
 
 
 class TestRegionParity:
@@ -122,16 +150,20 @@ class TestRegionParity:
 
 
 class TestVerdictParity:
+    @pytest.mark.parametrize(
+        "domain", ["interval", "octagon", "zonotope", "symbolic"]
+    )
     @_SETTINGS
     @given(
         shard_size=st.integers(1, 9),
         offset=st.floats(-0.5, 0.5, allow_nan=False),
     )
     def test_stream_matches_eager_campaign(
-        self, engine, enclosure_range, shard_size, offset
+        self, conv_engine, domain, shard_size, offset
     ):
-        """Same verdicts, same coverage, any shard size, any threshold."""
-        lo, hi = enclosure_range
+        """Same verdicts, same coverage, any shard size, threshold or
+        domain: ``domain`` picks the prescreen ladder on both paths."""
+        engine, (lo, hi) = conv_engine
         # thresholds spanning provable, frontier-ish, and falsifiable
         risks = [
             steer_far_left(round(hi + 0.25 + offset, 3)),
@@ -142,14 +174,16 @@ class TestVerdictParity:
         try:
             eager = engine.run(
                 Campaign("eager").add_grid(
-                    risks=risks, properties=(None,), sets=names
+                    risks=risks, properties=(None,), sets=names, domain=domain
                 )
             )
         finally:
             engine.remove_feature_sets(names)
 
         plan = StreamPlan(n_scenes=2, seed=3, shard_size=shard_size)
-        streamed = run_stream(engine, plan, risks, collect_results=True)
+        streamed = run_stream(
+            engine, plan, risks, domain=domain, collect_results=True
+        )
 
         assert streamed.results is not None
         assert len(streamed.results) == len(eager.results)
@@ -159,7 +193,8 @@ class TestVerdictParity:
             assert a.verdict is not None and b.verdict is not None
             assert a.verdict.verdict == b.verdict.verdict, (
                 f"{a.query.set_name}: eager {a.verdict.verdict} vs "
-                f"streamed {b.verdict.verdict} (shard_size={shard_size})"
+                f"streamed {b.verdict.verdict} (shard_size={shard_size}, "
+                f"domain={domain})"
             )
         # coverage aggregates exactly the verdicts the eager run produced
         total = sum(
@@ -168,6 +203,19 @@ class TestVerdictParity:
             for count in levels.values()
         )
         assert total == len(eager.results)
+
+    def test_wrong_risk_dimension_rejected_before_any_shard(
+        self, engine, monkeypatch
+    ):
+        def no_shards(plan):
+            raise AssertionError("a shard was generated")
+
+        monkeypatch.setattr(streaming_mod, "stream_scenario_regions", no_shards)
+        wide = RiskCondition("wide", (output_geq(3, 0, 1.0),))
+        with pytest.raises(
+            ValueError, match="risk condition is over 3 outputs, network has 2"
+        ):
+            run_stream(engine, StreamPlan(n_scenes=2, seed=3), [wide])
 
     def test_report_shape(self, engine, enclosure_range):
         lo, hi = enclosure_range
@@ -272,6 +320,56 @@ class TestCascadeOrder:
                 image[None, ...], engine.cut_layer
             )[0]
             np.testing.assert_allclose(witness.features, expected, atol=1e-12)
+
+
+class TestSingleRegistration:
+    """A shard registers once; its survivors go on without a re-screen."""
+
+    @pytest.mark.parametrize("domain", ["interval", "symbolic"])
+    def test_survivors_reach_solver_without_repropagation(
+        self, engine, enclosure_range, monkeypatch, domain
+    ):
+        lo, hi = enclosure_range
+        propagations = []
+        screens = []
+        propagate = engine_mod.propagate_regions
+        screen = engine_mod.screen_enclosure
+
+        def counting_propagate(*args, **kwargs):
+            propagations.append(args[1].n_regions)
+            return propagate(*args, **kwargs)
+
+        def counting_screen(enclosure, risk, rung):
+            screens.append(rung)
+            return screen(enclosure, risk, rung)
+
+        monkeypatch.setattr(engine_mod, "propagate_regions", counting_propagate)
+        monkeypatch.setattr(streaming_mod, "propagate_regions", counting_propagate)
+        monkeypatch.setattr(engine_mod, "screen_enclosure", counting_screen)
+        plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+        report = run_stream(
+            engine,
+            plan,
+            [steer_far_left(round(0.5 * (lo + hi), 3))],
+            domain=domain,
+            attack_steps=0,
+            collect_results=True,
+        )
+        assert report.results is not None
+        # one propagation of the one shard's regions, nothing more
+        assert propagations == [plan.total_regions]
+        survivors = [r for r in report.results if r.decided_by != "prescreen"]
+        assert survivors and all(r.verdict is not None for r in survivors)
+        # every query is screened once per rung it was pending at
+        ladder = precision_ladder(domain)
+        expected = sum(
+            ladder.index(r.verdict.solve_result.stats["prescreen"]) + 1
+            if r.decided_by == "prescreen"
+            else len(ladder)
+            for r in report.results
+        )
+        assert len(screens) == expected
+        assert all(r.ladder.count("prescreen") == 1 for r in report.results)
 
 
 def _shm_segments() -> set[str]:
