@@ -186,7 +186,8 @@ class _Checker(ast.NodeVisitor):
         ):
             self._check_picklable(node.args[0], node.func.attr)
 
-        if name and name.endswith("PoolExecutor"):
+        # the shared WorkerPool forwards its initializer to every worker
+        if name and (name.endswith("PoolExecutor") or name == "WorkerPool"):
             for kw in node.keywords:
                 if kw.arg == "initializer":
                     self._check_picklable(kw.value, "initializer")

@@ -47,10 +47,7 @@ afterwards).
 from __future__ import annotations
 
 import inspect
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -65,7 +62,7 @@ from repro.perception.characterizer import Characterizer
 from repro.perception.features import extract_features
 from repro.properties.risk import RiskCondition
 from repro.scenario.regions import RegionGrid
-from repro.scenario.streaming import _POOL_FAILURES, run_stream
+from repro.scenario.streaming import run_stream
 from repro.verification.abstraction.domain import get_domain, precision_ladder
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.assume_guarantee import feature_set_from_data
@@ -82,6 +79,7 @@ from repro.verification.milp.encoder import (
 )
 from repro.verification.milp.relaxed import encode_relaxed_problem
 from repro.verification.output_range import optimize_range, trivial_reachability_risk
+from repro.verification.pool import WorkerPool
 from repro.verification.prescreen import (
     output_enclosure,
     output_enclosure_batch,
@@ -89,8 +87,7 @@ from repro.verification.prescreen import (
 )
 from repro.verification.refinement import verify_with_refinement
 from repro.verification.robustness import verify_local_robustness
-from repro.verification import shm
-from repro.verification.sets import Box, BoxBatch, FeatureSet
+from repro.verification.sets import BoxBatch, FeatureSet
 from repro.verification.solver import solver_spec
 from repro.verification.solver.lp import solve_lp_relaxation
 from repro.verification.solver.result import SolveResult, SolveStatus
@@ -248,8 +245,6 @@ class VerificationEngine:
         self.confusions: dict[str, ConfusionEstimate] = {}
         self._sets: dict[str, RegisteredFeatureSet] = {}
         self._refinement_images: np.ndarray | None = None
-        #: (ShmHandle, staged cache keys) while a parallel run is live
-        self._enclosure_shm: tuple[shm.ShmHandle, tuple] | None = None
         self._reset_caches()
 
     # -- cache plumbing ----------------------------------------------------
@@ -289,8 +284,7 @@ class VerificationEngine:
     def __getstate__(self) -> dict:
         # caches hold per-process mutable MILP models, and pool workers
         # only run what the parent's prescreen left, so every cache ships
-        # empty.  Box enclosures a portfolio race stages in shared memory
-        # ride the ShmHandle instead; workers re-attach them lazily.
+        # empty (forked workers inherit the parent's instead)
         state = self.__dict__.copy()
         for key in (
             "_char_net_cache",
@@ -900,8 +894,8 @@ class VerificationEngine:
 
     @staticmethod
     def _adopt(item: _Item, result: QueryResult) -> None:
-        """Take a result decided elsewhere (a pool worker, a portfolio
-        racer) as ``item``'s answer, after the stages it already ran."""
+        """Take a result decided elsewhere (a portfolio racer) as
+        ``item``'s answer, after the stages it already ran."""
         if result.ok:
             item.ladder.extend(result.ladder)
             item.hits.extend(result.cache_hits)
@@ -1466,11 +1460,13 @@ class VerificationEngine:
 
         Results are returned in query order regardless of worker
         scheduling.  The parent runs the prescreen over the whole batch,
-        then ships only the surviving queries (the engine once per
-        worker, caches excluded).  If the pool itself fails — the
-        platform refuses to spawn processes, a worker dies, the engine
-        does not pickle — the engine finishes sequentially and says so in
-        ``report.executor``; any other exception propagates.
+        then ships only the surviving queries to ``workers`` processes
+        (:class:`~repro.verification.pool.WorkerPool`; each holds the
+        engine once).  If the pool itself fails — the platform refuses
+        to start processes, a worker dies, a query does not pickle — the
+        answers already returned are kept, the rest are decided
+        in-process and ``report.executor`` says so; any other exception
+        propagates.
         """
         if isinstance(campaign, VerificationQuery):
             campaign = Campaign("query", [campaign])
@@ -1483,17 +1479,13 @@ class VerificationEngine:
         if workers > 1:
             self._decide(batch, stages[:1])
             stages = stages[1:]
-            pending = batch.pending()
+            pending = [i for i, item in enumerate(batch.items) if item.result is None]
             if len(pending) > 1:
-                try:
-                    answers = self._run_parallel(
-                        [item.query for item in pending], workers
-                    )
-                    executor = f"process-pool[{workers}]"
-                    for item, answer in zip(pending, answers):
-                        self._adopt(item, answer)
-                except _POOL_FAILURES as exc:
-                    executor = f"sequential (pool unavailable: {type(exc).__name__})"
+                with WorkerPool(workers, self) as pool:
+                    answers = pool.map(_solve_item, [batch.items[i] for i in pending])
+                    for index, item in zip(pending, answers):
+                        batch.items[index] = item
+                executor = pool.label(f"process-pool[{workers}]", "sequential")
         self._decide(batch, stages)
         results = self._finish(batch)
 
@@ -1520,72 +1512,6 @@ class VerificationEngine:
         :class:`~repro.scenario.streaming.StreamReport`.
         """
         return run_stream(self, plan, risks, **options)
-
-    def _run_parallel(
-        self, queries: list[VerificationQuery], workers: int
-    ) -> list[QueryResult]:
-        """The solver stages for ``queries`` on a process pool."""
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(self,),
-            )
-        except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
-            raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
-        with pool:
-            return list(pool.map(_worker_run, queries))
-
-    def _pack_enclosure_shm(self) -> "shm.ShmBlock | None":
-        """Stage box-valued enclosure-cache entries in shared memory.
-
-        A portfolio race's workers each run their racers' prescreens
-        over the parent's enclosures; shipping them inside the pickled
-        engine would copy every array into every worker's pipe.  Packing
-        the :class:`~repro.verification.sets.Box` entries into
-        one shared segment sends only a tiny handle — workers attach the
-        segment once and rebuild the boxes as zero-copy read-only views.
-        Non-box enclosures (zonotopes, boxes-with-diffs) are recomputed
-        in the workers.  Returns the parent-side block to release once
-        the pool is done, or None when there is nothing to stage.
-        """
-        self._enclosure_shm = None
-        if not (self._enclosure_cache and shm.available()):
-            return None
-        staged = [
-            (key, value)
-            for key, value in self._enclosure_cache.items()
-            if type(value) is Box
-        ]
-        if not staged:
-            return None
-        arrays: list[np.ndarray] = []
-        for _, box in staged:
-            arrays.append(box.lower)
-            arrays.append(box.upper)
-        block = shm.pack_arrays(arrays)
-        self._enclosure_shm = (block.handle, tuple(key for key, _ in staged))
-        return block
-
-    def _attach_enclosure_shm(self) -> None:
-        """Rebuild shm-staged box enclosures (worker side, post-unpickle)."""
-        if self._enclosure_shm is None:
-            return
-        handle, keys = self._enclosure_shm
-        self._enclosure_shm = None
-        try:
-            views = shm.attach(handle)
-        except (FileNotFoundError, OSError):  # parent released early
-            return
-        for index, key in enumerate(keys):
-            self._enclosure_cache[key] = Box(
-                views[2 * index], views[2 * index + 1]
-            )
 
     # -- deployment --------------------------------------------------------
 
@@ -1628,18 +1554,8 @@ class VerificationEngine:
         return verdict
 
 
-_WORKER_ENGINE: VerificationEngine | None = None
-
-
-def _worker_init(engine: VerificationEngine) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _worker_run(query: VerificationQuery) -> QueryResult:
-    """The solver stages for one campaign query the parent's prescreen left."""
-    engine = _WORKER_ENGINE
-    assert engine is not None, "worker used before initialization"
-    return engine._run_queries(
-        [query], campaign=True, stages=engine._solver_stages()
-    )[0]
+def _solve_item(engine: VerificationEngine, item: _Item) -> _Item:
+    """The solver stages for one campaign item the parent's prescreen
+    left (a pool task: the worker's copy of the item comes back)."""
+    engine._decide(_Batch([item], campaign=True), engine._solver_stages())
+    return item

@@ -35,13 +35,14 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import as_completed
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult, as_queries
 from repro.api.query import Method, VerificationQuery
 from repro.core.verdict import Verdict
+from repro.verification.pool import POOL_FAILURES, WorkerPool, shared_event, unavailable
 
 #: how often a racing worker re-checks the shared cancel event (and
 #: re-interrupts CEGAR loops created after the first check), seconds
@@ -355,8 +356,12 @@ class Portfolio:
         """Race every query of a campaign; returns an eager-style report.
 
         ``workers > 1`` races the configs of each query concurrently on
-        a fork pool (losers cancelled cooperatively); otherwise each
-        query runs the adaptive-sequential race.  Query results land in
+        a :class:`~repro.verification.pool.WorkerPool` of
+        ``min(workers, len(racers))`` processes (losers cancelled
+        cooperatively); otherwise each query runs the adaptive-sequential
+        race.  If the pool fails, the races already finished stand and
+        the remaining queries run adaptively (``report.executor`` says
+        so); any other exception propagates.  Query results land in
         campaign order either way.
         """
         if isinstance(campaign, VerificationQuery):
@@ -364,17 +369,20 @@ class Portfolio:
         name, queries = as_queries(campaign)
         start = time.perf_counter()
         executor = "portfolio-adaptive"
-        results: list[QueryResult] | None = None
+        results: list[QueryResult] = []
 
         if workers > 1 and len(self.racers) > 1:
             try:
-                results = self._run_races_parallel(queries, workers)
+                cancel_event = shared_event()
+                with WorkerPool(
+                    min(workers, len(self.racers)), (self.engine, cancel_event)
+                ) as pool:
+                    for query in queries:
+                        results.append(self._race_parallel(pool, cancel_event, query))
                 executor = f"portfolio-race[{workers}]"
-            except Exception as exc:  # no fork/spawn, unpicklable state, ...
-                results = None
-                executor = f"portfolio-adaptive (pool unavailable: {type(exc).__name__})"
-        if results is None:
-            results = [self.run_query(query) for query in queries]
+            except POOL_FAILURES as exc:
+                executor = unavailable("portfolio-adaptive", exc)
+        results += [self.run_query(query) for query in queries[len(results):]]
 
         stats: dict[str, Any] = {"portfolio:races": len(self.race_log)}
         for racer_name, racer_stats in self.stats.items():
@@ -389,35 +397,8 @@ class Portfolio:
             cache_stats=stats,
         )
 
-    def _run_races_parallel(
-        self, queries: list[VerificationQuery], workers: int
-    ) -> list[QueryResult]:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        cancel_event = context.Event()
-        block = self.engine._pack_enclosure_shm()
-        results: list[QueryResult] = []
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(self.racers)),
-                mp_context=context,
-                initializer=_racer_init,
-                initargs=(self.engine, cancel_event),
-            ) as pool:
-                for query in queries:
-                    results.append(self._race_parallel(pool, cancel_event, query))
-        finally:
-            self.engine._enclosure_shm = None
-            if block is not None:
-                block.release()
-        return results
-
     def _race_parallel(
-        self, pool: ProcessPoolExecutor, cancel_event, query: VerificationQuery
+        self, pool: WorkerPool, cancel_event, query: VerificationQuery
     ) -> QueryResult:
         """One query's race: first sound decided answer wins, losers are
         interrupted at their next CEGAR round boundary."""
@@ -425,7 +406,7 @@ class Portfolio:
         record: dict[str, Any] = {"query": query.name, "racers": {}, "winner": None}
         cancel_event.clear()
         futures = {
-            pool.submit(_racer_run, config, query): config for config in order
+            pool.submit(_racer_run, (config, query)): config for config in order
         }
         winner_result: QueryResult | None = None
         fallback: QueryResult | None = None
@@ -466,29 +447,20 @@ class Portfolio:
         return fallback
 
 
-# -- pool plumbing (module-level: pool callables must pickle) --------------
-
-_RACER_ENGINE = None
-_RACER_EVENT = None
+# -- pool task (module-level: pool callables must pickle) -----------------
 
 
-def _racer_init(engine, cancel_event) -> None:
-    global _RACER_ENGINE, _RACER_EVENT
-    _RACER_ENGINE = engine
-    _RACER_EVENT = cancel_event
-    engine._attach_enclosure_shm()
-
-
-def _racer_run(config: RacerConfig, query: VerificationQuery):
+def _racer_run(state, task: tuple[RacerConfig, VerificationQuery]):
     """Run one racer in a pool worker under cooperative cancellation.
 
-    A watcher thread polls the shared cancel event and — while it is set
-    — keeps interrupting the worker engine's CEGAR loops, so loops
-    created *after* the event was raised are still caught.  Returns
+    ``state`` is the worker's ``(engine, shared cancel event)``.  A
+    watcher thread polls the event and — while it is set — keeps
+    interrupting the worker engine's CEGAR loops, so loops created
+    *after* the event was raised are still caught.  Returns
     ``(result, elapsed, saw_cancel)``.
     """
-    assert _RACER_ENGINE is not None and _RACER_EVENT is not None
-    engine, event = _RACER_ENGINE, _RACER_EVENT
+    engine, event = state
+    config, query = task
     stop = threading.Event()
     saw_cancel = False
 

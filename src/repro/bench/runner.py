@@ -8,18 +8,18 @@ per-instance wall-clock budget, outcomes are scored
 and the whole run is collected into a JSON-able
 :class:`CompetitionReport` (rendered by :mod:`repro.bench.report`).
 
-Models and parsed properties are loaded once per instance and shared
-across tracks; each track still gets a **fresh**
-:class:`~repro.api.VerificationEngine` per instance, so no track
-benefits from another track's caches — times are attributable to the
-configuration alone.
+Every (track, instance) cell loads its own model and parsed property
+and gets a **fresh** :class:`~repro.api.VerificationEngine`, so no
+track benefits from another track's caches — times are attributable to
+the configuration alone, and a cell runs the same in-process or on a
+pool worker.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.bench.scoring import (
     InstanceOutcome,
@@ -39,6 +39,7 @@ from repro.interchange.instances import (
     combine_disjunct_verdicts,
     instance_engine,
 )
+from repro.verification.pool import WorkerPool
 
 #: default cegar subproblem budget when a cegar track does not set one
 _CEGAR_BUDGET = 32
@@ -258,75 +259,39 @@ def run_instance_daemon(
 
 
 def _run_cell(
-    track: Track, instance: BenchmarkInstance, timeout: float | None
+    timeout: float | None, cell: tuple[BenchmarkInstance, Track]
 ) -> InstanceOutcome:
-    """One (track, instance) competition cell, self-contained.
+    """One (instance, track) competition cell, self-contained.
 
-    The parallel runner's pool callable (module-level so it pickles):
-    loads model and property itself — workers share nothing, so every
+    Loads model and property itself — cells share nothing, so every
     cell's time stays attributable to its configuration alone — and
-    applies the same static-IR pre-check as the sequential loop.
+    applies the static-IR pre-check: a file outside the supported
+    subset or an invalid model becomes this cell's error outcome
+    instead of sinking the whole run.  The same step runs in-process
+    and as a pool task (module-level, so it pickles).
     """
+    instance, track = cell
     try:
         model = instance.load_model()
         prop = instance.load_property()
     except Exception as exc:
-        return InstanceOutcome(
-            track=track.name,
-            instance=instance.name,
-            status="error",
-            elapsed=0.0,
-            timeout=float(timeout if timeout is not None else instance.timeout),
-            expected=instance.expected,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-    from repro.analysis.ir_analysis import model_error_summary
+        detail = f"{type(exc).__name__}: {exc}"
+    else:
+        from repro.analysis.ir_analysis import model_error_summary
 
-    diagnostics = model_error_summary(model)
-    if diagnostics is not None:
-        return InstanceOutcome(
-            track=track.name,
-            instance=instance.name,
-            status="error",
-            elapsed=0.0,
-            timeout=float(timeout if timeout is not None else instance.timeout),
-            expected=instance.expected,
-            detail=f"static analysis rejected model: {diagnostics}",
-        )
-    return run_instance(track, instance, model, prop, timeout=timeout)
-
-
-def _run_cells_parallel(
-    instances: Sequence[BenchmarkInstance],
-    tracks: Sequence[Track],
-    timeout: float | None,
-    workers: int,
-    progress: Callable[[str], None] | None,
-) -> list[InstanceOutcome]:
-    """All (instance, track) cells on a process pool, sequential order.
-
-    Wall budgets stay **per instance** — each cell enforces its own
-    budget inside the worker — and the returned outcomes are ordered
-    exactly as the sequential loop would have produced them.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    cells = [(instance, track) for instance in instances for track in tracks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_cell, track, instance, timeout)
-            for instance, track in cells
-        ]
-        outcomes = []
-        for (instance, track), future in zip(cells, futures):
-            outcome = future.result()
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(
-                    f"  {track.name:<18} {instance.name:<22} "
-                    f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
-                )
-    return outcomes
+        diagnostics = model_error_summary(model)
+        if diagnostics is None:
+            return run_instance(track, instance, model, prop, timeout=timeout)
+        detail = f"static analysis rejected model: {diagnostics}"
+    return InstanceOutcome(
+        track=track.name,
+        instance=instance.name,
+        status="error",
+        elapsed=0.0,
+        timeout=float(timeout if timeout is not None else instance.timeout),
+        expected=instance.expected,
+        detail=detail,
+    )
 
 
 def run_competition(
@@ -346,11 +311,13 @@ def run_competition(
     constructing in-process engines: every (track, instance) cell is
     submitted as a job via :func:`run_instance_daemon`.
 
-    ``workers > 1`` fans the (instance, track) cells out over a process
-    pool (ignored under ``daemon`` — the daemon is the executor there).
-    Per-instance wall budgets still apply inside each worker, and the
-    outcome order matches the sequential loop.  Falls back to the
-    sequential loop if no pool can be constructed.
+    ``workers > 1`` fans the (instance, track) cells out over a
+    :class:`~repro.verification.pool.WorkerPool` (ignored under
+    ``daemon`` — the daemon is the executor there).  Per-instance wall
+    budgets still apply inside each worker, and the outcome order
+    matches the sequential loop.  If the pool fails, the outcomes
+    already returned are kept and the remaining cells run in-process;
+    any other exception propagates.
     """
     tracks = list(tracks) if tracks else None
     if not tracks:
@@ -363,83 +330,24 @@ def run_competition(
     if not instances:
         raise ValueError("run_competition needs at least one instance")
 
-    client = None
+    start = time.perf_counter()
+    cells = [(instance, track) for instance in instances for track in tracks]
     if daemon is not None:
         from repro.service.client import ServiceClient
 
         client = ServiceClient(daemon)
-
-    start = time.perf_counter()
-    outcomes: list[InstanceOutcome] = []
-    if workers > 1 and client is None:
-        try:
-            outcomes = _run_cells_parallel(
-                instances, tracks, timeout, workers, progress
-            )
-        except Exception:  # no pool on this platform — run sequentially
-            outcomes = []
-    if outcomes:
-        scores = [score_track(track.name, outcomes) for track in tracks]
-        return CompetitionReport(
-            instance_dir=str(instance_dir),
-            suite=suite,
-            tracks=tracks,
-            instances=[instance.name for instance in instances],
-            outcomes=outcomes,
-            scores=scores,
-            disagreements=verdict_disagreements(outcomes),
-            total_time=time.perf_counter() - start,
-            timeout=timeout,
+        outcomes = _reported(
+            (
+                run_instance_daemon(client, track, instance, timeout=timeout)
+                for instance, track in cells
+            ),
+            progress,
         )
-    for instance in instances:
-        if client is not None:
-            for track in tracks:
-                outcome = run_instance_daemon(client, track, instance, timeout=timeout)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(
-                        f"  {track.name:<18} {instance.name:<22} "
-                        f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
-                    )
-            continue
-        # load once, share across tracks (engines are still per-track);
-        # a file outside the supported subset becomes an error outcome
-        # for every track instead of sinking the whole run
-        load_error: str | None = None
-        model = prop = None
-        try:
-            model = instance.load_model()
-            prop = instance.load_property()
-        except Exception as exc:
-            load_error = f"{type(exc).__name__}: {exc}"
-        if load_error is None and model is not None:
-            # static IR check up front: an invalid model scores as an
-            # error outcome with op-indexed diagnostics instead of a
-            # numpy traceback from inside some track's propagation
-            from repro.analysis.ir_analysis import model_error_summary
-
-            diagnostics = model_error_summary(model)
-            if diagnostics is not None:
-                load_error = f"static analysis rejected model: {diagnostics}"
-        for track in tracks:
-            if load_error is not None:
-                outcome = InstanceOutcome(
-                    track=track.name,
-                    instance=instance.name,
-                    status="error",
-                    elapsed=0.0,
-                    timeout=float(timeout if timeout is not None else instance.timeout),
-                    expected=instance.expected,
-                    detail=load_error,
-                )
-            else:
-                outcome = run_instance(track, instance, model, prop, timeout=timeout)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(
-                    f"  {track.name:<18} {instance.name:<22} "
-                    f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
-                )
+    elif workers > 1:
+        with WorkerPool(workers, timeout) as pool:
+            outcomes = _reported(pool.map(_run_cell, cells), progress)
+    else:
+        outcomes = _reported((_run_cell(timeout, cell) for cell in cells), progress)
     scores = [score_track(track.name, outcomes) for track in tracks]
     return CompetitionReport(
         instance_dir=str(instance_dir),
@@ -452,3 +360,18 @@ def run_competition(
         total_time=time.perf_counter() - start,
         timeout=timeout,
     )
+
+
+def _reported(
+    outcomes: Iterable[InstanceOutcome], progress: Callable[[str], None] | None
+) -> list[InstanceOutcome]:
+    """Drain ``outcomes`` in cell order, reporting each to ``progress``."""
+    drained = []
+    for outcome in outcomes:
+        drained.append(outcome)
+        if progress is not None:
+            progress(
+                f"  {outcome.track:<18} {outcome.instance:<22} "
+                f"{outcome.status:<8} {outcome.elapsed:7.3f}s"
+            )
+    return drained

@@ -24,10 +24,10 @@ with a *stream*:
   :class:`StreamReport` (verdict histogram + ODD-coverage per
   perturbation axis) whose peak memory is O(shard), not O(grid).
 
-Shards cross the process-pool boundary through the
-:mod:`repro.verification.shm` zero-copy path: the parent packs each
-shard's stacked bounds into one shared segment and ships only the
-handle; workers attach read-only views.
+With ``workers > 1`` shards go to a
+:class:`~repro.verification.pool.WorkerPool`: each shard's stacked
+bounds ride one shared-memory segment, and a failed pool keeps every
+finished shard and decides the rest in-process.
 
 Verdict parity with the eager path is by construction: a shard's sets
 are registered by the same propagation, its queries run the same
@@ -40,11 +40,7 @@ same sound feature set.
 from __future__ import annotations
 
 import math
-import pickle
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
@@ -62,13 +58,13 @@ from repro.scenario.regions import (
     ensure_regions_fit,
 )
 from repro.scenario.render import render_ground, render_vehicles
-from repro.verification import shm
 from repro.verification.abstraction.domain import get_domain
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.counterexample import (
     FeatureCounterexample,
     pgd_hits_in_boxes,
 )
+from repro.verification.pool import Payload, WorkerPool
 from repro.verification.prescreen import output_enclosure_batch
 # not called here: perfbench/layers.py traces this module attribute
 from repro.verification.prescreen import screen_enclosure  # noqa: F401
@@ -77,10 +73,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.api.campaign import CampaignReport, QueryResult
     from repro.api.engine import VerificationEngine
     from repro.properties.risk import RiskCondition
-
-#: failures of the process pool itself, as opposed to a shard's own
-#: exception: only these switch a sweep to the sequential executor
-_POOL_FAILURES = (BrokenProcessPool, pickle.PicklingError)
 
 #: golden-ratio fraction used to pick the coverage-lattice stride
 _GOLDEN = 0.6180339887498949
@@ -681,46 +673,24 @@ def _decide_shard(
     return outcome
 
 
-# -- process-pool plumbing (module-level: pool callables must pickle) ------
-
-_STREAM_ENGINE: "VerificationEngine | None" = None
-_STREAM_RISKS: "Sequence[RiskCondition] | None" = None
-_STREAM_OPTIONS: _StreamOptions | None = None
-
-
-def _stream_worker_init(engine, risks, options) -> None:
-    global _STREAM_ENGINE, _STREAM_RISKS, _STREAM_OPTIONS
-    _STREAM_ENGINE = engine
-    _STREAM_RISKS = risks
-    _STREAM_OPTIONS = options
+def _shard_task(index: int, grid: RegionGrid) -> Payload:
+    """A shard as a pool task: its stacked bounds plus the rest."""
+    return Payload(
+        (np.stack([r.lower for r in grid]), np.stack([r.upper for r in grid])),
+        (index, grid.names, [r.scene for r in grid], [r.axes for r in grid], grid.config),
+    )
 
 
-def _stream_worker_run(task) -> ShardOutcome:
-    """Rebuild one shard from its zero-copy payload and decide it."""
-    assert _STREAM_ENGINE is not None and _STREAM_OPTIONS is not None
-    assert _STREAM_RISKS is not None
-    shard_index, handle, payload, names, scenes, axes, config = task
-    if handle is not None:
-        lower, upper = shm.attach(handle)
-    else:
-        lower, upper = payload
+def _run_shard(state, task: Payload) -> ShardOutcome:
+    """Rebuild one shard from its pool task and decide it."""
+    engine, risks, options = state
+    lower, upper = task.arrays
+    index, names, scenes, axes, config = task.meta
     regions = [
-        Region(
-            name=names[i],
-            scene=scenes[i],
-            axes=axes[i],
-            lower=lower[i],
-            upper=upper[i],
-        )
+        Region(name=names[i], scene=scenes[i], axes=axes[i], lower=lower[i], upper=upper[i])
         for i in range(len(names))
     ]
-    return _decide_shard(
-        _STREAM_ENGINE,
-        shard_index,
-        RegionGrid(regions, config),
-        _STREAM_RISKS,
-        _STREAM_OPTIONS,
-    )
+    return _decide_shard(engine, index, RegionGrid(regions, config), risks, options)
 
 
 def run_stream(
@@ -745,8 +715,11 @@ def run_stream(
     same parameters, but with O(shard) peak memory, a prescreen that
     spares the attack every provable region and an attack pass that
     spares the solver every falsifiable one.  ``workers > 1`` ships
-    shards to a process pool through shared memory; the parent only
-    ever holds the bounded number of in-flight shards.  ``domain`` is
+    shards to a :class:`~repro.verification.pool.WorkerPool` through
+    shared memory, with at most ``workers + 2`` shards in flight; if
+    the pool fails, the finished shards are kept and the rest are
+    decided in-process (``report.executor`` says so), while a shard's
+    own exception propagates.  ``domain`` is
     the top of the prescreen ladder, as in ``Campaign.from_scenario_grid``;
     regions reach the cut layer through the same interval propagation as
     :meth:`~repro.api.engine.VerificationEngine.add_region_sets`.  Risks
@@ -774,26 +747,21 @@ def run_stream(
         portfolio=portfolio,
     )
     start = time.perf_counter()
-    outcomes: dict[int, ShardOutcome] = {}
-    executor = "sequential"
-
+    shards = enumerate(stream_scenario_regions(plan))
     if workers > 1:
-        try:
-            executor = f"process-pool[{workers}]"
-            _run_stream_parallel(engine, plan, risks, options, workers, outcomes)
-        except _POOL_FAILURES as exc:
-            # a broken pool may have lost finished shards: rerun them all
-            outcomes.clear()
-            executor = f"sequential (pool unavailable: {type(exc).__name__})"
-
-    if not outcomes:
-        for index, grid in enumerate(stream_scenario_regions(plan)):
-            outcomes[index] = _decide_shard(engine, index, grid, risks, options)
-            if progress is not None:
-                progress(
-                    f"shard {index}: {outcomes[index].n_queries} queries "
-                    f"in {outcomes[index].elapsed:.2f}s"
-                )
+        with WorkerPool(workers, (engine, tuple(risks), options)) as pool:
+            tasks = (_shard_task(index, grid) for index, grid in shards)
+            outcomes = _reported(
+                pool.map(_run_shard, tasks, inflight=workers + 2), progress
+            )
+        executor = pool.label(f"process-pool[{workers}]", "sequential")
+    else:
+        decided = (
+            _decide_shard(engine, index, grid, risks, options)
+            for index, grid in shards
+        )
+        outcomes = _reported(decided, progress)
+        executor = "sequential"
 
     verdict_counts: dict[str, int] = {}
     decided_by_counts: dict[str, int] = {}
@@ -802,8 +770,7 @@ def run_stream(
     results: "list[QueryResult] | None" = [] if collect_results else None
     total_regions = 0
     total_queries = 0
-    for index in sorted(outcomes):
-        outcome = outcomes[index]
+    for outcome in outcomes:
         total_regions += outcome.n_regions
         total_queries += outcome.n_queries
         for key, count in outcome.verdict_counts.items():
@@ -864,74 +831,16 @@ def stream_enclosure_range(
     return lo, hi
 
 
-def _run_stream_parallel(
-    engine: "VerificationEngine",
-    plan: StreamPlan,
-    risks: "Sequence[RiskCondition]",
-    options: _StreamOptions,
-    workers: int,
-    outcomes: dict[int, ShardOutcome],
-) -> None:
-    """Fan shards out over a fork pool via the shm zero-copy path.
-
-    A shard's own exception propagates after the queued shards are
-    cancelled; every shared-memory segment is released either way.
-    Failing to start the pool raises :class:`BrokenProcessPool`.
-    """
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
-    use_shm = shm.available()
-    # bound in-flight shards: parent memory stays O(workers * shard)
-    max_inflight = workers + 2
-    inflight: deque = deque()
-
-    def drain_one() -> None:
-        future, pending = inflight.popleft()
-        try:
-            outcome = future.result()
-        finally:
-            if pending is not None:
-                pending.release()
-        outcomes[outcome.shard_index] = outcome
-
-    try:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_stream_worker_init,
-            initargs=(engine, tuple(risks), options),
-        )
-    except (OSError, NotImplementedError) as exc:  # no fork/spawn, semaphores
-        raise BrokenProcessPool(f"cannot start a process pool: {exc}") from exc
-    block = None
-    try:
-        for index, grid in enumerate(stream_scenario_regions(plan)):
-            lower = np.stack([r.lower for r in grid])
-            upper = np.stack([r.upper for r in grid])
-            block = shm.pack_arrays([lower, upper]) if use_shm else None
-            task = (
-                index,
-                block.handle if block is not None else None,
-                None if block is not None else (lower, upper),
-                grid.names,
-                [r.scene for r in grid],
-                [r.axes for r in grid],
-                grid.config,
+def _reported(
+    outcomes: Iterator[ShardOutcome], progress: Callable[[str], None] | None
+) -> list[ShardOutcome]:
+    """Drain ``outcomes`` in shard order, reporting each to ``progress``."""
+    drained = []
+    for outcome in outcomes:
+        drained.append(outcome)
+        if progress is not None:
+            progress(
+                f"shard {outcome.shard_index}: {outcome.n_queries} queries "
+                f"in {outcome.elapsed:.2f}s"
             )
-            inflight.append((pool.submit(_stream_worker_run, task), block))
-            if len(inflight) >= max_inflight:
-                drain_one()
-        while inflight:
-            drain_one()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        # release is idempotent; ``block`` covers a failed submission
-        for _, pending in inflight:
-            if pending is not None:
-                pending.release()
-        if block is not None:
-            block.release()
+    return drained

@@ -42,11 +42,8 @@ resumes exactly where the previous one stopped.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +70,7 @@ from repro.verification.output_range import trivial_reachability_risk
 from repro.verification.prescreen import prescreen_batch
 # not called here: perfbench/layers.py traces these two module attributes
 from repro.verification.prescreen import output_enclosure, screen_enclosure  # noqa: F401
-from repro.verification import shm
+from repro.verification.pool import Payload, WorkerPool
 from repro.verification.sets import Box, BoxBatch, bisect_bounds
 from repro.verification.solver import solver_spec
 from repro.verification.solver.result import SolveResult, SolveStatus
@@ -409,46 +406,20 @@ class _ScopedLeafSolver:
                 model.upper[var] = hi
 
 
-# -- process-pool plumbing (frontier-parallel leaf solves) -------------------
-
-_POOL_SOLVER: _ScopedLeafSolver | None = None
+# -- pool tasks (frontier-parallel leaf solves) -------------------------------
 
 
-def _pool_leaf_init(
-    suffix: PiecewiseLinearNetwork,
-    root_lower: np.ndarray,
-    root_upper: np.ndarray,
-    risk: RiskCondition,
-    solver: str,
-    solver_options: dict,
-) -> None:
-    global _POOL_SOLVER
-    _POOL_SOLVER = _ScopedLeafSolver.fresh(
-        suffix, Box(root_lower, root_upper), risk, solver, solver_options
-    )
+def _leaf_solver(spec: tuple) -> _ScopedLeafSolver:
+    """A pool worker's leaf solver: ``spec`` is ``fresh``'s arguments."""
+    return _ScopedLeafSolver.fresh(*spec)
 
 
-def _pool_leaf_solve(bounds: tuple[np.ndarray, np.ndarray]) -> SolveResult:
-    assert _POOL_SOLVER is not None, "pool worker used before initialization"
-    return _POOL_SOLVER.solve(Box(bounds[0], bounds[1]))
-
-
-def _pool_leaf_solve_shm(task: tuple["shm.ShmHandle", int]) -> SolveResult:
-    """Solve leaf ``index`` of a shared-memory round batch.
-
-    The round's stacked leaf bounds live in one shared segment packed
-    by the parent (:meth:`CegarLoop._solve_leaves`); the task payload
-    is just the segment handle plus an index, so nothing box-sized is
-    pickled per leaf.
-    """
-    assert _POOL_SOLVER is not None, "pool worker used before initialization"
-    handle, index = task
-    lower, upper = shm.attach(handle)
-    # copy out of the segment: the parent unlinks it after the round,
-    # and the solver may hold bounds past this call
-    return _POOL_SOLVER.solve(
-        Box(lower[index].copy(), upper[index].copy())
-    )
+def _solve_leaf(solver: _ScopedLeafSolver, task: Payload) -> SolveResult:
+    """Solve one leaf whose cut-layer bounds are ``task.arrays``."""
+    lower, upper = task.arrays
+    # copy out of the shared segment: the parent unlinks it once the
+    # round drains, and the solver may hold bounds past this call
+    return solver.solve(Box(lower.copy(), upper.copy()))
 
 
 class CegarLoop:
@@ -531,9 +502,8 @@ class CegarLoop:
         self._parked: list[Subproblem] = []
         self.decided_volume = 0.0
         self.subproblems_processed = 0
-        self._pool_workers = 1
-        self._pool_size = 1
-        self._pool: ProcessPoolExecutor | None = None
+        #: the leaf-solve pool while :meth:`run` is live (None: in-process)
+        self._pool: WorkerPool | None = None
         self._poisoned = False
         self._interrupted = False
         self.counterexample: InputCounterexample | None = None
@@ -548,8 +518,8 @@ class CegarLoop:
         self._merge_version = 0
         self._merged_leaf_solver: _ScopedLeafSolver | None = None
         self._merged_leaf_version = -1
-        self._pool_merge_version = 0
-        self._requested_workers = 1
+        #: merge version the pool's workers encode
+        self._pool_version = 0
 
     # -- queue ------------------------------------------------------------
 
@@ -809,121 +779,45 @@ class CegarLoop:
     def _solve_leaves(
         self, leaves: list[tuple[Subproblem, Box]]
     ) -> list[SolveResult]:
-        if not leaves:
-            return []
-        if self._pool is not None and len(leaves) > 1:
-            # chunk so per-task IPC amortizes over several tiny solves;
-            # sized from the worker count captured at pool creation, not
-            # from self._pool_workers (a degrade resets that to 1, which
-            # would silently collapse later rounds into one giant chunk)
-            chunk = max(1, len(leaves) // (4 * self._pool_size))
-            block: shm.ShmBlock | None = None
-            try:
-                if shm.available():
-                    # one segment per round: tasks carry (handle, index)
-                    # instead of a pickled box each
-                    block = shm.pack_arrays(
-                        [
-                            np.stack([b.lower for _, b in leaves]),
-                            np.stack([b.upper for _, b in leaves]),
-                        ]
-                    )
-                    tasks = [
-                        (block.handle, i) for i in range(len(leaves))
-                    ]
-                    return list(
-                        self._pool.map(
-                            _pool_leaf_solve_shm, tasks, chunksize=chunk
-                        )
-                    )
-                return list(
-                    self._pool.map(
-                        _pool_leaf_solve,
-                        [(b.lower, b.upper) for _, b in leaves],
-                        chunksize=chunk,
-                    )
-                )
-            except BrokenProcessPool:
-                # pool died mid-run: degrade to sequential, visibly —
-                # and drop the dead executor so later rounds don't
-                # re-submit to it (each submit would raise and leak the
-                # broken worker bookkeeping until run() exits)
-                self._discard_pool()
-                self._pool_workers = 1
-            finally:
-                if block is not None:
-                    block.release()
-            # genuine solve errors (not pool infrastructure) propagate
+        pool = self._pool
+        if pool is not None and pool.failure is None and len(leaves) > 1:
+            # chunk so per-task IPC amortizes over several tiny solves,
+            # sized by the worker count fixed when the pool was created;
+            # a pool that dies mid-round finishes the round in-process
+            # and is never submitted to again
+            tasks = [Payload((box.lower, box.upper)) for _, box in leaves]
+            chunk = max(1, len(leaves) // (4 * pool.workers))
+            return list(pool.map(_solve_leaf, tasks, chunksize=chunk))
         results = []
         for _, box in leaves:
             solver = self._current_leaf_solver()  # per-solve re-encode if not reusing
             results.append(solver.solve(box))
         return results
 
-    def _discard_pool(self) -> None:
-        """Drop the round pool (idempotent; tolerates broken executors)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - broken-pool teardown
-                pass
-
-    def _make_pool(self, workers: int) -> ProcessPoolExecutor | None:
-        """One pool per :meth:`run` call, shared by every round's leaves.
+    def _start_pool(self, workers: int) -> WorkerPool | None:
+        """The leaf-solve pool, or None to solve in-process.
 
         ``workers`` is a *cap*: the loop never spawns more processes
         than the machine has cores, and with one core it solves
         in-process — on a single-core host a pool only adds fork and
         IPC overhead to every leaf (the same observation
-        ``bench_campaign.py`` records for campaign pools).
+        ``bench_campaign.py`` records for campaign pools).  Workers
+        encode the ACTIVE program: the merged suffix while the
+        structural axis still has merged groups.
         """
         workers = min(workers, os.cpu_count() or 1)
-        self._pool_workers = workers
-        self._pool_size = max(workers, 1)
         if workers <= 1 or self.config.solver is None:
-            self._pool_workers = 1
             return None
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else methods[0]
-            )
-            root_cut = self._root_box_at_cut()
-            # workers encode the ACTIVE program: the merged suffix when
-            # the structural axis still has merged groups
-            suffix, risk = self._active_suffix_risk()
-            self._pool_merge_version = self._merge_version
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_pool_leaf_init,
-                initargs=(
-                    suffix,
-                    root_cut.lower,
-                    root_cut.upper,
-                    risk,
-                    self.config.solver,
-                    dict(self.config.solver_options),
-                ),
-            )
-        except Exception:
-            # no multiprocessing on this platform: solve in-process and
-            # record it so results don't claim parallelism that never ran
-            self._pool_workers = 1
-            return None
-
-    def _refresh_pool_if_stale(self) -> None:
-        """Rebuild the round pool after a mid-run structural refinement.
-
-        Workers hold an encoding of the merge state they were forked
-        with; a version bump makes it stale.  A pool already degraded
-        to ``None`` (e.g. after a ``BrokenProcessPool``) stays
-        sequential — refinement must not resurrect dead workers.
-        """
-        if self._pool is not None and self._pool_merge_version != self._merge_version:
-            self._discard_pool()
-            self._pool = self._make_pool(self._requested_workers)
+        suffix, risk = self._active_suffix_risk()
+        self._pool_version = self._merge_version
+        spec = (
+            suffix,
+            self._root_box_at_cut(),
+            risk,
+            self.config.solver,
+            dict(self.config.solver_options),
+        )
+        return WorkerPool(workers, spec, initializer=_leaf_solver)
 
     # -- structural refinement (second CEGAR axis) ------------------------
 
@@ -1002,10 +896,13 @@ class CegarLoop:
             loop's lifetime total is unbounded — call again to spend a
             fresh budget on the surviving frontier.
         workers : int, optional
-            Process-pool width cap for the leaf-solve rung (``1``
-            solves in-process, sharing the injected/cached encoding;
-            the cap is further limited to the machine's core count —
-            see :meth:`_make_pool`).
+            Process-pool width cap for the leaf-solve rung, further
+            limited to the machine's core count (see
+            :meth:`_start_pool`); ``1`` solves in-process, sharing the
+            injected/cached encoding.  One pool serves every round of
+            this call and is rebuilt after a structural move; if it
+            fails, the round finishes in-process and so does the rest
+            of the call (``workers_used`` reads 1).
 
         Returns
         -------
@@ -1022,10 +919,9 @@ class CegarLoop:
         start = time.perf_counter()
         self._interrupted = False
         processed_before = self.subproblems_processed
-        self._requested_workers = workers
-        self._pool = self._make_pool(workers)
+        self._pool = self._start_pool(workers)
         try:
-            return self._run_rounds(budget, processed_before, start)
+            return self._run_rounds(budget, processed_before, start, workers)
         except Exception:
             # popped-but-undecided subproblems are lost with the round;
             # refusing further runs keeps an eventual empty frontier
@@ -1035,13 +931,14 @@ class CegarLoop:
         finally:
             pool, self._pool = self._pool, None
             if pool is not None:
-                pool.shutdown()
+                pool.close()
 
     def _run_rounds(
         self,
         budget: int,
         processed_before: int,
         start: float,
+        workers: int,
     ) -> CegarResult:
         config = self.config
 
@@ -1052,7 +949,16 @@ class CegarLoop:
             and self.subproblems_processed - processed_before < budget
         ):
             round_start = time.perf_counter()
-            self._refresh_pool_if_stale()
+            pool = self._pool
+            if (
+                pool is not None
+                and pool.failure is None
+                and self._pool_version != self._merge_version
+            ):
+                # the workers encode a stale merge state; a failed pool
+                # stays in-process — refinement never revives it
+                pool.close()
+                self._pool = self._start_pool(workers)
             budget_left = budget - (self.subproblems_processed - processed_before)
             subs = self._pop_round(budget_left)
             self.subproblems_processed += len(subs)
@@ -1172,7 +1078,11 @@ class CegarLoop:
             elapsed=time.perf_counter() - start,
             parked=len(self._parked),
             queued=len(self._queue),
-            workers_used=self._pool_workers,
+            workers_used=(
+                self._pool.workers
+                if self._pool is not None and self._pool.failure is None
+                else 1
+            ),
         )
 
 

@@ -1,14 +1,14 @@
 """Zero-copy shared-memory handoff of array batches to pool workers.
 
-The campaign and CEGAR pools fork workers and then ship work through
-pickled task payloads.  For region batches that payload is dominated by
-the numpy arrays themselves — every leaf box, every enclosure batch is
+Pool workers (:mod:`repro.verification.pool`) receive their work as
+pickled tasks.  For region batches that payload is dominated by the
+numpy arrays themselves — every leaf box, every shard's bounds is
 serialized per task, copied into the pipe, and deserialized on the
 other side.  This module replaces that with POSIX shared memory
-(:mod:`multiprocessing.shared_memory`): the parent packs a batch of
-arrays into one segment **once per round**, tasks carry only a tiny
-picklable :class:`ShmHandle` (segment name + array specs + index), and
-workers attach the segment once and read the arrays in place.
+(:mod:`multiprocessing.shared_memory`): the parent packs the arrays of
+one submission into one segment, tasks carry only a tiny picklable
+:class:`ShmHandle` (segment name + array specs), and workers attach the
+segment once and read the arrays in place.
 
 Lifecycle
 ---------
@@ -26,11 +26,12 @@ into memory shared with the parent and every sibling worker.
 
 When the platform lacks ``multiprocessing.shared_memory`` (or segment
 creation fails, e.g. ``/dev/shm`` is unavailable), :func:`available`
-returns False and callers fall back to pickling payloads per task.
+returns False and the pool pickles the arrays with each task instead.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -48,8 +49,10 @@ _CACHE_LIMIT = 4
 _ATTACHED: dict[str, tuple[object, list[np.ndarray]]] = {}
 
 
+@functools.cache
 def available() -> bool:
-    """True when shared-memory segments can be created on this host."""
+    """True when shared-memory segments can be created on this host
+    (probed once per process)."""
     if _shared_memory is None:
         return False
     try:

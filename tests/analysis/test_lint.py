@@ -76,6 +76,21 @@ class TestPoolPicklable:
             "pool = ProcessPoolExecutor(4, initializer=lambda: init())"
         ) == ["RL004"]
 
+    def test_positive_worker_pool_initializer_lambda(self):
+        assert codes(
+            "pool = WorkerPool(4, state, initializer=lambda s: build(s))"
+        ) == ["RL004"]
+
+    def test_negative_worker_pool_module_level_initializer(self):
+        source = """
+            def build(state):
+                return state
+
+            def start(state):
+                return WorkerPool(4, state, initializer=build)
+        """
+        assert codes(source) == []
+
     def test_negative_module_level_callable(self):
         source = """
             def work(item):

@@ -1,7 +1,7 @@
 """Campaign execution: parallel determinism, reports, per-query parity."""
 
 import json
-from concurrent.futures.process import BrokenProcessPool
+import os
 
 import numpy as np
 import pytest
@@ -114,29 +114,60 @@ class TestCampaignRun:
         assert report.results[2].output_range.output_index == 1
 
 
+class TestPoolStore:
+    def test_pool_answers_are_stored_once(self, api_system, sweep, tmp_path):
+        # forked workers inherit the engine, store included: only the
+        # parent may write an answer back, once per decided query
+        from repro.service.store import ResultStore
+
+        model, images, cut, characterizer = api_system
+        path = tmp_path / "store.jsonl"
+        engine = VerificationEngine(
+            model, cut, solver="highs", store=ResultStore(path)
+        )
+        engine.add_feature_set_from_data(images)
+        engine.attach_characterizer(characterizer)
+        report = engine.run(sweep, workers=2)
+        assert report.executor == "process-pool[2]"
+        decided = [r for r in report.results if r.ok]
+        assert len(path.read_text().splitlines()) == len(decided) == 24
+
+
 class TestPoolFallback:
-    """Only a failure of the pool itself reruns a campaign sequentially."""
+    """Only a failure of the pool itself moves a campaign in-process."""
+
+    @staticmethod
+    def _in_workers(monkeypatch, stage) -> None:
+        """Run ``stage`` in place of the solver stages in pool workers
+        only (forked workers inherit the patch; the parent keeps the
+        real stages)."""
+        parent = os.getpid()
+        solver_stages = VerificationEngine._solver_stages
+
+        def patched(self):
+            if os.getpid() == parent:
+                return solver_stages(self)
+            return (stage,)
+
+        monkeypatch.setattr(VerificationEngine, "_solver_stages", patched)
 
     def test_query_error_propagates(self, campaign_engine, sweep, monkeypatch):
-        calls = []
-
-        def failing_parallel(queries, workers):
-            calls.append(workers)
+        def failing(batch, pending):
             raise ValueError("not a pool failure")
 
-        monkeypatch.setattr(campaign_engine, "_run_parallel", failing_parallel)
+        self._in_workers(monkeypatch, failing)
         with pytest.raises(ValueError, match="not a pool failure"):
             campaign_engine.run(sweep, workers=2)
-        assert calls == [2]
 
     def test_broken_pool_falls_back(self, campaign_engine, sweep, monkeypatch):
-        def broken_parallel(queries, workers):
-            raise BrokenProcessPool("worker died")
+        def dying(batch, pending):
+            os._exit(1)
 
         sequential = campaign_engine.run(sweep)
-        monkeypatch.setattr(campaign_engine, "_run_parallel", broken_parallel)
+        self._in_workers(monkeypatch, dying)
         report = campaign_engine.run(sweep, workers=2)
         assert report.executor == "sequential (pool unavailable: BrokenProcessPool)"
+        assert not report.errors
         assert [r.verdict.verdict for r in report.results] == [
             r.verdict.verdict for r in sequential.results
         ]
@@ -144,12 +175,12 @@ class TestPoolFallback:
     def test_pool_start_failure_falls_back(
         self, campaign_engine, sweep, monkeypatch
     ):
-        from repro.api import engine as engine_mod
+        from repro.verification import pool as pool_module
 
         def no_pool(*args, **kwargs):
             raise OSError("no semaphores")
 
-        monkeypatch.setattr(engine_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
         report = campaign_engine.run(sweep, workers=2)
         assert report.executor == "sequential (pool unavailable: BrokenProcessPool)"
         assert not report.errors

@@ -283,3 +283,47 @@ class TestCampaignRun:
         report = Portfolio(engine).run(campaign, workers=2)
         assert report.results[0].verdict is not None
         assert multiprocessing.active_children() == []
+
+    def test_pool_failure_keeps_finished_races(
+        self, engine, enclosure_range, monkeypatch
+    ):
+        # a pool that breaks during race 2 of 3: race 1 stands, races 2
+        # and 3 run adaptively — each query raced and settled once
+        from concurrent.futures.process import BrokenProcessPool
+
+        lo, hi = enclosure_range
+        campaign = Campaign("race").add_grid(
+            risks=[
+                steer_far_left(round(hi + 1.0, 3)),
+                steer_far_left(round(0.5 * (lo + hi), 3)),
+                steer_far_left(round(lo - 1.0, 3)),
+            ],
+            properties=(None,),
+            sets=["region-000"],
+        )
+        sequential = Portfolio(engine).run(campaign)
+        race_parallel = Portfolio._race_parallel
+        calls = []
+
+        def breaks_on_second_race(self, pool, cancel_event, query):
+            calls.append(query.name)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died")
+            return race_parallel(self, pool, cancel_event, query)
+
+        monkeypatch.setattr(Portfolio, "_race_parallel", breaks_on_second_race)
+        portfolio = Portfolio(engine)
+        report = portfolio.run(campaign, workers=2)
+        assert len(calls) == 2  # no race after the failure touched the pool
+        assert report.executor == (
+            "portfolio-adaptive (pool unavailable: BrokenProcessPool)"
+        )
+        assert len(portfolio.race_log) == len(report.results) == 3
+        assert report.cache_stats["portfolio:races"] == 3
+        assert sum(s.races for s in portfolio.stats.values()) == sum(
+            len(record["racers"]) for record in portfolio.race_log
+        )
+        assert [r.verdict.verdict for r in report.results] == [
+            r.verdict.verdict for r in sequential.results
+        ]
+        assert multiprocessing.active_children() == []

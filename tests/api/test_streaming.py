@@ -16,7 +16,8 @@ to the eager grid at O(shard) memory:
 - the memory guard rejects eager grids that cannot fit, pointing at
   the streaming path, while ``run_stream`` itself stays unguarded;
 - a shard's own exception under ``workers > 1`` propagates once,
-  without a sequential rerun and without leaking shared memory.
+  without a sequential rerun and without leaking shared memory, while a
+  dead worker costs only the shards not yet drained.
 """
 
 from __future__ import annotations
@@ -401,6 +402,45 @@ class TestFaultContainment:
             run_stream(engine, plan, [steer_far_left(round(hi + 0.25, 3))],
                        workers=2)
         assert parent_calls == []  # no sequential rerun in the parent
+        assert _shm_segments() - before == set()
+
+    def test_dead_worker_keeps_drained_shards(
+        self, engine, enclosure_range, monkeypatch
+    ):
+        lo, hi = enclosure_range
+        parent = os.getpid()
+        parent_calls = []
+        decide = streaming_mod._decide_shard
+        # at most workers + 2 = 4 shards are in flight, so shard 5 is
+        # only submitted once shards 0 and 1 have drained
+        dying = 5
+
+        def dying_decide(engine, index, grid, risks, options):
+            if os.getpid() != parent:
+                if index == dying:
+                    os._exit(1)  # the worker process dies mid-shard
+            else:
+                parent_calls.append(index)
+            return decide(engine, index, grid, risks, options)
+
+        risks = [steer_far_left(round(0.5 * (lo + hi), 3))]
+        plan = StreamPlan(n_scenes=4, seed=3, shard_size=2)
+        sequential = run_stream(engine, plan, risks)
+        n_shards = sequential.shards
+        # forked workers inherit the patched module attribute
+        monkeypatch.setattr(streaming_mod, "_decide_shard", dying_decide)
+        before = _shm_segments()
+        report = run_stream(engine, plan, risks, workers=2)
+        assert report.executor == "sequential (pool unavailable: BrokenProcessPool)"
+        assert report.shards == n_shards
+        assert report.verdict_counts == sequential.verdict_counts
+        assert report.decided_by_counts == sequential.decided_by_counts
+        # shards drain in order: the parent decided exactly the ones not
+        # drained before the worker died, the dead worker's among them
+        assert n_shards == 8
+        first = parent_calls[0] if parent_calls else n_shards
+        assert parent_calls == list(range(first, n_shards))
+        assert 2 <= first <= dying
         assert _shm_segments() - before == set()
 
 

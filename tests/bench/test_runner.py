@@ -191,3 +191,46 @@ class TestRunInstance:
                 assert status == "error"
             else:
                 assert status in ("sat", "unsat")
+
+
+class TestParallelRun:
+    """``run_competition(workers=2)``: the same matrix, in the same order."""
+
+    @staticmethod
+    def _cells(report):
+        return [(o.track, o.instance, o.status) for o in report.outcomes]
+
+    def test_outcomes_match_sequential_in_order(self, competition, suite_dir):
+        parallel = run_competition(load_instances(suite_dir), TRACKS, workers=2)
+        assert self._cells(parallel) == self._cells(competition)
+
+    def test_pool_start_failure_falls_back(
+        self, competition, suite_dir, monkeypatch
+    ):
+        from repro.verification import pool as pool_module
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        report = run_competition(load_instances(suite_dir), TRACKS, workers=2)
+        assert self._cells(report) == self._cells(competition)
+
+    def test_task_error_propagates(self, suite_dir, monkeypatch):
+        # a cell's own exception is not a pool failure: it must surface,
+        # not silently restart the matrix sequentially
+        import os
+
+        from repro.bench import runner as runner_module
+
+        parent = os.getpid()
+        run = runner_module.run_instance
+
+        def fails_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("cell exploded")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_instance", fails_in_workers)
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_competition(load_instances(suite_dir), TRACKS, workers=2)

@@ -216,19 +216,20 @@ class TestWorkers:
         assert result.decided_fraction == pytest.approx(1.0)
 
     def test_pool_worker_functions_round_trip(self, model, reachable):
-        # the initializer/worker pair must also behave in-process
-        from repro.verification.cegar import _pool_leaf_init, _pool_leaf_solve
+        # the initializer/task pair must also behave in-process
+        from repro.verification.cegar import _leaf_solver, _solve_leaf
         from repro.verification.abstraction.propagate import region_boxes
+        from repro.verification.pool import Payload
         from repro.verification.sets import BoxBatch
 
         suffix = model.suffix_network(2)
         root = region_boxes(
             model, BoxBatch(np.zeros((1, 4)), np.ones((1, 4))), 2
         ).box(0)
-        _pool_leaf_init(
-            suffix, root.lower, root.upper, _risk(reachable[1] + 50.0), "highs", {}
+        solver = _leaf_solver(
+            (suffix, root, _risk(reachable[1] + 50.0), "highs", {})
         )
-        result = _pool_leaf_solve((root.lower, root.upper))
+        result = _solve_leaf(solver, Payload((root.lower, root.upper)))
         assert result.status is SolveStatus.UNSAT
 
 
@@ -337,9 +338,9 @@ class TestPoolLifecycle:
 
     Two bugs flushed out by the shared-memory handoff work: a pool that
     died mid-round used to stay referenced (every later round re-raised
-    ``BrokenProcessPool`` against the dead executor), and the map chunk
-    size was derived from ``_pool_workers`` — which the degrade path
-    resets to 1, silently collapsing later rounds into one giant chunk.
+    ``BrokenProcessPool`` against the dead executor), and the chunk size
+    was derived from a worker count the degrade path resets to 1,
+    silently collapsing later rounds into one giant chunk.
     """
 
     @staticmethod
@@ -370,69 +371,68 @@ class TestPoolLifecycle:
         ]
 
     def test_broken_pool_is_dropped_and_round_degrades(self, model):
-        from concurrent.futures.process import BrokenProcessPool
+        import os
 
+        from repro.verification.pool import WorkerPool
+        from repro.verification.solver.result import SolveResult
+
+        parent = os.getpid()
         solved: list = []
         loop = self._loop_with_fake_solver(model, solved)
 
-        class DeadPool:
-            shutdowns = 0
+        class DyingSolver:
+            """Kills any worker it runs in; solves in the parent."""
 
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
+            def solve(self, box):
+                if os.getpid() != parent:
+                    os._exit(1)
+                solved.append("pool-fallback")
+                return SolveResult(status=SolveStatus.UNSAT)
 
-            def shutdown(self, wait=True, cancel_futures=False):
-                DeadPool.shutdowns += 1
+        with WorkerPool(2, DyingSolver()) as pool:
+            loop._pool = pool
+            results = loop._solve_leaves(self._leaves(3))
+            assert len(results) == 3  # degraded in-process, same round
+            assert solved == ["pool-fallback"] * 3
+            assert type(pool.failure).__name__ == "BrokenProcessPool"
+            assert pool._executor is None  # shut down for good
 
-        loop._pool = DeadPool()
-        loop._pool_size = 2
-        loop._pool_workers = 2
+            # later rounds never submit to the dead pool again: they
+            # solve in-process on the loop's own leaf solver
+            solved.clear()
+            assert len(loop._solve_leaves(self._leaves(2))) == 2
+            assert len(solved) == 2
+            assert all(isinstance(box, Box) for box in solved)
 
-        results = loop._solve_leaves(self._leaves(3))
-        assert len(results) == 3  # degraded to sequential, same round
-        assert len(solved) == 3
-        # the dead executor must not be re-submitted to next round
-        assert loop._pool is None
-        assert loop._pool_workers == 1
-        assert DeadPool.shutdowns == 1
+    def test_chunk_size_uses_pool_size_captured_at_creation(
+        self, model, monkeypatch
+    ):
+        from repro.verification.pool import WorkerPool
+        from repro.verification.solver.result import SolveResult
 
-        solved.clear()
-        assert len(loop._solve_leaves(self._leaves(2))) == 2
-        assert len(solved) == 2  # sequential from here on, no pool error
-
-    def test_chunk_size_uses_pool_size_captured_at_creation(self, model):
         captured = {}
 
-        class RecordingPool:
-            def map(self, fn, tasks, chunksize=None):
-                tasks = list(tasks)
-                captured["chunksize"] = chunksize
-                captured["n_tasks"] = len(tasks)
-                from repro.verification.solver.result import SolveResult
+        def recording_map(self, fn, tasks, chunksize=1, inflight=None):
+            tasks = list(tasks)
+            captured["chunksize"] = chunksize
+            captured["n_tasks"] = len(tasks)
+            return iter([SolveResult(status=SolveStatus.UNSAT) for _ in tasks])
 
-                return [SolveResult(status=SolveStatus.UNSAT) for _ in tasks]
-
+        monkeypatch.setattr(WorkerPool, "map", recording_map)
         loop = self._loop_with_fake_solver(model, [])
-        loop._pool = RecordingPool()
-        loop._pool_size = 4  # captured at _make_pool time
-        loop._pool_workers = 1  # the degrade-reset value that broke sizing
-
-        results = loop._solve_leaves(self._leaves(40))
+        with WorkerPool(4) as pool:  # no worker starts before a submit
+            loop._pool = pool
+            results = loop._solve_leaves(self._leaves(40))
         assert len(results) == 40
         assert captured["n_tasks"] == 40
-        # 40 leaves / (4 * pool_size) — not 40 / (4 * _pool_workers) = 10
+        # 40 leaves / (4 * the pool's 4 workers), fixed at creation
         assert captured["chunksize"] == 2
 
-    def test_discard_pool_is_idempotent_and_swallows_teardown_errors(
-        self, model
-    ):
-        loop = self._loop_with_fake_solver(model, [])
+    def test_close_is_idempotent(self):
+        from repro.verification.pool import WorkerPool
 
-        class ExplodingPool:
-            def shutdown(self, wait=True, cancel_futures=False):
-                raise RuntimeError("already broken")
-
-        loop._pool = ExplodingPool()
-        loop._discard_pool()  # must swallow the teardown error
-        assert loop._pool is None
-        loop._discard_pool()  # and be a no-op afterwards
+        pool = WorkerPool(2)
+        pool.close()
+        assert pool._executor is None
+        pool.close()  # a no-op afterwards
+        assert pool.failure is None

@@ -152,26 +152,43 @@ class TestInterruptResume:
 
 
 class TestPoolDegrade:
-    def test_broken_pool_mid_structural_round_degrades_sequential(self, model):
-        from concurrent.futures.process import BrokenProcessPool
+    @staticmethod
+    def _count_pool_starts(monkeypatch) -> list[int]:
+        """Merge version at every leaf-pool start (cores forced to 4)."""
+        import repro.verification.cegar as cegar_module
 
+        monkeypatch.setattr(cegar_module.os, "cpu_count", lambda: 4)
+        starts: list[int] = []
+        start_pool = CegarLoop._start_pool
+
+        def counting(self, workers):
+            starts.append(self._merge_version)
+            return start_pool(self, workers)
+
+        monkeypatch.setattr(CegarLoop, "_start_pool", counting)
+        return starts
+
+    def test_broken_pool_mid_structural_round_degrades_sequential(
+        self, model, monkeypatch
+    ):
+        import os
+
+        import repro.verification.cegar as cegar_module
+        from repro.verification.cegar import _ScopedLeafSolver
+
+        monkeypatch.setattr(cegar_module.os, "cpu_count", lambda: 4)
+        parent = os.getpid()
+        solve = _ScopedLeafSolver.solve
+
+        def dying_solve(self, box):
+            if os.getpid() != parent:
+                os._exit(1)  # forked workers inherit the patch
+            return solve(self, box)
+
+        monkeypatch.setattr(_ScopedLeafSolver, "solve", dying_solve)
         loop = _loop(model, 100.0, structural=True, solver="highs")
         state = loop._merge_state()
         assert state is not None and not state.is_refined
-
-        class DeadPool:
-            shutdowns = 0
-
-            def map(self, *args, **kwargs):
-                raise BrokenProcessPool("worker died")
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                DeadPool.shutdowns += 1
-
-        loop._pool = DeadPool()
-        loop._pool_size = 2
-        loop._pool_workers = 2
-        loop._pool_merge_version = loop._merge_version
 
         cut = loop._root_box_at_cut()
         leaves = [
@@ -183,33 +200,39 @@ class TestPoolDegrade:
             )
             for i in range(3)
         ]
-        results = loop._solve_leaves(leaves)
-        assert len(results) == 3  # merged leaves re-solved sequentially
+        with loop._start_pool(2) as pool:  # workers encode the merged suffix
+            loop._pool = pool
+            results = loop._solve_leaves(leaves)
+        assert len(results) == 3  # merged leaves re-solved in-process
         assert all(r.status is SolveStatus.UNSAT for r in results)
-        assert loop._pool is None
-        assert DeadPool.shutdowns == 1
+        assert type(pool.failure).__name__ == "BrokenProcessPool"
 
-        # a structural refinement after the degrade must NOT resurrect
-        # the pool: refresh only swaps a pool that still exists
-        loop._merge_version += 1
-        loop._refresh_pool_if_stale()
-        assert loop._pool is None
+    def test_failed_pool_is_not_rebuilt_after_structural_move(
+        self, model, reachable, monkeypatch
+    ):
+        from repro.verification import pool as pool_module
 
-    def test_stale_pool_is_rebuilt_after_structural_move(self, model):
-        loop = _loop(model, 100.0, structural=True)
-        rebuilt = []
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores")
 
-        class StalePool:
-            def shutdown(self, wait=True, cancel_futures=False):
-                rebuilt.append("shutdown")
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", no_pool)
+        starts = self._count_pool_starts(monkeypatch)
+        loop = _loop(model, reachable[1] + 0.3, structural=True, solver="highs")
+        result = loop.run(budget=2000, workers=2)
+        assert result.status is SolveStatus.UNSAT
+        assert loop.structural_refinements >= 1
+        # refinement must not resurrect the failed pool
+        assert starts == [0]
+        assert result.workers_used == 1
 
-        loop._pool = StalePool()
-        loop._pool_merge_version = loop._merge_version
-        loop._refresh_pool_if_stale()  # version matches: no-op
-        assert rebuilt == []
-
-        loop._requested_workers = 1  # rebuild resolves to in-process
-        loop._merge_version += 1
-        loop._refresh_pool_if_stale()
-        assert rebuilt == ["shutdown"]  # the stale pool was discarded
-        assert loop._pool is None  # one worker: rebuilt as sequential
+    def test_stale_pool_is_rebuilt_after_structural_move(
+        self, model, reachable, monkeypatch
+    ):
+        starts = self._count_pool_starts(monkeypatch)
+        loop = _loop(model, reachable[1] + 0.3, structural=True, solver="highs")
+        result = loop.run(budget=2000, workers=2)
+        assert result.status is SolveStatus.UNSAT
+        assert loop.structural_refinements >= 1
+        # one pool per merge state the workers had to encode
+        assert starts == list(range(loop.structural_refinements + 1))
+        assert result.workers_used == 2
