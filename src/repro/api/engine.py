@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import inspect
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -607,7 +606,7 @@ class VerificationEngine:
 
         Built with a trivially satisfiable risk placeholder so the cached
         model carries only the network, set and characterizer structure;
-        per-query risk rows are appended inside :meth:`_scoped`.
+        per-query risk rows are appended inside its ``scoped()`` block.
         """
         registered = self._registered(set_name)
         char_net, threshold = self._characterizer_parts(property_name, hits)
@@ -642,22 +641,6 @@ class VerificationEngine:
             hits,
         )
 
-    @contextmanager
-    def _scoped(self, problem):
-        """Append-only transaction on a cached encoding's MILP model.
-
-        Anything a query adds (risk rows, an objective) is rolled back on
-        exit so the cached base encoding stays pristine.
-        """
-        model = problem.model
-        n_rows = len(model.constraints)
-        objective = dict(model.objective)
-        try:
-            yield problem
-        finally:
-            del model.constraints[n_rows:]
-            model.objective = objective
-
     def _support(
         self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
     ) -> tuple[float, np.ndarray | None] | None:
@@ -680,7 +663,7 @@ class VerificationEngine:
             )
             spec = solver_spec(self._milp_solver_name(query))
             backend = spec.factory(**self._options_for(spec, None))
-            with self._scoped(base) as problem:
+            with base.scoped() as problem:
                 coeffs = {
                     problem.output_vars[j]: direction[j]
                     for j in range(len(problem.output_vars))
@@ -1059,7 +1042,7 @@ class VerificationEngine:
             relaxed = self._base_encoding(
                 query.set_name, query.property_name, "relaxed", item.hits
             )
-            with self._scoped(relaxed) as problem:
+            with relaxed.scoped() as problem:
                 append_risk_rows(problem.model, problem.output_vars, query.risk)
                 lp = solve_lp_relaxation(problem.model.to_arrays())
                 if lp.infeasible:
@@ -1133,7 +1116,7 @@ class VerificationEngine:
         base = self._base_encoding(
             query.set_name, query.property_name, spec.encoding, item.hits
         )
-        with self._scoped(base) as problem:
+        with base.scoped() as problem:
             append_risk_rows(problem.model, problem.output_vars, query.risk)
             if spec.encoding == "relaxed":
                 result = backend.solve(problem)
@@ -1444,7 +1427,7 @@ class VerificationEngine:
             query.set_name, query.property_name, "milp", item.hits
         )
         backend = spec.factory(**self._options_for(spec, query))
-        with self._scoped(base) as problem:  # restores the objective
+        with base.scoped() as problem:  # restores the objective
             reach = optimize_range(problem, backend, query.output_index)
         self._answer(item, "range", output_range=reach)
 

@@ -45,25 +45,30 @@ finite widening covers it with certainty — pick ``epsilon`` as the
 truncation you need (e.g. ``3 * noise_sigma`` for a per-pixel
 three-sigma bound) and treat noise beyond it as out of family.
 
-:func:`scenario_region_grid` expands base scenes × axis levels into a
-:class:`RegionGrid`, whose :meth:`RegionGrid.box_batch` feeds the
-batched abstraction backend
+This module is the one region generator.  Within a scene, camera and
+traffic renderings repeat across the weather axis, so they are rendered
+once and cached; each region is then a vectorized weather envelope over
+the cached renderings.  :func:`region_from_scene` is that generator over
+a batch of one; :func:`scenario_region_grid` materializes a whole grid
+as the concatenated shards of
+:func:`repro.scenario.streaming.stream_scenario_regions`, so the eager
+and streamed paths differ only in sharding.  A grid's
+:meth:`RegionGrid.box_batch` feeds the batched abstraction backend
 (:func:`repro.verification.abstraction.propagate.propagate_regions`)
-and whose region names become engine feature-set names
+and its region names become engine feature-set names
 (:meth:`repro.api.VerificationEngine.add_region_sets` /
 :meth:`repro.api.Campaign.from_scenario_grid`).
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.scenario.camera import PinholeCamera
-from repro.scenario.dataset import SceneConfig, SceneParams, sample_scene
+from repro.scenario.dataset import SceneConfig, SceneParams
 from repro.scenario.render import render_ground, render_vehicles
 from repro.scenario.traffic import Vehicle
 from repro.scenario.weather import Weather
@@ -322,6 +327,106 @@ def _traffic_variants(scene: SceneParams, count: int) -> list[tuple[Vehicle, ...
     return [(), *placements]
 
 
+class _VariantCache:
+    """Pre-weather renderings of one scene, shared across its regions.
+
+    Within one scene the camera and traffic renderings only depend on
+    ``(camera_jitter, traffic)``, which repeat across the weather axis.
+    Caching them turns the per-region cost into a vectorized weather
+    envelope over already-rendered variants.  The textured ground under
+    the traffic depends on the camera alone (its rng is re-seeded from
+    ``scene.texture_seed`` on every call), so it is rendered once per
+    camera and shared across the traffic levels.  The cache holds one
+    scene at a time (scene-major order makes that sufficient), keeping
+    memory constant.
+    """
+
+    def __init__(self, config: SceneConfig):
+        self._config = config
+        self._scene: SceneParams | None = None
+        self._cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._ground: dict[PinholeCamera, tuple[np.ndarray, np.ndarray]] = {}
+
+    def variants(
+        self, scene: SceneParams, axes: PerturbationAxes
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(images, distances)`` of all camera × traffic variants."""
+        if scene is not self._scene:
+            self._scene = scene
+            self._cache.clear()
+            self._ground.clear()
+        key = (axes.camera_jitter, axes.traffic)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        images: list[np.ndarray] = []
+        distances: list[np.ndarray] = []
+        for camera in _camera_variants(self._config.camera, axes.camera_jitter):
+            ground = self._ground.get(camera)
+            if ground is None:
+                # one textured base rendering per camera (geometry
+                # changes with it), its rng seeded from the texture seed
+                rng = np.random.default_rng(scene.texture_seed)
+                ground = render_ground(scene.road, camera, rng)
+                self._ground[camera] = ground
+            base_image, base_distance = ground
+            for vehicles in _traffic_variants(scene, axes.traffic):
+                image = base_image.copy()
+                distance = base_distance.copy()
+                render_vehicles(image, distance, scene.road, camera, vehicles)
+                images.append(image)
+                distances.append(distance)
+        value = (np.stack(images), np.stack(distances))
+        self._cache[key] = value
+        return value
+
+
+def _envelope_region(
+    scene: SceneParams,
+    axes: PerturbationAxes,
+    epsilon: float,
+    name: str,
+    cache: _VariantCache,
+) -> Region:
+    """The weather envelope over a scene's cached camera × traffic variants.
+
+    Replays :meth:`Weather.apply`'s exact operation order (fog blend
+    when the density is positive, then contrast, brightness, clip) over
+    the stacked variants, with ``noise_sigma`` 0: the ``epsilon``
+    widening covers additive perturbations up to ``±epsilon``.  Every
+    step is an elementwise IEEE operation on the values a per-variant
+    ``Weather.apply`` computes — the fog transmission is even taken
+    per-variant on the same 2-D array shape — and min/max reductions are
+    exact, so the bounds equal a per-rendering envelope bit for bit.
+    """
+    images, distances = cache.variants(scene, axes)
+    stacks: list[np.ndarray] = []
+    transmissions: dict[float, np.ndarray] = {}
+    for weather in _weather_variants(axes.weather):
+        out = images.copy()
+        if weather.fog_density > 0.0:
+            transmission = transmissions.get(weather.fog_density)
+            if transmission is None:
+                transmission = np.stack(
+                    [
+                        np.exp(
+                            -weather.fog_density
+                            * np.where(np.isfinite(d), d, 200.0)
+                        )
+                        for d in distances
+                    ]
+                )
+                transmissions[weather.fog_density] = transmission
+            out = transmission * out + (1.0 - transmission) * weather.fog_gray
+        out = (out - 0.5) * weather.contrast + 0.5
+        out = out * weather.brightness
+        stacks.append(np.clip(out, 0.0, 1.0))
+    stack = np.concatenate(stacks)
+    lower = np.clip(stack.min(axis=0) - epsilon, 0.0, 1.0)[None, :, :]
+    upper = np.clip(stack.max(axis=0) + epsilon, 0.0, 1.0)[None, :, :]
+    return Region(name=name, scene=scene, axes=axes, lower=lower, upper=upper)
+
+
 def region_from_scene(
     scene: SceneParams,
     axes: PerturbationAxes,
@@ -331,29 +436,15 @@ def region_from_scene(
 ) -> Region:
     """Pixel-wise envelope of one scene under one perturbation grid point.
 
-    Renders the cartesian product of weather / camera / traffic variants
-    (all sharing the scene's texture seed), takes the per-pixel min/max,
-    widens by ``epsilon`` and clips to ``[0, 1]``.
+    The envelope of the cartesian product of weather / camera / traffic
+    variants (all sharing the scene's texture seed): per-pixel min/max,
+    widened by ``epsilon`` and clipped to ``[0, 1]``.  A batch of one
+    for the generator :func:`scenario_region_grid` and the streamed
+    shards share.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    images = []
-    for camera in _camera_variants(config.camera, axes.camera_jitter):
-        # one textured base rendering per camera (geometry changes with it)
-        rng = np.random.default_rng(scene.texture_seed)
-        base_image, base_distance = render_ground(scene.road, camera, rng)
-        for vehicles in _traffic_variants(scene, axes.traffic):
-            image = base_image.copy()
-            distance = base_distance.copy()
-            render_vehicles(image, distance, scene.road, camera, vehicles)
-            for weather in _weather_variants(axes.weather):
-                # noise_sigma is 0 in every variant: the epsilon widening
-                # below covers additive perturbations up to +-epsilon
-                images.append(weather.apply(image, distance, rng))
-    stack = np.stack(images)
-    lower = np.clip(stack.min(axis=0) - epsilon, 0.0, 1.0)[None, :, :]
-    upper = np.clip(stack.max(axis=0) + epsilon, 0.0, 1.0)[None, :, :]
-    return Region(name=name, scene=scene, axes=axes, lower=lower, upper=upper)
+    return _envelope_region(scene, axes, epsilon, name, _VariantCache(config))
 
 
 def scenario_region_grid(
@@ -370,36 +461,25 @@ def scenario_region_grid(
     ``n_scenes`` base scenes are drawn from the ODD distribution with
     the stochastic axes disabled (no sampled weather or traffic — those
     are *grid* axes here), then every combination of axis levels is
-    turned into one :class:`Region` via :func:`region_from_scene`.  The
-    grid has ``n_scenes * len(weather) * len(jitter) * len(traffic)``
-    regions named ``region-000 ...`` in scene-major order.
+    turned into one :class:`Region`.  The grid has ``n_scenes *
+    len(weather) * len(jitter) * len(traffic)`` regions named
+    ``region-000 ...`` in scene-major order: the concatenated shards of
+    :func:`~repro.scenario.streaming.stream_scenario_regions` for the
+    same :class:`~repro.scenario.streaming.StreamPlan`.
     """
-    if n_scenes <= 0:
-        raise ValueError(f"n_scenes must be positive, got {n_scenes}")
-    config = config or SceneConfig()
-    n_regions = (
-        n_scenes * len(weather_levels) * len(jitter_levels) * len(traffic_levels)
+    # imported here: streaming builds on this module
+    from repro.scenario.streaming import StreamPlan, stream_scenario_regions
+
+    plan = StreamPlan(
+        n_scenes=n_scenes,
+        weather_levels=weather_levels,
+        jitter_levels=jitter_levels,
+        traffic_levels=traffic_levels,
+        epsilon=epsilon,
+        config=config,
+        seed=seed,
     )
-    ensure_regions_fit(
-        n_regions, config.camera.width * config.camera.height_px
-    )
-    base_config = replace(config, weather_variation=False, traffic_probability=0.0)
-    rng = np.random.default_rng(seed)
-    scenes = [sample_scene(rng, base_config) for _ in range(n_scenes)]
-    regions = []
-    for scene in scenes:
-        combos = itertools.product(weather_levels, jitter_levels, traffic_levels)
-        for weather, jitter, traffic in combos:
-            axes = PerturbationAxes(
-                weather=weather, camera_jitter=jitter, traffic=traffic
-            )
-            regions.append(
-                region_from_scene(
-                    scene,
-                    axes,
-                    base_config,
-                    epsilon=epsilon,
-                    name=f"region-{len(regions):03d}",
-                )
-            )
-    return RegionGrid(regions, base_config)
+    camera = plan.base_config.camera
+    ensure_regions_fit(plan.grid_size, camera.width * camera.height_px)
+    shards = stream_scenario_regions(plan)
+    return RegionGrid([r for shard in shards for r in shard], plan.base_config)

@@ -1,18 +1,18 @@
 """Streaming scenario campaigns: constant-memory million-region sweeps.
 
-:func:`repro.scenario.regions.scenario_region_grid` materializes every
-region up front — at a million regions that is tens of gigabytes of box
-bounds before the first query runs.  This module replaces the eager grid
-with a *stream*:
+Regions have one generator, in :mod:`repro.scenario.regions`; this
+module decides how they are sharded.  An eager grid
+(:func:`~repro.scenario.regions.scenario_region_grid`) is every shard
+of the stream at once — at a million regions that is tens of gigabytes
+of box bounds before the first query runs — while a sweep holds one
+shard at a time:
 
 - :class:`StreamPlan` describes the scene × weather × jitter × traffic
   enumeration symbolically (plus optional coverage-guided sampling for
   sub-exhaustive sweeps), so the full grid never exists in memory;
 - :func:`stream_scenario_regions` turns a plan into shard-sized
-  :class:`~repro.scenario.regions.RegionGrid` batches, reusing
-  pre-weather renderings across the weather axis (the per-region cost
-  drops from a full re-render to a vectorized envelope over cached
-  variants, bitwise-identical to :func:`region_from_scene`);
+  :class:`~repro.scenario.regions.RegionGrid` batches, each region the
+  cached-rendering envelope of :mod:`repro.scenario.regions`;
 - :func:`run_stream` drives a whole campaign over the stream.  Each
   shard is registered through the engine's own
   :meth:`~repro.api.engine.VerificationEngine.add_region_sets` for the
@@ -40,34 +40,35 @@ same sound feature set.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.scenario.camera import PinholeCamera
 from repro.scenario.dataset import SceneConfig, SceneParams, sample_scene
 from repro.scenario.regions import (
     PerturbationAxes,
     Region,
     RegionGrid,
-    _camera_variants,
-    _traffic_variants,
-    _weather_variants,
+    _envelope_region,
+    _VariantCache,
     ensure_regions_fit,
 )
-from repro.scenario.render import render_ground, render_vehicles
-from repro.verification.abstraction.domain import get_domain
-from repro.verification.abstraction.propagate import propagate_regions
+# not called here: perfbench/layers.py traces these module attributes
+from repro.scenario.render import render_ground, render_vehicles  # noqa: F401
+from repro.verification.abstraction.propagate import propagate_regions  # noqa: F401
 from repro.verification.counterexample import (
     FeatureCounterexample,
     pgd_hits_in_boxes,
 )
 from repro.verification.pool import Payload, WorkerPool
-from repro.verification.prescreen import output_enclosure_batch
-# not called here: perfbench/layers.py traces this module attribute
-from repro.verification.prescreen import screen_enclosure  # noqa: F401
+# not called here: perfbench/layers.py traces these module attributes
+from repro.verification.prescreen import (  # noqa: F401
+    output_enclosure_batch,
+    screen_enclosure,
+)
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.api.campaign import CampaignReport, QueryResult
@@ -83,12 +84,11 @@ class StreamPlan:
     """A symbolic description of a scenario region enumeration.
 
     The flat index space is ``n_scenes * len(weather_levels) *
-    len(jitter_levels) * len(traffic_levels)`` in the exact order
-    :func:`~repro.scenario.regions.scenario_region_grid` materializes:
-    scenes outermost, then ``itertools.product(weather, jitter,
-    traffic)``.  Region ``k`` of the stream is therefore *bitwise
-    identical* to region ``k`` of the eager grid built from the same
-    parameters — the stream is a re-chunking, not an approximation.
+    len(jitter_levels) * len(traffic_levels)``: scenes outermost, then
+    weather, jitter and traffic, the last varying fastest.  This is the
+    only definition of that order;
+    :func:`~repro.scenario.regions.scenario_region_grid` is the
+    concatenation of the plan's shards.
 
     ``limit`` truncates the enumeration to its first ``limit`` regions
     (the streaming analogue of :meth:`RegionGrid.truncated`).
@@ -152,10 +152,14 @@ class StreamPlan:
         return self.n_scenes * self.per_scene
 
     @property
+    def _capped(self) -> int:
+        """Size of the enumeration after ``limit``, before ``sample``."""
+        return self.grid_size if self.limit is None else self.limit
+
+    @property
     def total_regions(self) -> int:
         """Regions the stream will actually yield."""
-        capped = self.grid_size if self.limit is None else self.limit
-        return capped if self.sample is None else min(self.sample, capped)
+        return self._capped if self.sample is None else min(self.sample, self._capped)
 
     @property
     def base_config(self) -> SceneConfig:
@@ -187,12 +191,28 @@ class StreamPlan:
         golden-ratio fraction of ``n`` that is coprime to it); sorting
         them keeps scene generation sequential.
         """
-        capped = self.grid_size if self.limit is None else self.limit
+        capped = self._capped
         if self.sample is None or self.sample >= capped:
             return iter(range(capped))
         step = _coprime_step(capped)
         offset = self.sample_seed % capped
         return iter(sorted((offset + k * step) % capped for k in range(self.sample)))
+
+    def yields(self, flat: int) -> bool:
+        """Whether :meth:`indices` yields ``flat``, in O(1) at any size.
+
+        A sampled index is ``(offset + k * step) mod n`` for some
+        ``k < sample``; the coprime stride is invertible mod ``n``, so
+        ``k`` is recovered directly.
+        """
+        capped = self._capped
+        if not 0 <= flat < capped:
+            return False
+        if self.sample is None or self.sample >= capped:
+            return True
+        offset = self.sample_seed % capped
+        k = (flat - offset) * pow(_coprime_step(capped), -1, capped) % capped
+        return k < self.sample
 
     def describe(self) -> dict[str, Any]:
         """JSON-able plan summary for reports."""
@@ -228,13 +248,33 @@ def _coprime_step(n: int) -> int:
     return step
 
 
+def _reject_clashes(engine: "VerificationEngine", plan: StreamPlan) -> None:
+    """Refuse a plan whose region names the caller already registered.
+
+    A shard registers its regions under ``region-{k:03d}`` and removes
+    them when it is done, which would replace and then drop a caller's
+    set of the same name.  The engine's names are parsed, so the check
+    is O(registered sets) at any grid size.
+    """
+    clashes = []
+    for name in engine.feature_set_names():
+        match = re.fullmatch(r"region-(\d+)", name)
+        if match and name == f"region-{int(match[1]):03d}" and plan.yields(int(match[1])):
+            clashes.append(name)
+    if clashes:
+        raise ValueError(
+            f"feature sets {clashes} are already registered under names "
+            f"this plan's regions take; remove them before streaming"
+        )
+
+
 class _SceneCursor:
     """Forward-only seeded scene sampler: O(1) memory at any grid size.
 
-    Scenes come from the same sequential rng stream the eager grid
-    draws from, so scene ``k`` here equals scene ``k`` there; ascending
-    region indices (guaranteed by :meth:`StreamPlan.indices`) mean the
-    cursor never has to rewind or retain past scenes.
+    Scenes come from one sequential rng stream seeded by ``plan.seed``,
+    so scene ``k`` is the same at any shard size, limit or sample;
+    ascending region indices (guaranteed by :meth:`StreamPlan.indices`)
+    mean the cursor never has to rewind or retain past scenes.
     """
 
     def __init__(self, plan: StreamPlan):
@@ -253,113 +293,12 @@ class _SceneCursor:
         return self._scene
 
 
-class _VariantCache:
-    """Pre-weather renderings of one scene, shared across its regions.
-
-    :func:`region_from_scene` re-renders camera and traffic variants for
-    every region; within one scene those renderings only depend on
-    ``(camera_jitter, traffic)``, which repeat across the weather axis.
-    Caching them turns the per-region cost into a vectorized weather
-    envelope over already-rendered variants.  The textured ground under
-    the traffic depends on the camera alone (its rng is re-seeded from
-    ``scene.texture_seed`` on every call), so it is rendered once per
-    camera and shared across the traffic levels.  The cache holds one
-    scene at a time (scene-major order makes that sufficient), keeping
-    memory constant.
-    """
-
-    def __init__(self, config: SceneConfig):
-        self._config = config
-        self._scene: SceneParams | None = None
-        self._cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._ground: dict[PinholeCamera, tuple[np.ndarray, np.ndarray]] = {}
-
-    def variants(
-        self, scene: SceneParams, axes: PerturbationAxes
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(images, distances)`` of all camera × traffic variants."""
-        if scene is not self._scene:
-            self._scene = scene
-            self._cache.clear()
-            self._ground.clear()
-        key = (axes.camera_jitter, axes.traffic)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        images: list[np.ndarray] = []
-        distances: list[np.ndarray] = []
-        for camera in _camera_variants(self._config.camera, axes.camera_jitter):
-            ground = self._ground.get(camera)
-            if ground is None:
-                # one textured base rendering per camera, exactly as the
-                # eager path does (same seed, same call order)
-                rng = np.random.default_rng(scene.texture_seed)
-                ground = render_ground(scene.road, camera, rng)
-                self._ground[camera] = ground
-            base_image, base_distance = ground
-            for vehicles in _traffic_variants(scene, axes.traffic):
-                image = base_image.copy()
-                distance = base_distance.copy()
-                render_vehicles(image, distance, scene.road, camera, vehicles)
-                images.append(image)
-                distances.append(distance)
-        value = (np.stack(images), np.stack(distances))
-        self._cache[key] = value
-        return value
-
-
-def _envelope_region(
-    scene: SceneParams,
-    axes: PerturbationAxes,
-    epsilon: float,
-    name: str,
-    cache: _VariantCache,
-) -> Region:
-    """The weather envelope over cached variants — bitwise-identical to
-    :func:`region_from_scene`.
-
-    Replays :meth:`Weather.apply`'s exact operation order (fog blend
-    when the density is positive, then contrast, brightness, clip) over
-    the stacked variants.  Every step is an elementwise IEEE operation
-    on the same values the eager path computes — the fog transmission is
-    even taken per-variant on the same 2-D array shape — and min/max
-    reductions are exact, so the resulting bounds match the eager
-    region bit for bit.
-    """
-    images, distances = cache.variants(scene, axes)
-    stacks: list[np.ndarray] = []
-    transmissions: dict[float, np.ndarray] = {}
-    for weather in _weather_variants(axes.weather):
-        out = images.copy()
-        if weather.fog_density > 0.0:
-            transmission = transmissions.get(weather.fog_density)
-            if transmission is None:
-                transmission = np.stack(
-                    [
-                        np.exp(
-                            -weather.fog_density
-                            * np.where(np.isfinite(d), d, 200.0)
-                        )
-                        for d in distances
-                    ]
-                )
-                transmissions[weather.fog_density] = transmission
-            out = transmission * out + (1.0 - transmission) * weather.fog_gray
-        out = (out - 0.5) * weather.contrast + 0.5
-        out = out * weather.brightness
-        stacks.append(np.clip(out, 0.0, 1.0))
-    stack = np.concatenate(stacks)
-    lower = np.clip(stack.min(axis=0) - epsilon, 0.0, 1.0)[None, :, :]
-    upper = np.clip(stack.max(axis=0) + epsilon, 0.0, 1.0)[None, :, :]
-    return Region(name=name, scene=scene, axes=axes, lower=lower, upper=upper)
-
-
 def stream_scenario_regions(plan: StreamPlan) -> Iterator[RegionGrid]:
     """Yield the plan's regions as shard-sized :class:`RegionGrid` batches.
 
     Peak memory is one shard plus one scene's rendering cache, at any
-    grid size.  Region ``k`` (name ``region-{k:03d}``) is
-    bitwise-identical to the eager grid's region ``k``.
+    grid size.  Region ``k`` is named ``region-{k:03d}``; the eager
+    grid is these shards concatenated.
     """
     config = plan.base_config
     cursor = _SceneCursor(plan)
@@ -628,7 +567,7 @@ def _decide_shard(
         for prop in options.properties
         for risk in risks
     ]
-    names = engine.add_region_sets(grid, overwrite=True)
+    names = engine.add_region_sets(grid)
     try:
         results = engine._run_queries(
             queries, stages=(engine._prescreen_stage, attack, *rest)
@@ -730,6 +669,7 @@ def run_stream(
         raise ValueError("run_stream needs at least one risk condition")
     for risk in risks:
         engine._check_risk(risk)
+    _reject_clashes(engine, plan)
     if collect_results:
         # collecting every QueryResult is O(grid) by definition — guard
         # it with the same memory check the eager path applies
@@ -808,26 +748,27 @@ def stream_enclosure_range(
 ) -> tuple[float, float]:
     """Output-enclosure range over a streamed grid, O(shard) memory.
 
-    The streaming twin of registering every region and calling
-    :meth:`~repro.api.engine.VerificationEngine.output_enclosures`:
-    each shard goes through the same batched input-box propagation and
-    abstraction pass, so the (lo, hi) pair is bitwise-identical to the
-    eager derivation — the CLI uses it to pick risk thresholds for
-    streamed sweeps that match the eager scenario-grid campaign exactly.
+    Each shard is registered through
+    :meth:`~repro.api.engine.VerificationEngine.add_region_sets`, its
+    :meth:`~repro.api.engine.VerificationEngine.output_enclosures` are
+    read and its sets are removed again, so the (lo, hi) pair is the
+    eager derivation's, bit for bit — the CLI uses it to pick risk
+    thresholds for streamed sweeps that match the eager scenario-grid
+    campaign exactly.  Sets the caller registered under the plan's
+    region names are rejected before the first shard (``ValueError``).
     """
+    _reject_clashes(engine, plan)
     lo = math.inf
     hi = -math.inf
-    dom = get_domain(domain)
     for grid in stream_scenario_regions(plan):
-        element = propagate_regions(
-            engine.model, grid.box_batch(), engine.cut_layer, domain
-        )
-        sets = [dom.feature_set(enc) for enc in dom.enclosures(element)]
-        for enclosure in output_enclosure_batch(engine.suffix, sets, domain):
+        names = engine.add_region_sets(grid, domain=domain)
+        try:
+            enclosures = engine.output_enclosures(names, domain)
+        finally:
+            engine.remove_feature_sets(names)
+        for enclosure in enclosures:
             lo = min(lo, float(enclosure.lower[output_index]))
             hi = max(hi, float(enclosure.upper[output_index]))
-    if not math.isfinite(lo):
-        raise ValueError("stream_enclosure_range over an empty plan")
     return lo, hi
 
 

@@ -333,11 +333,10 @@ class _ScopedLeafSolver:
     Built around **one** MILP encoding of the suffix over the *root*
     region's cut-layer box (child boxes are subsets, so the root's
     big-M bounds stay sound); each :meth:`solve` call tightens the
-    input-variable bounds to the child box, appends the risk rows,
-    runs the LP relaxation first (an infeasible LP is already a proof)
-    and only then the complete backend — rolling every mutation back so
-    the encoding can be shared with other callers (the engine's
-    per-(set, characterizer) encoding cache).
+    input-variable bounds to the child box, appends the risk rows and
+    runs the complete backend inside :meth:`EncodedProblem.scoped`,
+    which rolls every mutation back so the encoding can be shared with
+    other callers (the engine's per-(set, characterizer) encoding cache).
     """
 
     def __init__(
@@ -373,37 +372,23 @@ class _ScopedLeafSolver:
         return cls(problem, risk, solver, solver_options)
 
     def solve(self, cut_box: Box) -> SolveResult:
-        model = self._problem.model
-        n_rows = len(model.constraints)
-        objective = dict(model.objective)
-        saved = [
-            (var, model.lower[var], model.upper[var])
-            for var in self._problem.input_vars
-        ]
-        try:
-            for var, lo, hi in zip(
-                self._problem.input_vars, cut_box.lower, cut_box.upper
-            ):
+        with self._problem.scoped() as problem:
+            model = problem.model
+            for var, lo, hi in zip(problem.input_vars, cut_box.lower, cut_box.upper):
                 model.lower[var] = max(model.lower[var], float(lo))
                 model.upper[var] = min(model.upper[var], float(hi))
                 if model.lower[var] > model.upper[var]:
                     # child box misses the encoded root set entirely
                     return SolveResult(status=SolveStatus.UNSAT)
-            append_risk_rows(model, self._problem.output_vars, self._risk)
+            append_risk_rows(model, problem.output_vars, self._risk)
             # no separate LP pre-pass: both MILP backends already refute
             # an infeasible root relaxation at their first node
             result = self._backend.solve(model)
             if result.status is SolveStatus.SAT and result.witness is not None:
                 # expose the cut-layer candidate so the loop can try to
                 # concretize it (at cut_layer=0 it IS an input point)
-                result.stats["features"] = self._problem.decode_input(result.witness)
+                result.stats["features"] = problem.decode_input(result.witness)
             return result
-        finally:
-            del model.constraints[n_rows:]
-            model.objective = objective
-            for var, lo, hi in saved:
-                model.lower[var] = lo
-                model.upper[var] = hi
 
 
 # -- pool tasks (frontier-parallel leaf solves) -------------------------------

@@ -144,8 +144,9 @@ def pgd_in_boxes(
     Returns
     -------
     tuple[int, InputCounterexample] or None
-        ``(box index, counterexample)`` for the first box whose iterate
-        satisfies the risk, or ``None`` if no search reached it.
+        ``(box index, counterexample)`` for the box whose iterate
+        satisfied the risk first (lowest index on a tie), or ``None``
+        if no search reached it.
 
     Examples
     --------
@@ -160,53 +161,12 @@ def pgd_in_boxes(
     >>> index in (0, 1) and cex.risk_occurs
     True
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or lower.shape[1:] != model.input_shape:
-        raise ValueError(
-            f"expected stacked bounds of shape (k, {model.input_shape}), got "
-            f"{lower.shape} / {upper.shape}"
-        )
-    a_matrix, _ = risk.as_matrix()
-    program = _attack_program(model)
-    x = 0.5 * (lower + upper)
-    width = upper - lower
-    k = x.shape[0]
-    for it in range(steps + 1):
-        if program is not None:
-            outputs = program.apply(x.reshape(k, -1))
-        else:
-            outputs = model.forward(x, training=False)
-        margins = np.asarray(risk.margin(outputs), dtype=float)
-        hit = np.nonzero(margins >= 0.0)[0]
-        if hit.size:
-            index = int(hit[0])
-            return index, InputCounterexample(
-                image=x[index],
-                output=outputs[index],
-                risk_margin=float(margins[index]),
-                iterations=it,
-            )
-        if it == steps:
-            break
-        # ascend each sample's worst inequality: margin = b - a.y, so
-        # pushing y along -a increases it
-        per_row = np.stack(
-            [np.asarray(ineq.margin(outputs), dtype=float) for ineq in risk.inequalities]
-        )
-        worst = np.argmin(per_row, axis=0)
-        directions = -a_matrix[worst]
-        if program is not None:
-            _, flat_grads = program.value_and_input_gradient(
-                x.reshape(k, -1), directions
-            )
-            grads = flat_grads.reshape(x.shape)
-        else:
-            _, grads = input_gradient(model, x, directions)
-        x = np.clip(x + step_fraction * width * np.sign(grads), lower, upper)
-    return None
+    hits = pgd_hits_in_boxes(
+        model, risk, lower, upper, steps=steps, step_fraction=step_fraction
+    )
+    # rows ascend independently, so the earliest hit (ties: lowest box)
+    # is the box, image and margin a first-hit loop would stop at
+    return min(hits, key=lambda hit: (hit[1].iterations, hit[0]), default=None)
 
 
 def pgd_hits_in_boxes(
@@ -218,14 +178,14 @@ def pgd_hits_in_boxes(
     steps: int = 10,
     step_fraction: float = 0.25,
 ) -> list[tuple[int, InputCounterexample]]:
-    """All-hits twin of :func:`pgd_in_boxes` for streamed triage.
+    """Batched PGD over many input boxes, returning every box's hit.
 
-    Where :func:`pgd_in_boxes` stops at the *first* box whose iterate
-    satisfies the risk (the CEGAR concretization contract), the
-    streaming campaign executor wants to falsify as many of the regions
-    its prescreen left as one batched ascent can reach: every box keeps
-    climbing for the full ``steps`` budget, each box's first hit is
-    frozen, and all hits are returned together.
+    The one ascent behind both attacks: the streaming campaign executor
+    falsifies as many of the regions its prescreen left as one batched
+    ascent can reach, and :func:`pgd_in_boxes` (CEGAR's concretization)
+    keeps the earliest of these hits.  Every box keeps climbing for the
+    full ``steps`` budget (see :func:`pgd_in_boxes` for the step rule),
+    each box's first hit is frozen, and all hits are returned together.
 
     Returns
     -------

@@ -18,7 +18,9 @@ reproduces the decoded output through the real network.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -73,6 +75,27 @@ class EncodedProblem:
     def decode_output(self, x: np.ndarray) -> np.ndarray:
         """Network output vector from a full variable assignment."""
         return np.asarray(x, dtype=float)[self.output_vars]
+
+    @contextmanager
+    def scoped(self) -> Iterator["EncodedProblem"]:
+        """Transaction on this encoding: rows, objective and input bounds.
+
+        Anything a caller adds or tightens inside the block (risk rows,
+        an objective, a child box on the input variables) is rolled back
+        on exit, so a cached or shared encoding stays pristine.
+        """
+        model = self.model
+        n_rows = len(model.constraints)
+        objective = dict(model.objective)
+        bounds = [(var, model.lower[var], model.upper[var]) for var in self.input_vars]
+        try:
+            yield self
+        finally:
+            del model.constraints[n_rows:]
+            model.objective = objective
+            for var, lo, hi in bounds:
+                model.lower[var] = lo
+                model.upper[var] = hi
 
 
 class _NetworkEncoder:

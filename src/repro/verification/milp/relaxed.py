@@ -31,7 +31,7 @@ from repro.nn.graph import (
 )
 from repro.properties.risk import RiskCondition
 from repro.verification.milp.bigm import op_bounds_for_set
-from repro.verification.milp.encoder import append_risk_rows
+from repro.verification.milp.encoder import EncodedProblem, append_risk_rows
 from repro.verification.milp.model import MILPModel
 from repro.verification.sets import Box, FeatureSet
 
@@ -68,20 +68,10 @@ class SplitPoint:
 
 
 @dataclass
-class RelaxedProblem:
+class RelaxedProblem(EncodedProblem):
     """Relaxation LP plus the split points a search may decide."""
 
-    model: MILPModel
-    input_vars: list[int]
-    output_vars: list[int]
     splits: list[SplitPoint] = field(default_factory=list)
-    characterizer_logit_var: int | None = None
-
-    def decode_input(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[self.input_vars]
-
-    def decode_output(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)[self.output_vars]
 
 
 class _RelaxedEncoder:

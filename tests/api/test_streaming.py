@@ -38,6 +38,7 @@ from repro.properties.risk import RiskCondition, output_geq
 from repro.scenario import regions as regions_mod
 from repro.scenario import streaming as streaming_mod
 from repro.scenario.regions import (
+    RegionGrid,
     RegionMemoryError,
     ensure_regions_fit,
     scenario_region_grid,
@@ -217,6 +218,44 @@ class TestVerdictParity:
             ValueError, match="risk condition is over 3 outputs, network has 2"
         ):
             run_stream(engine, StreamPlan(n_scenes=2, seed=3), [wide])
+
+    def test_caller_sets_under_plan_names_rejected_before_any_shard(
+        self, model, monkeypatch
+    ):
+        """A shard would replace, then unregister, the caller's set."""
+        engine = VerificationEngine(model, 3, solver="highs")
+        engine.add_region_sets(scenario_region_grid(n_scenes=1, seed=9))
+        names = engine.feature_set_names()
+        before = {name: engine.feature_set(name).bounds() for name in names}
+
+        def no_shards(plan):
+            raise AssertionError("a shard was generated")
+
+        monkeypatch.setattr(streaming_mod, "stream_scenario_regions", no_shards)
+        plan = StreamPlan(n_scenes=2, seed=3)
+        with pytest.raises(ValueError, match="region-000.*region-003"):
+            run_stream(engine, plan, [steer_far_left(0.0)])
+        with pytest.raises(ValueError, match="region-000.*region-003"):
+            stream_enclosure_range(engine, plan)
+        assert engine.feature_set_names() == names
+        for name, (lower, upper) in before.items():
+            now_lower, now_upper = engine.feature_set(name).bounds()
+            assert np.array_equal(now_lower, lower)
+            assert np.array_equal(now_upper, upper)
+
+    def test_sets_outside_the_plan_are_kept(self, model):
+        engine = VerificationEngine(model, 3, solver="highs")
+        grid = scenario_region_grid(n_scenes=2, seed=3)
+        # region-004.. and two non-canonical spellings of region 0
+        engine.add_region_sets(RegionGrid(grid.regions[4:], grid.config))
+        for alias in ("region-0", "region-0000"):
+            engine.add_raw_set(engine.feature_set("region-004"), True, alias)
+        names = engine.feature_set_names()
+        plan = StreamPlan(n_scenes=2, seed=3, limit=4)
+        stream_enclosure_range(engine, plan)
+        run_stream(engine, plan, [steer_far_left(0.0)], attack_steps=0,
+                   solver_fallback=False)
+        assert engine.feature_set_names() == names
 
     def test_report_shape(self, engine, enclosure_range):
         lo, hi = enclosure_range
@@ -459,6 +498,22 @@ class TestCoverageSampling:
         assert len(set(indices)) == len(indices)
         assert indices == sorted(indices)
         assert all(0 <= i < plan.grid_size for i in indices)
+
+    @_SETTINGS
+    @given(
+        limit=st.one_of(st.none(), st.integers(1, 24)),
+        sample=st.one_of(st.none(), st.integers(1, 24)),
+        sample_seed=st.integers(0, 100),
+    )
+    def test_yields_matches_indices(self, limit, sample, sample_seed):
+        capped = 24 if limit is None else limit
+        if sample is not None and sample > capped:
+            sample = capped
+        plan = StreamPlan(
+            n_scenes=6, seed=0, limit=limit, sample=sample, sample_seed=sample_seed
+        )
+        indices = set(plan.indices())
+        assert [k for k in range(-2, 30) if plan.yields(k)] == sorted(indices)
 
     def test_sampled_stream_covers_every_axis(self, engine, enclosure_range):
         lo, hi = enclosure_range

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.scenario.dataset import SceneConfig, sample_scene
 from repro.scenario.regions import (
     PerturbationAxes,
     RegionGrid,
+    _camera_variants,
+    _traffic_variants,
+    _weather_variants,
     region_from_scene,
     scenario_region_grid,
 )
@@ -111,6 +116,56 @@ class TestRegionFromScene:
             epsilon=0.05,
         )
         assert np.all(region.lower >= 0.0) and np.all(region.upper <= 1.0)
+
+
+def _reference_region(scene, axes, config, epsilon):
+    """Per-rendering envelope, independent of the cached generator.
+
+    Renders every camera × traffic variant from scratch, applies each
+    weather corner through :meth:`Weather.apply`, then takes the
+    per-pixel min/max, widens by ``epsilon`` and clips to ``[0, 1]``.
+    """
+    images = []
+    for camera in _camera_variants(config.camera, axes.camera_jitter):
+        # one textured base rendering per camera (geometry changes with it)
+        rng = np.random.default_rng(scene.texture_seed)
+        base_image, base_distance = render_ground(scene.road, camera, rng)
+        for vehicles in _traffic_variants(scene, axes.traffic):
+            image = base_image.copy()
+            distance = base_distance.copy()
+            render_vehicles(image, distance, scene.road, camera, vehicles)
+            for weather in _weather_variants(axes.weather):
+                # noise_sigma is 0 in every variant: the epsilon widening
+                # below covers additive perturbations up to +-epsilon
+                images.append(weather.apply(image, distance, rng))
+    stack = np.stack(images)
+    lower = np.clip(stack.min(axis=0) - epsilon, 0.0, 1.0)[None, :, :]
+    upper = np.clip(stack.max(axis=0) + epsilon, 0.0, 1.0)[None, :, :]
+    return lower, upper
+
+
+class TestReferenceParity:
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        scene_seed=st.integers(0, 1000),
+        weather=st.floats(0.0, 1.0),
+        jitter=st.floats(0.0, 3.0),
+        traffic=st.integers(0, 3),
+        epsilon=st.floats(0.0, 0.05),
+    )
+    def test_region_from_scene_bitwise_equals_reference(
+        self, base_config, scene_seed, weather, jitter, traffic, epsilon
+    ):
+        scene = sample_scene(np.random.default_rng(scene_seed), base_config)
+        axes = PerturbationAxes(weather=weather, camera_jitter=jitter, traffic=traffic)
+        region = region_from_scene(scene, axes, base_config, epsilon=epsilon)
+        lower, upper = _reference_region(scene, axes, base_config, epsilon)
+        assert np.array_equal(region.lower, lower)
+        assert np.array_equal(region.upper, upper)
 
 
 class TestScenarioRegionGrid:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn import Dense, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq
@@ -10,6 +12,8 @@ from repro.verification.counterexample import (
     FeatureCounterexample,
     decode_witness,
     fgsm_falsify,
+    pgd_hits_in_boxes,
+    pgd_in_boxes,
 )
 from repro.verification.milp.encoder import encode_verification_problem
 from repro.verification.solver import BranchAndBoundSolver
@@ -106,3 +110,46 @@ class TestFgsmFalsify:
         risk = RiskCondition("any", (output_geq(2, 0, 0.0),))
         with pytest.raises(ValueError, match="positive"):
             fgsm_falsify(model, risk, np.zeros((1, 9)), epsilon=0.0)
+
+
+class TestPgdInBoxes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 6),
+        steps=st.integers(0, 6),
+        n_rows=st.integers(1, 2),
+        quantile=st.floats(0.0, 1.0),
+    )
+    def test_first_hit_is_the_earliest_lowest_index_hit(
+        self, seed, k, steps, n_rows, quantile
+    ):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 5))
+        model = Sequential(
+            [Dense(int(rng.integers(3, 8))), ReLU(), Dense(2)],
+            input_shape=(dim,),
+            seed=seed,
+        )
+        lower = rng.uniform(-1.0, 1.0, (k, dim))
+        upper = lower + rng.uniform(0.0, 1.0, (k, dim))
+        centers = model.forward(0.5 * (lower + upper), training=False)
+        # thresholds off the center outputs, so no margin sits at exactly 0
+        risk = RiskCondition(
+            "probe",
+            tuple(
+                output_geq(2, j, float(np.quantile(centers[:, j], quantile)) + 1e-3)
+                for j in range(n_rows)
+            ),
+        )
+        hits = pgd_hits_in_boxes(model, risk, lower, upper, steps=steps)
+        first = pgd_in_boxes(model, risk, lower, upper, steps=steps)
+        if not hits:
+            assert first is None
+            return
+        index, cex = first
+        assert (cex.iterations, index) == min((c.iterations, i) for i, c in hits)
+        assert np.array_equal(cex.image, dict(hits)[index].image)
+        assert np.all(cex.image >= lower[index]) and np.all(cex.image <= upper[index])
+        replayed = model.forward(cex.image[None], training=False)
+        assert risk.margin(replayed)[0] >= 0.0
