@@ -88,11 +88,10 @@ from repro.verification.refinement import verify_with_refinement
 from repro.verification.robustness import verify_local_robustness
 from repro.verification.sets import BoxBatch, FeatureSet
 from repro.verification.solver import solver_spec
+from repro.verification.solver.case_split import most_violated
 from repro.verification.solver.lp import solve_lp_relaxation
 from repro.verification.solver.result import SolveResult, SolveStatus
 from repro.verification.statistical import ConfusionEstimate
-
-_LP_SEMANTICS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,6 +109,20 @@ class RegisteredFeatureSet:
 #: methods the prescreen and relaxed-LP stages answer; every other
 #: method passes them by, to the support cache (exact only) and solve
 _SCREENED = (Method.EXACT, Method.RELAXED)
+
+#: the per-set caches: dicts keyed by ``(set name, ...)`` tuples, purged
+#: of a set's entries when it is replaced or removed
+_SET_CACHES = (
+    "_bounds_cache",
+    "_enclosure_cache",
+    "_encoding_cache",
+    #: (set, property, direction) -> (support value, optimal assignment)
+    "_support_cache",
+    #: single-row directions seen by one-off queries (amortization gate)
+    "_direction_seen",
+    #: (set, risk) -> resumable CegarLoop with its shared encoding
+    "_cegar_loops",
+)
 
 
 @dataclass(eq=False)
@@ -250,15 +263,8 @@ class VerificationEngine:
 
     def _reset_caches(self) -> None:
         self._char_net_cache: dict[str | None, tuple] = {}
-        self._bounds_cache: dict[tuple, list] = {}
-        self._enclosure_cache: dict[tuple, object] = {}
-        self._encoding_cache: dict[tuple, object] = {}
-        #: (set, property, direction) -> (support value, optimal assignment)
-        self._support_cache: dict[tuple, tuple | None] = {}
-        #: single-row directions seen by one-off queries (amortization gate)
-        self._direction_seen: dict[tuple, int] = {}
-        #: (set, risk) -> resumable CegarLoop with its shared encoding
-        self._cegar_loops: dict[tuple, CegarLoop] = {}
+        for name in _SET_CACHES:
+            setattr(self, name, {})
         self.cache_stats: dict[str, int] = {}
 
     def clear_caches(self) -> None:
@@ -285,15 +291,7 @@ class VerificationEngine:
         # only run what the parent's prescreen left, so every cache ships
         # empty (forked workers inherit the parent's instead)
         state = self.__dict__.copy()
-        for key in (
-            "_char_net_cache",
-            "_bounds_cache",
-            "_enclosure_cache",
-            "_encoding_cache",
-            "_support_cache",
-            "_direction_seen",
-            "_cegar_loops",
-        ):
+        for key in ("_char_net_cache", *_SET_CACHES):
             state[key] = {}
         state["cache_stats"] = {}
         # the store holds a thread lock and an open-by-path log; workers
@@ -370,19 +368,9 @@ class VerificationEngine:
                 f"feature set {name!r} is already registered; pass "
                 f"overwrite=True to replace it (known: {sorted(self._sets)})"
             )
-        stale = name in self._sets
+        if name in self._sets:
+            self.remove_feature_sets([name])  # drop caches derived from it
         self._sets[name] = registered
-        if stale:
-            # drop caches derived from the replaced set
-            for cache in (
-                self._bounds_cache,
-                self._enclosure_cache,
-                self._encoding_cache,
-                self._support_cache,
-                self._cegar_loops,
-            ):
-                for key in [k for k in cache if k[0] == name]:
-                    del cache[key]
 
     def add_feature_set_from_data(
         self,
@@ -535,14 +523,7 @@ class VerificationEngine:
         doomed = set(names)
         for name in doomed:
             self._sets.pop(name, None)
-        for cache in (
-            self._bounds_cache,
-            self._enclosure_cache,
-            self._encoding_cache,
-            self._support_cache,
-            self._direction_seen,
-            self._cegar_loops,
-        ):
+        for cache in (getattr(self, name) for name in _SET_CACHES):
             for key in [k for k in cache if k[0] in doomed]:
                 del cache[key]
 
@@ -1049,14 +1030,9 @@ class VerificationEngine:
                     self._answer(item, "relaxed-lp", SolveStatus.UNSAT, stats=stats)
                     return
                 # an LP that proved nothing (limit, numerics) falls
-                # through to the complete solver
-                violation = np.inf
-                if lp.feasible:
-                    violation = max(
-                        (split.violation(lp.x) for split in problem.splits),
-                        default=0.0,
-                    )
-                if violation <= _LP_SEMANTICS_TOL:
+                # through to the complete solver; a point that meets
+                # every neuron's semantics passes phase-split's root test
+                if lp.feasible and most_violated(problem.splits, lp.x) is None:
                     # per-neuron tolerance can amplify through the layers:
                     # only claim SAT if the point replays through the real
                     # network AND the replayed output truly violates the

@@ -58,6 +58,7 @@ from repro.scenario.regions import (
 )
 # not called here: perfbench/layers.py traces these module attributes
 from repro.scenario.render import render_ground, render_vehicles  # noqa: F401
+from repro.verification.abstraction.domain import get_domain
 from repro.verification.abstraction.propagate import propagate_regions  # noqa: F401
 from repro.verification.counterexample import (
     FeatureCounterexample,
@@ -758,6 +759,7 @@ def stream_enclosure_range(
     region names are rejected before the first shard (``ValueError``).
     """
     _reject_clashes(engine, plan)
+    hull = get_domain(domain).enclosure_box
     lo = math.inf
     hi = -math.inf
     for grid in stream_scenario_regions(plan):
@@ -766,9 +768,9 @@ def stream_enclosure_range(
             enclosures = engine.output_enclosures(names, domain)
         finally:
             engine.remove_feature_sets(names)
-        for enclosure in enclosures:
-            lo = min(lo, float(enclosure.lower[output_index]))
-            hi = max(hi, float(enclosure.upper[output_index]))
+        for box in map(hull, enclosures):
+            lo = min(lo, float(box.lower[output_index]))
+            hi = max(hi, float(box.upper[output_index]))
     return lo, hi
 
 

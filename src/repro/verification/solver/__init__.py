@@ -1,17 +1,18 @@
 """Solver backends behind a uniform registry.
 
-- :mod:`repro.verification.solver.branch_bound` — our own
-  branch-and-bound over LP relaxations, all node LPs of one search on
-  one hot-started HiGHS instance;
+- :mod:`repro.verification.solver.branch_bound` — the one node search
+  of both complete solvers (depth-first, all node LPs of one search on
+  one hot-started HiGHS instance) and our own branch-and-bound on it;
 - :mod:`repro.verification.solver.lp` — that LP oracle
-  (:class:`~repro.verification.solver.lp.LPSession`); its answers are
-  optimal, proven infeasible or unknown;
+  (:class:`~repro.verification.solver.lp.LPSession`), which switches
+  rows on and off as well as column bounds; its answers are optimal,
+  proven infeasible or unknown;
 - :mod:`repro.verification.solver.highs` — direct hand-off to
   ``scipy.optimize.milp`` (HiGHS branch-and-cut), used to cross-check
   the home-grown solver in tests;
 - :mod:`repro.verification.solver.case_split` — the Planet/ReLUplex
   lineage: DPLL(LP) case splitting over the *relaxed* (binary-free)
-  encoding;
+  encoding, a branching step on the same node search;
 - :mod:`repro.verification.solver.result` — the shared
   SAT / UNSAT / UNKNOWN result type.
 

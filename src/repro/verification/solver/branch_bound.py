@@ -1,33 +1,129 @@
-"""Branch-and-bound MILP solver over LP relaxations.
+"""The node search over LP relaxations, and branch-and-bound on it.
 
-Depth-first search on the binary variables: each node solves the LP
-relaxation with the binaries fixed so far.  Infeasible relaxations prune;
-integral relaxations are feasible MILP assignments; fractional ones
-branch on the most fractional binary (the branch agreeing with the LP
-value is explored first).
+:func:`depth_first_search` is the one search loop of both complete
+solvers.  Each node solves the LP relaxation under that node's column
+bounds and enforced rows:
+
+- proven infeasible → prune;
+- any other LP failure ends the search like a resource limit
+  (``stats["limit"] == "lp"``): only a proof of infeasibility prunes;
+- otherwise the solver's branching step either accepts the LP point as
+  a solution or returns the node's children.
 
 For feasibility problems (zero objective, the verification use case) the
-first integral solution decides SAT.  For optimization the incumbent
-bound additionally prunes relaxations that cannot improve it.
+first accepted solution decides SAT.  For optimization the incumbent
+bound additionally prunes relaxations that cannot improve it.  All node
+LPs of one search run on one :class:`~repro.verification.solver.lp.LPSession`,
+so each node hot-starts from the previous node's basis.
 
-All node LPs of one search run on one :class:`~repro.verification.solver.lp.LPSession`,
-so each node hot-starts from the previous node's basis.  Only a proven
-infeasible relaxation prunes: a node LP that fails for any other reason
-ends the search like a resource limit (``stats["limit"] == "lp"``).
+:class:`BranchAndBoundSolver` branches on the binaries of the big-M
+encoding: integral relaxations are feasible MILP assignments; fractional
+ones branch on the most fractional binary (the branch agreeing with the
+LP value is explored first).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from repro.verification.milp.model import MILPModel
+from repro.verification.milp.model import MILPArrays, MILPModel
 from repro.verification.solver.lp import LPSession
 from repro.verification.solver.result import SolveResult, SolveStatus
 
 _INT_TOL = 1e-6
+
+
+class Node(NamedTuple):
+    """One search node: a branching step copies an array before changing it."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    rows: np.ndarray | None = None  #: enforced-row mask (``None``: every row)
+    decided: tuple[int, ...] = ()  #: the splits fixed on the way down
+
+
+#: a branching step's answer: the children in push order (the last one
+#: is explored first), or an accepted ``(witness, stats)`` solution
+Branching = Union[list[Node], tuple[np.ndarray, dict]]
+
+
+def depth_first_search(
+    arrays: MILPArrays,
+    branch: Callable[[Node, np.ndarray], Branching],
+    *,
+    node_limit: int,
+    time_limit: float,
+    optimize: bool = False,
+    rows: np.ndarray | None = None,
+) -> SolveResult:
+    """Search from the root node (``arrays``' bounds, ``rows`` enforced)."""
+    start = time.perf_counter()
+    session = LPSession(arrays)
+    incumbent_x: np.ndarray | None = None
+    incumbent_obj = np.inf
+    nodes = 0
+    limit: str | None = None
+    stats: dict = {}
+
+    # stack of (node, parent LP objective) pairs; the root's parent bound
+    # is -inf.  Each open node's parent bound is a valid lower bound on
+    # every solution below it, so on a resource limit the minimum over
+    # the stack is a sound global bound — the anytime gap the CEGAR
+    # trace and range queries report.
+    root = Node(arrays.lower, arrays.upper, rows)
+    stack: list[tuple[Node, float]] = [(root, -np.inf)]
+
+    while stack:
+        remaining = time_limit - (time.perf_counter() - start)
+        if nodes >= node_limit or remaining < 0:
+            limit = "nodes" if nodes >= node_limit else "time"
+            break
+        node, parent_bound = stack.pop()
+        nodes += 1
+        relaxation = session.solve(node.lower, node.upper, remaining, node.rows)
+        if relaxation.infeasible:
+            continue
+        if not relaxation.feasible:
+            # the LP proved nothing: keep the node open for the bound
+            stack.append((node, parent_bound))
+            limit = "lp"
+            break
+        if optimize and relaxation.objective >= incumbent_obj - 1e-9:
+            continue  # cannot improve the incumbent
+        step = branch(node, relaxation.x)
+        if isinstance(step, list):
+            stack.extend((child, relaxation.objective) for child in step)
+            continue
+        witness, found = step
+        if relaxation.objective < incumbent_obj:
+            incumbent_obj, incumbent_x = relaxation.objective, witness
+        if not optimize:
+            stats = found  # feasibility: the first solution decides SAT
+            break
+
+    if optimize and incumbent_x is not None:
+        stats["proved_optimal"] = limit is None
+    if limit is not None:
+        best_bound = min((bound for _, bound in stack), default=np.inf)
+        stats["limit"] = limit
+        stats["open_nodes"] = len(stack)
+        stats["best_bound"] = min(best_bound, incumbent_obj)
+    if incumbent_x is not None:
+        status = SolveStatus.SAT
+    else:
+        status = SolveStatus.UNSAT if limit is None else SolveStatus.UNKNOWN
+    return SolveResult(
+        status=status,
+        witness=incumbent_x,
+        objective=None if incumbent_x is None else incumbent_obj,
+        nodes_explored=nodes,
+        solve_time=time.perf_counter() - start,
+        stats=stats,
+    )
 
 
 @dataclass
@@ -48,120 +144,29 @@ class BranchAndBoundSolver:
     # -- internals ------------------------------------------------------------
 
     def _search(self, model: MILPModel, optimize: bool) -> SolveResult:
-        start = time.perf_counter()
         arrays = model.to_arrays()
-        session = LPSession(arrays)
         binary_idx = np.nonzero(arrays.binary_mask)[0]
 
-        incumbent_x: np.ndarray | None = None
-        incumbent_obj = np.inf
-        nodes = 0
-        limit: str | None = None
-
-        # stack of (lower, upper, parent LP objective) triples; the root's
-        # parent bound is -inf.  Each open node's parent bound is a valid
-        # lower bound on every MILP solution below it, so on a resource
-        # limit the minimum over the stack is a sound global bound — the
-        # anytime gap the CEGAR trace and range queries report.
-        stack: list[tuple[np.ndarray, np.ndarray, float]] = [
-            (arrays.lower.copy(), arrays.upper.copy(), -np.inf)
-        ]
-
-        while stack:
-            remaining = self.time_limit - (time.perf_counter() - start)
-            if nodes >= self.node_limit or remaining < 0:
-                limit = "nodes" if nodes >= self.node_limit else "time"
-                break
-            lower, upper, parent_bound = stack.pop()
-            nodes += 1
-            relaxation = session.solve(lower, upper, time_limit=remaining)
-            if relaxation.infeasible:
-                continue
-            if not relaxation.feasible:
-                # the LP proved nothing: keep the node open for the bound
-                stack.append((lower, upper, parent_bound))
-                limit = "lp"
-                break
-            if optimize and relaxation.objective >= incumbent_obj - 1e-9:
-                continue  # cannot improve the incumbent
-
-            x = relaxation.x
-            fractional = self._most_fractional(x, binary_idx)
-            if fractional is None:
+        def branch(node: Node, x: np.ndarray) -> Branching:
+            values = x[binary_idx]
+            distance = np.abs(values - np.round(values))
+            if distance.max(initial=0.0) <= _INT_TOL:
                 # integral: a feasible MILP assignment
-                x = self._round_binaries(x, binary_idx)
-                if not optimize:
-                    return SolveResult(
-                        status=SolveStatus.SAT,
-                        witness=x,
-                        objective=relaxation.objective,
-                        nodes_explored=nodes,
-                        solve_time=time.perf_counter() - start,
-                    )
-                if relaxation.objective < incumbent_obj:
-                    incumbent_obj = relaxation.objective
-                    incumbent_x = x
-                continue
+                witness = x.copy()
+                witness[binary_idx] = np.round(values)
+                return witness, {}
+            j = int(binary_idx[np.argmax(distance)])  # the most fractional
+            floor = Node(node.lower, node.upper.copy())
+            floor.upper[j] = 0.0
+            ceil = Node(node.lower.copy(), node.upper)
+            ceil.lower[j] = 1.0
+            # explore the side suggested by the LP value first
+            return [floor, ceil] if x[j] >= 0.5 else [ceil, floor]
 
-            # branch: explore the side suggested by the LP value first
-            j = fractional
-            value = x[j]
-            floor_lower, floor_upper = lower.copy(), upper.copy()
-            floor_upper[j] = 0.0
-            ceil_lower, ceil_upper = lower.copy(), upper.copy()
-            ceil_lower[j] = 1.0
-            parent_obj = float(relaxation.objective)
-            if value >= 0.5:
-                stack.append((floor_lower, floor_upper, parent_obj))
-                stack.append((ceil_lower, ceil_upper, parent_obj))
-            else:
-                stack.append((ceil_lower, ceil_upper, parent_obj))
-                stack.append((floor_lower, floor_upper, parent_obj))
-
-        elapsed = time.perf_counter() - start
-        best_bound = min((entry[2] for entry in stack), default=np.inf)
-        if limit is not None and incumbent_x is None:
-            return SolveResult(
-                status=SolveStatus.UNKNOWN,
-                nodes_explored=nodes,
-                solve_time=elapsed,
-                stats={
-                    "limit": limit,
-                    "open_nodes": len(stack),
-                    "best_bound": best_bound,
-                },
-            )
-        if optimize and incumbent_x is not None:
-            stats: dict = {"proved_optimal": limit is None}
-            if limit is not None:
-                stats["limit"] = limit
-                stats["open_nodes"] = len(stack)
-                stats["best_bound"] = min(best_bound, incumbent_obj)
-            return SolveResult(
-                status=SolveStatus.SAT,
-                witness=incumbent_x,
-                objective=incumbent_obj,
-                nodes_explored=nodes,
-                solve_time=elapsed,
-                stats=stats,
-            )
-        return SolveResult(
-            status=SolveStatus.UNSAT, nodes_explored=nodes, solve_time=elapsed
+        return depth_first_search(
+            arrays,
+            branch,
+            node_limit=self.node_limit,
+            time_limit=self.time_limit,
+            optimize=optimize,
         )
-
-    @staticmethod
-    def _most_fractional(x: np.ndarray, binary_idx: np.ndarray) -> int | None:
-        if binary_idx.size == 0:
-            return None
-        values = x[binary_idx]
-        distance = np.abs(values - np.round(values))
-        worst = int(np.argmax(distance))
-        if distance[worst] <= _INT_TOL:
-            return None
-        return int(binary_idx[worst])
-
-    @staticmethod
-    def _round_binaries(x: np.ndarray, binary_idx: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[binary_idx] = np.round(out[binary_idx])
-        return out

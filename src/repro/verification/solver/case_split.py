@@ -3,14 +3,16 @@
 The paper's Section V: "it is feasible to use exact verification methods
 such as ReLUplex [8], Planet [5] or MILP-based approaches" — this module
 is the non-MILP lineage.  The search state is a partial assignment of
-*phases* to the split points recorded by the relaxed encoding; each node
-solves one LP:
+*phases* to the split points recorded by the relaxed encoding.  It runs
+on the node search branch-and-bound uses
+(:func:`~repro.verification.solver.branch_bound.depth_first_search`):
+one session holds the relaxation plus every phase option's rows, all
+switched off at the root, and deciding a split switches on its chosen
+option's rows and tightens that option's bounds.  At each node's LP point:
 
-- proven infeasible → prune (an LP that fails without a proof ends the
-  search UNKNOWN, ``stats["limit"] == "lp"``);
-- feasible and every split's exact semantics holds at the LP point →
-  **SAT** with that point as witness (undecided splits are fine — the
-  point already realizes them);
+- every undecided split's exact semantics holds → **SAT** with that
+  point as witness (undecided splits are fine — the point already
+  realizes them);
 - otherwise branch on the most violated split, LP-suggested phase first.
 
 Exhausting the tree proves **UNSAT**.  Sound and complete for the same
@@ -19,17 +21,34 @@ problems as the big-M encoding; tests cross-check all three engines.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.verification.milp.relaxed import PhaseOption, RelaxedProblem
-from repro.verification.solver.lp import solve_lp_relaxation
-from repro.verification.milp.model import MILPArrays
-from repro.verification.solver.result import SolveResult, SolveStatus
+from repro.verification.milp.model import LinearConstraint, MILPArrays
+from repro.verification.milp.relaxed import RelaxedProblem, SplitPoint
+from repro.verification.solver.branch_bound import Branching, Node, depth_first_search
+from repro.verification.solver.result import SolveResult
 
-_SEMANTICS_TOL = 1e-6
+#: an LP point within this of every split's exact semantics is a witness
+SEMANTICS_TOL = 1e-6
+
+
+def most_violated(
+    splits: list[SplitPoint], x: np.ndarray, decided: tuple[int, ...] = ()
+) -> int | None:
+    """The undecided split the LP point ``x`` violates most (``None``: none does)."""
+    skip = set(decided)
+    worst_index = None
+    worst_violation = SEMANTICS_TOL
+    for index, split in enumerate(splits):
+        if index in skip:
+            continue
+        violation = split.violation(x)
+        if violation > worst_violation:
+            worst_violation = violation
+            worst_index = index
+    return worst_index
 
 
 @dataclass
@@ -40,115 +59,61 @@ class PhaseSplitSolver:
     time_limit: float = 600.0
 
     def solve(self, problem: RelaxedProblem) -> SolveResult:
-        start = time.perf_counter()
-        base = problem.model.to_arrays()
         splits = problem.splits
+        arrays, owner = self._with_option_rows(problem)
+        # option o of split s is numbered first[s] + o
+        first = np.cumsum([0, *(len(split.options) for split in splits)])
 
-        # stack entries: tuple of chosen (split_index, option_index)
-        stack: list[tuple[tuple[int, int], ...]] = [()]
-        nodes = 0
-        limit: str | None = None
-
-        while stack:
-            remaining = self.time_limit - (time.perf_counter() - start)
-            if nodes >= self.node_limit or remaining < 0:
-                limit = "nodes" if nodes >= self.node_limit else "time"
-                break
-            assignment = stack.pop()
-            nodes += 1
-            arrays = self._arrays_for(base, splits, assignment)
-            relaxation = solve_lp_relaxation(arrays, time_limit=remaining)
-            if relaxation.infeasible:
-                continue
-            if not relaxation.feasible:
-                limit = "lp"
-                break
-            x = relaxation.x
-
-            decided = {index for index, _ in assignment}
-            worst_index = None
-            worst_violation = _SEMANTICS_TOL
-            for index, split in enumerate(splits):
-                if index in decided:
-                    continue
-                violation = split.violation(x)
-                if violation > worst_violation:
-                    worst_violation = violation
-                    worst_index = index
-
-            if worst_index is None:
+        def branch(node: Node, x: np.ndarray) -> Branching:
+            worst = most_violated(splits, x, node.decided)
+            if worst is None:
                 # LP point satisfies every neuron exactly: genuine witness
-                return SolveResult(
-                    status=SolveStatus.SAT,
-                    witness=x,
-                    objective=relaxation.objective,
-                    nodes_explored=nodes,
-                    solve_time=time.perf_counter() - start,
-                    stats={"splits_decided": len(assignment)},
-                )
-
-            split = splits[worst_index]
-            order = self._option_order(split, x)
+                return x, {"splits_decided": len(node.decided)}
+            split = splits[worst]
+            children = []
             # DFS: push less-promising phases first so the best pops first
-            for option_index in reversed(order):
-                stack.append(assignment + ((worst_index, option_index),))
+            for option_index in reversed(self._option_order(split, x)):
+                lower, upper = node.lower.copy(), node.upper.copy()
+                for var, lo, hi in split.options[option_index].bounds:
+                    lower[var] = max(lower[var], lo)
+                    upper[var] = min(upper[var], hi)
+                rows = node.rows | (owner == first[worst] + option_index)
+                children.append(Node(lower, upper, rows, node.decided + (worst,)))
+            return children
 
-        elapsed = time.perf_counter() - start
-        if limit is not None:
-            return SolveResult(
-                status=SolveStatus.UNKNOWN,
-                nodes_explored=nodes,
-                solve_time=elapsed,
-                stats={"limit": limit},
-            )
-        return SolveResult(
-            status=SolveStatus.UNSAT, nodes_explored=nodes, solve_time=elapsed
+        return depth_first_search(
+            arrays,
+            branch,
+            node_limit=self.node_limit,
+            time_limit=self.time_limit,
+            rows=owner < 0,
         )
-
-    # -- node construction -------------------------------------------------
 
     @staticmethod
-    def _arrays_for(
-        base: MILPArrays,
-        splits,
-        assignment: tuple[tuple[int, int], ...],
-    ) -> MILPArrays:
-        """Base relaxation plus the rows/bounds of the chosen phases."""
-        if not assignment:
-            return base
-        eq_rows: list[tuple[dict[int, float], float]] = []
-        leq_rows: list[tuple[dict[int, float], float]] = []
-        lower = base.lower.copy()
-        upper = base.upper.copy()
-        for split_index, option_index in assignment:
-            option: PhaseOption = splits[split_index].options[option_index]
-            eq_rows.extend(option.eq_rows)
-            leq_rows.extend(option.leq_rows)
-            for var, lo, hi in option.bounds:
-                lower[var] = max(lower[var], lo)
-                upper[var] = min(upper[var], hi)
+    def _with_option_rows(problem: RelaxedProblem) -> tuple[MILPArrays, np.ndarray]:
+        """The relaxation plus every phase option's rows, and each row's owner.
 
-        def dense(rows):
-            a = np.zeros((len(rows), base.num_vars))
-            b = np.zeros(len(rows))
-            for i, (coeffs, rhs) in enumerate(rows):
-                for j, c in coeffs.items():
-                    a[i, j] += c
-                b[i] = rhs
-            return a, b
-
-        a_eq_extra, b_eq_extra = dense(eq_rows)
-        a_ub_extra, b_ub_extra = dense(leq_rows)
-        return MILPArrays(
-            c=base.c,
-            a_ub=np.vstack([base.a_ub, a_ub_extra]) if len(leq_rows) else base.a_ub,
-            b_ub=np.concatenate([base.b_ub, b_ub_extra]) if len(leq_rows) else base.b_ub,
-            a_eq=np.vstack([base.a_eq, a_eq_extra]) if len(eq_rows) else base.a_eq,
-            b_eq=np.concatenate([base.b_eq, b_eq_extra]) if len(eq_rows) else base.b_eq,
-            lower=lower,
-            upper=upper,
-            binary_mask=base.binary_mask,
-        )
+        ``owner[r]`` numbers the option that row ``r`` (in ``[a_ub; a_eq]``
+        order) belongs to, split by split; it is -1 for the relaxation's
+        own rows.
+        """
+        options = [option for split in problem.splits for option in split.options]
+        leq = [(k, row) for k, option in enumerate(options) for row in option.leq_rows]
+        eq = [(k, row) for k, option in enumerate(options) for row in option.eq_rows]
+        model = problem.model
+        arrays = replace(
+            model,
+            constraints=[
+                *model.constraints,
+                *(LinearConstraint(coeffs, "<=", rhs) for _, (coeffs, rhs) in leq),
+                *(LinearConstraint(coeffs, "==", rhs) for _, (coeffs, rhs) in eq),
+            ],
+        ).to_arrays()
+        n_ub = arrays.a_ub.shape[0]
+        owner = np.full(n_ub + arrays.a_eq.shape[0], -1)
+        owner[n_ub - len(leq) : n_ub] = [k for k, _ in leq]
+        owner[owner.size - len(eq) :] = [k for k, _ in eq]
+        return arrays, owner
 
     @staticmethod
     def _option_order(split, x: np.ndarray) -> list[int]:

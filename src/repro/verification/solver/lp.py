@@ -2,9 +2,10 @@
 
 An :class:`LPSession` loads an LP's constraint rows into HiGHS once.
 Each :meth:`LPSession.solve` then changes only the column bounds and
-re-runs, so dual simplex starts from the previous solve's basis.
-Branch-and-bound opens one session per search and solves every node on
-it.  :func:`solve_lp_relaxation` is a one-shot session.
+the rows it switches on or off, and re-runs, so dual simplex starts
+from the previous solve's basis.  The node search both complete solvers
+share opens one session per search and solves every node on it.
+:func:`solve_lp_relaxation` is a one-shot session.
 
 The fast path uses scipy's bundled HiGHS binding
 (``scipy.optimize._highspy``), a private module.  When it cannot be
@@ -68,13 +69,25 @@ class LPResult:
 class LPSession:
     """One LP's rows, solved repeatedly under changing column bounds.
 
-    Holds a native solver instance: create one per search and do not
-    share it across threads or processes.
+    A solve may also switch rows off: a row mask covers the rows in
+    ``[a_ub; a_eq]`` order, and a row that is off has bounds
+    (-inf, +inf).  Holds a native solver instance: create one per
+    search and do not share it across threads or processes.
     """
 
     def __init__(self, arrays: MILPArrays) -> None:
         self.arrays = arrays
-        self._highs = _load_highs(arrays) if HIGHS_BINDING else None
+        n_ub = arrays.a_ub.shape[0]
+        #: each row's ``(lhs, rhs)`` in ``lhs <= A x <= rhs`` while it is enforced
+        self._row_bounds = np.array(
+            [
+                np.concatenate([np.full(n_ub, -np.inf), arrays.b_eq]),
+                np.concatenate([arrays.b_ub, arrays.b_eq]),
+            ]
+        )
+        self._all_rows = np.ones(self._row_bounds.shape[1], dtype=bool)
+        self._enforced = self._all_rows  #: the rows the HiGHS instance enforces
+        self._highs = _load_highs(arrays, *self._row_bounds) if HIGHS_BINDING else None
         self._columns = np.arange(arrays.num_vars, dtype=np.int32)
 
     def solve(
@@ -82,19 +95,28 @@ class LPSession:
         lower: np.ndarray | None = None,
         upper: np.ndarray | None = None,
         time_limit: float | None = None,
+        rows: np.ndarray | None = None,
     ) -> LPResult:
         """Minimize ``c . x`` with the variable bounds replaced by ``lower``/``upper``.
 
         ``time_limit`` (seconds) bounds this one solve; running out
-        gives ``UNKNOWN``.
+        gives ``UNKNOWN``.  ``rows`` is the mask of enforced rows
+        (``None`` enforces every row).
         """
         lo = self.arrays.lower if lower is None else lower
         hi = self.arrays.upper if upper is None else upper
         if np.any(lo > hi):
             return LPResult(LPStatus.INFEASIBLE)
+        enforced = self._all_rows if rows is None else rows
         if self._highs is None:
-            return _solve_linprog(self.arrays, lo, hi, time_limit)
+            return _solve_linprog(self.arrays, lo, hi, time_limit, enforced)
         highs = self._highs
+        if enforced is not self._enforced:
+            for row in np.flatnonzero(enforced != self._enforced):
+                on = enforced[row]
+                lhs, rhs = self._row_bounds[:, row] if on else (-np.inf, np.inf)
+                highs.changeRowBounds(int(row), lhs, rhs)
+            self._enforced = enforced
         highs.changeColsBounds(
             lo.size,
             self._columns,
@@ -128,21 +150,21 @@ def solve_lp_relaxation(
     return LPSession(arrays).solve(lower, upper, time_limit)
 
 
-def _load_highs(arrays: MILPArrays):
-    """A quiet HiGHS instance holding ``arrays``' rows as ``lhs <= A x <= rhs``."""
-    n_ub, n_eq = arrays.a_ub.shape[0], arrays.a_eq.shape[0]
+def _load_highs(arrays: MILPArrays, row_lower: np.ndarray, row_upper: np.ndarray):
+    """A quiet HiGHS instance holding ``row_lower <= A x <= row_upper``."""
+    n_rows = row_lower.size
     matrix = csc_matrix(np.vstack([arrays.a_ub, arrays.a_eq]))
     lp = _highs.HighsLp()
     lp.num_col_ = arrays.num_vars
-    lp.num_row_ = n_ub + n_eq
+    lp.num_row_ = n_rows
     lp.col_cost_ = np.asarray(arrays.c, dtype=float)
     lp.col_lower_ = np.asarray(arrays.lower, dtype=float)
     lp.col_upper_ = np.asarray(arrays.upper, dtype=float)
-    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), arrays.b_eq])
-    lp.row_upper_ = np.concatenate([arrays.b_ub, arrays.b_eq])
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = arrays.num_vars
-    lp.a_matrix_.num_row_ = n_ub + n_eq
+    lp.a_matrix_.num_row_ = n_rows
     lp.a_matrix_.start_ = matrix.indptr
     lp.a_matrix_.index_ = matrix.indices
     lp.a_matrix_.value_ = matrix.data
@@ -153,18 +175,22 @@ def _load_highs(arrays: MILPArrays):
 
 
 def _solve_linprog(
-    arrays: MILPArrays, lo: np.ndarray, hi: np.ndarray, time_limit: float | None
+    arrays: MILPArrays,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    time_limit: float | None,
+    rows: np.ndarray,
 ) -> LPResult:
-    """The fallback: one cold ``scipy.optimize.linprog`` call."""
+    """The fallback: one cold ``scipy.optimize.linprog`` call, enforced ``rows`` only."""
     from scipy.optimize import linprog
 
-    has_ub, has_eq = arrays.a_ub.shape[0] > 0, arrays.a_eq.shape[0] > 0
+    ub, eq = rows[: arrays.a_ub.shape[0]], rows[arrays.a_ub.shape[0] :]
     result = linprog(
         c=arrays.c,
-        A_ub=arrays.a_ub if has_ub else None,
-        b_ub=arrays.b_ub if has_ub else None,
-        A_eq=arrays.a_eq if has_eq else None,
-        b_eq=arrays.b_eq if has_eq else None,
+        A_ub=arrays.a_ub[ub] if ub.any() else None,
+        b_ub=arrays.b_ub[ub] if ub.any() else None,
+        A_eq=arrays.a_eq[eq] if eq.any() else None,
+        b_eq=arrays.b_eq[eq] if eq.any() else None,
         bounds=np.column_stack([lo, hi]),
         method="highs",
         options={} if time_limit is None else {"time_limit": max(time_limit, 0.0)},

@@ -229,6 +229,18 @@ class TestFeatureSetGuard:
         assert narrow.output_range.lower >= wide.output_range.lower - 1e-9
         assert narrow.output_range.upper <= wide.output_range.upper + 1e-9
 
+    def test_overwrite_forgets_seen_directions(self, api_system):
+        """A replaced set starts its one-off queries' ladder afresh."""
+        model, images, cut, _ = api_system
+        query = VerificationQuery(risk=_reachable_risk(api_system, 0.5), domain=None)
+        engine = VerificationEngine(model, cut)
+        engine.add_feature_set_from_data(images)
+        first = engine.run_query(query)
+        engine.add_feature_set_from_data(images, overwrite=True)
+        again = engine.run_query(query)
+        assert again.ladder == first.ladder
+        assert "support-cache" not in again.ladder
+
 
 class TestMethodPaths:
     def test_relaxed_method_sound(self, engine, api_system):

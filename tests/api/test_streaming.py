@@ -49,7 +49,11 @@ from repro.scenario.streaming import (
     stream_enclosure_range,
     stream_scenario_regions,
 )
-from repro.verification.abstraction.domain import get_domain, precision_ladder
+from repro.verification.abstraction.domain import (
+    get_domain,
+    precision_ladder,
+    registered_domains,
+)
 from repro.verification.abstraction.propagate import propagate_regions
 from repro.verification.prescreen import output_enclosure_batch, screen_enclosure
 
@@ -242,6 +246,29 @@ class TestVerdictParity:
             now_lower, now_upper = engine.feature_set(name).bounds()
             assert np.array_equal(now_lower, lower)
             assert np.array_equal(now_upper, upper)
+
+    @pytest.mark.parametrize("domain", registered_domains())
+    def test_enclosure_range_matches_eager_under_every_domain(self, model, domain):
+        """Relational enclosures are read through their interval hull.
+
+        Two shards against one eager batch: a batched product's last bit
+        depends on the batch size, hence the relative tolerance.
+        """
+        engine = VerificationEngine(model, 3, solver="highs")
+        plan = StreamPlan(n_scenes=1, seed=3, shard_size=3)
+        streamed = stream_enclosure_range(engine, plan, domain=domain)
+        names = engine.add_region_sets(
+            scenario_region_grid(n_scenes=1, seed=3), domain=domain
+        )
+        boxes = [
+            get_domain(domain).enclosure_box(enclosure)
+            for enclosure in engine.output_enclosures(names, domain)
+        ]
+        eager = (
+            min(float(box.lower[0]) for box in boxes),
+            max(float(box.upper[0]) for box in boxes),
+        )
+        assert streamed == pytest.approx(eager, rel=1e-12)
 
     def test_sets_outside_the_plan_are_kept(self, model):
         engine = VerificationEngine(model, 3, solver="highs")

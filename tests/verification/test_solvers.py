@@ -234,14 +234,22 @@ def bounded_lp(rng) -> MILPArrays:
 
 class TestLPSession:
     @given(st.integers(0, 100_000))
-    @settings(max_examples=40, deadline=None)
-    def test_hot_start_matches_cold_solves(self, seed):
-        """A DFS of fixings and backtracks on one session answers like cold solves."""
+    @settings(
+        max_examples=40,
+        deadline=None,
+        # lp_backend patches one module flag that holds for every example
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_hot_start_matches_cold_solves(self, lp_backend, seed):
+        """A DFS of fixings, row toggles and backtracks on one session
+        answers like cold solves over the enforced rows."""
         rng = np.random.default_rng(seed)
         arrays = bounded_lp(rng)
         binaries = np.nonzero(arrays.binary_mask)[0]
+        n_ub = arrays.a_ub.shape[0]
+        all_rows = np.ones(n_ub + arrays.a_eq.shape[0], dtype=bool)
         session = LPSession(arrays)
-        path = [(arrays.lower, arrays.upper)]
+        path = [(arrays.lower, arrays.upper, None)]
         for _ in range(12):
             if len(path) > 1 and rng.random() < 0.35:
                 path.pop()
@@ -249,16 +257,24 @@ class TestLPSession:
                 lower, upper = path[-1][0].copy(), path[-1][1].copy()
                 j = rng.choice(binaries)
                 lower[j] = upper[j] = float(rng.integers(2))
-                path.append((lower, upper))
-            lower, upper = path[-1]
-            hot = session.solve(lower, upper)
-            cold = solve_lp_relaxation(arrays, lower, upper)
+                rows = path[-1][2]
+                if rng.random() < 0.6:
+                    rows = (all_rows if rows is None else rows).copy()
+                    rows[rng.integers(rows.size)] ^= True
+                path.append((lower, upper, rows))
+            lower, upper, rows = path[-1]
+            hot = session.solve(lower, upper, rows=rows)
+            cold = LPSession(arrays).solve(lower, upper, rows=rows)
+            enforced = all_rows if rows is None else rows
+            ub, eq = enforced[:n_ub], enforced[n_ub:]
+            a_ub, b_ub = arrays.a_ub[ub], arrays.b_ub[ub]
+            a_eq, b_eq = arrays.a_eq[eq], arrays.b_eq[eq]
             reference = scipy.optimize.linprog(
                 arrays.c,
-                A_ub=arrays.a_ub,
-                b_ub=arrays.b_ub,
-                A_eq=arrays.a_eq if arrays.a_eq.size else None,
-                b_eq=arrays.b_eq if arrays.a_eq.size else None,
+                A_ub=a_ub if a_ub.size else None,
+                b_ub=b_ub if a_ub.size else None,
+                A_eq=a_eq if a_eq.size else None,
+                b_eq=b_eq if a_eq.size else None,
                 bounds=np.column_stack([lower, upper]),
                 method="highs",
             )
@@ -271,8 +287,8 @@ class TestLPSession:
                 assert result.objective == pytest.approx(reference.fun, rel=1e-7, abs=1e-9)
             x = hot.x
             assert np.all(x >= lower - 1e-7) and np.all(x <= upper + 1e-7)
-            assert np.all(arrays.a_ub @ x <= arrays.b_ub + 1e-7)
-            np.testing.assert_allclose(arrays.a_eq @ x, arrays.b_eq, atol=1e-7)
+            assert np.all(a_ub @ x <= b_ub + 1e-7)
+            np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-7)
 
     def test_crossed_bounds_are_infeasible(self, lp_backend):
         arrays = bounded_lp(np.random.default_rng(0))
@@ -302,6 +318,46 @@ class TestLPSession:
         arrays = bounded_lp(np.random.default_rng(2))
         assert solve_lp_relaxation(arrays, time_limit=0.0).status is LPStatus.UNKNOWN
         assert solve_lp_relaxation(arrays).status is LPStatus.OPTIMAL
+
+
+class TestOneSessionPerSearch:
+    """Every node LP of one solver call runs on one hot-started session."""
+
+    @pytest.fixture
+    def sessions(self, monkeypatch):
+        opened = []
+        real_init = LPSession.__init__
+
+        def init(self, arrays):
+            opened.append(arrays)
+            real_init(self, arrays)
+
+        monkeypatch.setattr(LPSession, "__init__", init)
+        return opened
+
+    @pytest.fixture
+    def instance(self):
+        rng = np.random.default_rng(3)
+        net = Sequential(
+            [Dense(8), ReLU(), Dense(6), ReLU(), Dense(2)], input_shape=(4,), seed=3
+        ).full_network()
+        sbox = box_from_data(rng.normal(size=(40, 4)))
+        outputs = net.apply(sbox.sample(rng, 300))
+        risk = RiskCondition("t", (output_geq(2, 0, float(outputs[:, 0].max())),))
+        return net, sbox, risk
+
+    def test_branch_and_bound(self, sessions, instance):
+        problem = encode_verification_problem(*instance)
+        result = BranchAndBoundSolver().solve(problem.model)
+        problem.model.set_objective({problem.output_vars[0]: -1.0})
+        optimum = BranchAndBoundSolver().minimize(problem.model)
+        assert result.nodes_explored > 1 and optimum.nodes_explored > 1
+        assert len(sessions) == 2
+
+    def test_phase_split(self, sessions, instance):
+        result = PhaseSplitSolver().solve(encode_relaxed_problem(*instance))
+        assert result.nodes_explored > 1
+        assert len(sessions) == 1
 
 
 class TestFailedLPIsNotInfeasible:
