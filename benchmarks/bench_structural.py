@@ -7,9 +7,9 @@ comes from network *width*, not input volume.  Each hidden layer of the
 and one decreasing prototype, with biases centred so every hidden
 neuron is unstable over the unit box.  That shape is the worst case for
 region splitting — the interval prescreen bound (~6.0) never crosses
-the 0.3 threshold, and the full-width MILP needs ~1000 branch-and-bound
+the 0.3 threshold, and the full-width MILP needs ~560 branch-and-bound
 nodes per leaf — and the best case for merging, which collapses each
-rail to its prototype so the coarse merged MILP refutes in ~15 nodes.
+rail to its prototype so the coarse merged MILP refutes in ~33 nodes.
 
 Asserted here and in CI's campaign-smoke job:
 

@@ -12,7 +12,9 @@ Every (track, instance) cell loads its own model and parsed property
 and gets a **fresh** :class:`~repro.api.VerificationEngine`, so no
 track benefits from another track's caches — times are attributable to
 the configuration alone, and a cell runs the same in-process or on a
-pool worker.
+pool worker.  A cell answers through
+:func:`~repro.interchange.instances.answer_instance`, the per-instance
+budget loop the daemon's jobs run too.
 """
 
 from __future__ import annotations
@@ -30,26 +32,18 @@ from repro.bench.scoring import (
 )
 from repro.api import VerificationQuery
 from repro.bench.tracks import Track
-from repro.core.verdict import Verdict
 from repro.interchange.instances import (
-    SAT,
+    ERROR,
+    TIMEOUT,
     UNKNOWN,
-    UNSAT,
     BenchmarkInstance,
-    combine_disjunct_verdicts,
+    answer_instance,
     instance_engine,
 )
 from repro.verification.pool import WorkerPool
 
 #: default cegar subproblem budget when a cegar track does not set one
 _CEGAR_BUDGET = 32
-
-_VERDICT_STATUS = {
-    Verdict.UNSAFE_IN_SET: SAT,
-    Verdict.SAFE: UNSAT,
-    Verdict.CONDITIONALLY_SAFE: UNSAT,
-    Verdict.UNKNOWN: UNKNOWN,
-}
 
 
 @dataclass
@@ -120,10 +114,9 @@ def run_instance(
     count against the track that needs them.
 
     The budget is a genuine **per-instance** wall budget, CHC-COMP
-    style: every disjunct query is given only the *remaining* budget as
-    its solver limit, a ``sat`` disjunct ends the instance early, and
-    an answer arriving after the budget has elapsed does not count —
-    the outcome is ``timeout`` regardless of what the solver said.
+    style: :func:`~repro.interchange.instances.answer_instance` gives
+    every disjunct query only the *remaining* budget as its solver
+    limit, and scores an answer arriving after the budget ``timeout``.
     """
     budget = float(timeout if timeout is not None else instance.timeout)
     start = time.perf_counter()
@@ -134,15 +127,9 @@ def run_instance(
         model = instance.load_model() if model is None else model
         prop = instance.load_property() if prop is None else prop
         engine = instance_engine(model, prop, solver=track.solver)
-        statuses: list[str] = []
-        deciders: set[str] = set()
-        timed_out = False
-        for disjunct in prop.disjuncts:
-            remaining = budget - (time.perf_counter() - start)
-            if remaining <= 0.0:
-                timed_out = True
-                break
-            result = engine.run_query_safe(
+
+        def ask(disjunct, remaining):
+            return engine.run_query_safe(
                 VerificationQuery(
                     risk=disjunct,
                     set_name="instance",
@@ -152,44 +139,35 @@ def run_instance(
                     refine_budget=refine_budget,
                 )
             )
-            if not result.ok:
-                return InstanceOutcome(
-                    track=track.name,
-                    instance=instance.name,
-                    status="error",
-                    elapsed=time.perf_counter() - start,
-                    timeout=budget,
-                    expected=instance.expected,
-                    detail=result.error or "query error",
-                )
-            if result.decided_by:
-                deciders.add(result.decided_by)
-            statuses.append(_VERDICT_STATUS.get(result.verdict.verdict, UNKNOWN))
-            if statuses[-1] == SAT:
-                break  # any reachable disjunct decides the instance
-    except Exception as exc:  # a broken instance must not sink the run
-        return InstanceOutcome(
-            track=track.name,
-            instance=instance.name,
-            status="error",
-            elapsed=time.perf_counter() - start,
-            timeout=budget,
-            expected=instance.expected,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
-    elapsed = time.perf_counter() - start
 
-    status = combine_disjunct_verdicts(statuses)
-    if timed_out or elapsed > budget:
-        status = "timeout"
+        answer = answer_instance(
+            ask, prop.disjuncts, budget - (time.perf_counter() - start)
+        )
+        status, detail = answer.status, answer.error or ",".join(answer.decided_by)
+    except Exception as exc:  # a broken instance must not sink the run
+        status, detail = ERROR, f"{type(exc).__name__}: {exc}"
+    return _outcome(
+        track, instance, budget, status, detail, time.perf_counter() - start
+    )
+
+
+def _outcome(
+    track: Track,
+    instance: BenchmarkInstance,
+    timeout: float | None,
+    status: str,
+    detail: str,
+    elapsed: float = 0.0,
+) -> InstanceOutcome:
+    """One scored cell; ``timeout`` overrides the instance's own budget."""
     return InstanceOutcome(
         track=track.name,
         instance=instance.name,
         status=status,
         elapsed=elapsed,
-        timeout=budget,
+        timeout=float(timeout if timeout is not None else instance.timeout),
         expected=instance.expected,
-        detail=",".join(sorted(deciders)),
+        detail=detail,
     )
 
 
@@ -201,9 +179,9 @@ def run_instance_daemon(
 ) -> InstanceOutcome:
     """Answer one instance by submitting it to a running daemon.
 
-    ``client`` is a :class:`~repro.service.ServiceClient`.  The daemon
-    applies the same per-instance wall-budget semantics as
-    :func:`run_instance` (late answers score ``timeout``), but against
+    ``client`` is a :class:`~repro.service.ServiceClient`.  The daemon's
+    job runs the same per-instance loop as :func:`run_instance` (late
+    answers score ``timeout``), but against
     long-lived engines and the persistent result store — so unlike the
     in-process runner, repeated instances may be answered from the
     store, and times are not attributable to the track configuration
@@ -227,35 +205,20 @@ def run_instance_daemon(
         # behind others before its own wall budget even starts
         job = client.wait_for(job["id"], timeout=max(4.0 * budget, 60.0))
     except Exception as exc:
-        return InstanceOutcome(
-            track=track.name,
-            instance=instance.name,
-            status="error",
-            elapsed=0.0,
-            timeout=budget,
-            expected=instance.expected,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
+        return _outcome(track, instance, budget, ERROR, f"{type(exc).__name__}: {exc}")
     result = job.get("result") or {}
     state = job["state"]
     if state == "done":
         status = result.get("status", UNKNOWN)
         detail = ",".join(result.get("decided_by", ()))
     elif state == "timeout":
-        status = "timeout"
+        status = TIMEOUT
         detail = ",".join(result.get("decided_by", ()))
     else:
-        status = "error"
+        status = ERROR
         detail = job.get("error") or state
-    return InstanceOutcome(
-        track=track.name,
-        instance=instance.name,
-        status=status,
-        elapsed=float(result.get("elapsed", 0.0)),
-        timeout=budget,
-        expected=instance.expected,
-        detail=detail,
-    )
+    elapsed = float(result.get("elapsed", 0.0))
+    return _outcome(track, instance, budget, status, detail, elapsed)
 
 
 def _run_cell(
@@ -283,15 +246,7 @@ def _run_cell(
         if diagnostics is None:
             return run_instance(track, instance, model, prop, timeout=timeout)
         detail = f"static analysis rejected model: {diagnostics}"
-    return InstanceOutcome(
-        track=track.name,
-        instance=instance.name,
-        status="error",
-        elapsed=0.0,
-        timeout=float(timeout if timeout is not None else instance.timeout),
-        expected=instance.expected,
-        detail=detail,
-    )
+    return _outcome(track, instance, timeout, ERROR, detail)
 
 
 def run_competition(

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.api import VerificationQuery
 from repro.interchange.instances import (
+    VERDICT_STATUS,
     BenchmarkInstance,
     combine_disjunct_verdicts,
     export_instance,
@@ -99,10 +100,8 @@ def native_verdict(
     report = engine.run(instance_campaign(prop, method="exact", domain="interval"))
     if report.errors:
         raise RuntimeError(f"native verdict failed: {report.errors[0].error}")
-    from repro.bench.runner import _VERDICT_STATUS  # avoid an import cycle
-
     return combine_disjunct_verdicts(
-        [_VERDICT_STATUS[r.verdict.verdict] for r in report.results]
+        [VERDICT_STATUS[r.verdict.verdict] for r in report.results]
     )
 
 

@@ -270,8 +270,10 @@ def _stream_campaign(engine: VerificationEngine, args: argparse.Namespace) -> in
         sample=args.sample,
         sample_seed=args.seed,
     )
-    # same threshold derivation as the eager path (bitwise-identical
-    # enclosure range), computed in O(shard) memory over the plan
+    # same threshold derivation as the eager path, computed in O(shard)
+    # memory over the plan: the enclosure range is equal up to the last
+    # bit, so the 3-decimal thresholds are equal except at a rounding
+    # boundary
     lo, hi = stream_enclosure_range(engine, plan)
     risks = [
         steer_far_left(round(hi + 0.25, 3)),

@@ -15,19 +15,24 @@ bundled suites in :mod:`repro.bench.suites` are generated.
 :func:`instance_campaign` compiles a parsed property into one
 :class:`~repro.api.VerificationQuery` per output disjunct; the
 instance-level verdict is ``sat`` iff **any** disjunct is reachable and
-``unsat`` iff **all** are proved unreachable.
+``unsat`` iff **all** are proved unreachable.  :func:`answer_instance`
+is the one per-instance budget loop over those disjuncts: the bench
+runner's cells and the daemon's jobs both answer through it.
 """
 
 from __future__ import annotations
 
 import csv
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api import Campaign, VerificationEngine, VerificationQuery
+from repro.api import Campaign, QueryResult, VerificationEngine, VerificationQuery
+from repro.core.verdict import Verdict
 from repro.interchange.onnx import export_onnx, import_onnx
 from repro.interchange.vnnlib import VnnLibProperty, read_vnnlib, write_vnnlib
 from repro.nn.sequential import Sequential
@@ -37,6 +42,16 @@ INDEX_NAME = "instances.csv"
 
 #: instance-level verdict values
 SAT, UNSAT, UNKNOWN = "sat", "unsat", "unknown"
+#: instance outcomes that are not verdicts, in precedence order
+CANCELLED, ERROR, TIMEOUT = "cancelled", "error", "timeout"
+
+#: engine verdict -> per-disjunct status
+VERDICT_STATUS = {
+    Verdict.UNSAFE_IN_SET: SAT,
+    Verdict.SAFE: UNSAT,
+    Verdict.CONDITIONALLY_SAFE: UNSAT,
+    Verdict.UNKNOWN: UNKNOWN,
+}
 
 
 @dataclass(frozen=True)
@@ -183,6 +198,20 @@ def export_instance(
 # ---------------------------------------------------------------------------
 
 
+def check_dimensions(model: Sequential, prop: VnnLibProperty) -> None:
+    """Raise ``ValueError`` unless the property's variables fit the model."""
+    if prop.in_dim != int(np.prod(model.input_shape)):
+        raise ValueError(
+            f"property has {prop.in_dim} input variables, model input shape "
+            f"is {model.input_shape}"
+        )
+    if prop.out_dim != int(np.prod(model.output_shape)):
+        raise ValueError(
+            f"property has {prop.out_dim} output variables, model output "
+            f"shape is {model.output_shape}"
+        )
+
+
 def instance_engine(
     model: Sequential,
     prop: VnnLibProperty,
@@ -200,16 +229,7 @@ def instance_engine(
     over-approximation (``unsat`` stays sound, ``sat`` witnesses are
     replayed through the real network before being trusted).
     """
-    if prop.in_dim != int(np.prod(model.input_shape)):
-        raise ValueError(
-            f"property has {prop.in_dim} input variables, model input shape "
-            f"is {model.input_shape}"
-        )
-    if prop.out_dim != int(np.prod(model.output_shape)):
-        raise ValueError(
-            f"property has {prop.out_dim} output variables, model output "
-            f"shape is {model.output_shape}"
-        )
+    check_dimensions(model, prop)
     cut = model.piecewise_linear_cut_points()[0]
     engine = VerificationEngine(model, cut, solver=solver, **engine_options)
     engine.add_static_feature_set(
@@ -258,3 +278,73 @@ def combine_disjunct_verdicts(verdicts: Sequence[str]) -> str:
     if verdicts and all(v == UNSAT for v in verdicts):
         return UNSAT
     return UNKNOWN
+
+
+@dataclass
+class InstanceAnswer:
+    """What :func:`answer_instance` learned about one instance."""
+
+    #: sat / unsat / unknown, or cancelled / error / timeout
+    status: str
+    statuses: list[str]  #: one per answered disjunct, in order
+    decided_by: list[str]  #: sorted deciding stages
+    elapsed: float
+    error: str | None  #: the failed query's error text
+    results: list[QueryResult]  #: one per asked disjunct
+
+
+def answer_instance(
+    ask: Callable[[RiskCondition, float | None], QueryResult],
+    disjuncts: Sequence[RiskCondition],
+    budget: float | None,
+    cancel: threading.Event | None = None,
+) -> InstanceAnswer:
+    """Answer an instance's disjuncts in order under one wall budget.
+
+    ``ask(disjunct, remaining)`` answers one disjunct with ``remaining``
+    seconds left (``None`` without a budget).  A ``sat`` disjunct ends
+    the instance, and so does a failed query.  The budget is CHC-COMP
+    style: an answer that lands after it does not count, and one that
+    lands after ``cancel`` is set does not either.  One precedence rule
+    picks the status: cancelled > error > timeout > the combined verdict.
+    """
+    start = time.perf_counter()
+    statuses: list[str] = []
+    deciders: set[str] = set()
+    results: list[QueryResult] = []
+    error: str | None = None
+    timed_out = False
+    for disjunct in disjuncts:
+        if cancel is not None and cancel.is_set():
+            break
+        remaining = None if budget is None else budget - (time.perf_counter() - start)
+        if remaining is not None and remaining <= 0.0:
+            timed_out = True
+            break
+        result = ask(disjunct, remaining)
+        results.append(result)
+        if not result.ok:
+            error = result.error or "query error"
+            break
+        if result.decided_by:
+            deciders.add(result.decided_by)
+        statuses.append(VERDICT_STATUS.get(result.verdict.verdict, UNKNOWN))
+        if statuses[-1] == SAT:
+            break  # any reachable disjunct decides the instance
+    elapsed = time.perf_counter() - start
+    if cancel is not None and cancel.is_set():
+        status = CANCELLED
+    elif error is not None:
+        status = ERROR
+    elif timed_out or (budget is not None and elapsed > budget):
+        status = TIMEOUT
+    else:
+        status = combine_disjunct_verdicts(statuses)
+    return InstanceAnswer(
+        status=status,
+        statuses=statuses,
+        decided_by=sorted(deciders),
+        elapsed=elapsed,
+        error=error,
+        results=results,
+    )

@@ -71,7 +71,7 @@ from repro.verification.prescreen import (  # noqa: F401
     screen_enclosure,
 )
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
+if TYPE_CHECKING:  # repro.api imports this module, so import lazily
     from repro.api.campaign import CampaignReport, QueryResult
     from repro.api.engine import VerificationEngine
     from repro.properties.risk import RiskCondition
@@ -752,11 +752,13 @@ def stream_enclosure_range(
     Each shard is registered through
     :meth:`~repro.api.engine.VerificationEngine.add_region_sets`, its
     :meth:`~repro.api.engine.VerificationEngine.output_enclosures` are
-    read and its sets are removed again, so the (lo, hi) pair is the
-    eager derivation's, bit for bit — the CLI uses it to pick risk
-    thresholds for streamed sweeps that match the eager scenario-grid
-    campaign exactly.  Sets the caller registered under the plan's
-    region names are rejected before the first shard (``ValueError``).
+    read and its sets are removed again, so the (lo, hi) pair equals
+    the eager derivation's up to the last bit (batched propagation's
+    last bit depends on the shard size).  The CLI uses it to pick risk
+    thresholds for streamed sweeps; its 3-decimal rounding makes them
+    equal the eager scenario-grid campaign's except at a rounding
+    boundary.  Sets the caller registered under the plan's region names
+    are rejected before the first shard (``ValueError``).
     """
     _reject_clashes(engine, plan)
     hull = get_domain(domain).enclosure_box

@@ -3,11 +3,13 @@
 :class:`VerificationService` owns an asyncio event loop on a background
 thread, a priority heap of submitted jobs, and a thread-pool of job
 executors capped at ``workers``.  Each job answers one (model, property)
-pair the way the bench runner does — per-disjunct queries under a
-genuine wall budget, ``sat`` short-circuits, a late answer scores
-``timeout`` — but against **long-lived per-model engines** whose
-enclosure/encoding caches and persistent result store survive across
-jobs, which is the whole point of running as a daemon.
+pair through the bench runner's own per-instance loop,
+:func:`~repro.interchange.instances.answer_instance` — per-disjunct
+queries under a genuine wall budget, ``sat`` short-circuits, a late
+answer scores ``timeout``, and cancelled > error > timeout > verdict —
+but against **long-lived per-model engines** whose enclosure/encoding
+caches and persistent result store survive across jobs, which is the
+whole point of running as a daemon.
 
 Job lifecycle::
 
@@ -15,9 +17,10 @@ Job lifecycle::
 
 - *priorities*: higher runs first among queued jobs (FIFO within a
   priority);
-- *single-flight*: two concurrent jobs with the same (model digest,
-  property digest, method, domain, solver) key compute once — the
-  follower waits for the leader and copies its outcome;
+- *single-flight*: two concurrent jobs that ask the identical question
+  (same model and property digests, same spec up to ``priority`` and
+  ``label``) compute once — the follower waits for the leader and
+  copies its outcome;
 - *cancellation*: queued jobs cancel immediately; running CEGAR jobs
   are executed in budget slices and checkpoint between slices, leaving
   the engine's cached loop frontier intact for a resubmission to
@@ -43,9 +46,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from repro.api import VerificationEngine, VerificationQuery
+from repro.api import QueryResult, VerificationEngine, VerificationQuery
+from repro.interchange.instances import (
+    CANCELLED,
+    ERROR,
+    TIMEOUT,
+    UNKNOWN,
+    answer_instance,
+    check_dimensions,
+)
 from repro.interchange.onnx import import_onnx
 from repro.interchange.vnnlib import VnnLibProperty, read_vnnlib
 from repro.nn.sequential import Sequential
@@ -68,6 +77,13 @@ class JobState(enum.Enum):
     CANCELLED = "cancelled"
     TIMEOUT = "timeout"
 
+
+#: job state of each instance status that is not a verdict
+_JOB_STATES = {
+    CANCELLED: JobState.CANCELLED,
+    ERROR: JobState.FAILED,
+    TIMEOUT: JobState.TIMEOUT,
+}
 
 #: states a job never leaves
 TERMINAL_STATES = (
@@ -420,16 +436,7 @@ class VerificationService:
         """Register the property's input box once per engine; return
         ``(set name, property digest)``."""
         model = entry.model
-        if prop.in_dim != int(np.prod(model.input_shape)):
-            raise ValueError(
-                f"property has {prop.in_dim} input variables, model input "
-                f"shape is {model.input_shape}"
-            )
-        if prop.out_dim != int(np.prod(model.output_shape)):
-            raise ValueError(
-                f"property has {prop.out_dim} output variables, model output "
-                f"shape is {model.output_shape}"
-            )
+        check_dimensions(model, prop)
         digest = property_digest(prop.input_lower, prop.input_upper, prop.disjuncts)
         set_name = entry.sets.get(digest)
         if set_name is None:
@@ -444,12 +451,17 @@ class VerificationService:
         return set_name, digest
 
     def _flight_key(self, entry: _EngineEntry, prop_digest: str, spec: JobSpec) -> tuple:
+        """Every spec field that shapes the answer: only identical
+        questions coalesce (``priority`` and ``label`` do not count)."""
         return (
             entry.digest,
             prop_digest,
             spec.method,
             spec.domain,
             spec.solver or self.solver,
+            spec.timeout,
+            spec.refine_budget,
+            spec.structural,
         )
 
     def _execute(self, job: Job) -> None:
@@ -492,173 +504,106 @@ class VerificationService:
     def _execute_instance(
         self, job: Job, entry: _EngineEntry, prop: VnnLibProperty, set_name: str
     ) -> None:
-        """The bench runner's budget semantics against a shared engine."""
-        from repro.bench.runner import _VERDICT_STATUS  # avoid an import cycle
-        from repro.interchange.instances import UNKNOWN, combine_disjunct_verdicts
+        """Answer the job through the bench runner's per-instance loop.
 
+        Only ``ask`` differs by method; the loop's budget, cancellation
+        and precedence rules are :func:`answer_instance`'s.
+        """
         spec = job.spec
-        start = time.monotonic()
-        budget = spec.timeout
         hits_before = self.store.stats.hits
-        statuses: list[str] = []
-        deciders: set[str] = set()
-        cegar_info: dict[str, Any] | None = None
-        timed_out = False
-        cancelled = False
-        failed: str | None = None
 
-        for disjunct in prop.disjuncts:
-            if job.cancel_event.is_set():
-                cancelled = True
-                break
-            remaining = (
-                None if budget is None else budget - (time.monotonic() - start)
+        def query(disjunct, remaining, **options) -> VerificationQuery:
+            return VerificationQuery(
+                risk=disjunct,
+                set_name=set_name,
+                domain=spec.domain,
+                solver=spec.solver,
+                time_limit=remaining,
+                **options,
             )
-            if remaining is not None and remaining <= 0.0:
-                timed_out = True
-                break
-            if spec.method == "cegar":
-                outcome = self._run_cegar_sliced(
-                    job, entry, set_name, disjunct, start, budget
+
+        def ask(disjunct, remaining) -> QueryResult:
+            with entry.lock:
+                return entry.engine.run_query_safe(
+                    query(disjunct, remaining, method=spec.method)
                 )
-                result, cancelled, timed_out = outcome
-            elif spec.method == "portfolio":
-                query = VerificationQuery(
-                    risk=disjunct,
-                    set_name=set_name,
-                    method="exact",
-                    domain=spec.domain,
-                    solver=spec.solver,
-                    time_limit=remaining,
+
+        def ask_portfolio(disjunct, remaining) -> QueryResult:
+            with entry.lock:
+                if entry.portfolio is None:
+                    from repro.api.portfolio import Portfolio
+
+                    entry.portfolio = Portfolio(entry.engine)
+                return entry.portfolio.run_query(
+                    query(disjunct, remaining, method="exact"),
+                    cancel=job.cancel_event,
                 )
+
+        def ask_cegar(disjunct, remaining) -> QueryResult:
+            """Spend the CEGAR budget in slices, checkpointing between them.
+
+            The engine caches the loop per (set, risk), so every slice
+            resumes the surviving frontier; a cancellation or wall-budget
+            expiry between slices returns the last slice's result and
+            leaves that frontier intact for a resubmitted job to pick up.
+            """
+            deadline = None if remaining is None else time.monotonic() + remaining
+            left = spec.refine_budget or _CEGAR_BUDGET
+            while True:
+                step = min(self.cegar_slice, left)
                 with entry.lock:
-                    if entry.portfolio is None:
-                        from repro.api.portfolio import Portfolio
-
-                        entry.portfolio = Portfolio(entry.engine)
-                    result = entry.portfolio.run_query(
-                        query, cancel=job.cancel_event
+                    result = entry.engine.run_query_safe(
+                        query(
+                            disjunct,
+                            remaining,
+                            method="cegar",
+                            refine_budget=step,
+                            structural=spec.structural,
+                        )
                     )
-                if job.cancel_event.is_set():
-                    cancelled = True
-            else:
-                query = VerificationQuery(
-                    risk=disjunct,
-                    set_name=set_name,
-                    method=spec.method,
-                    domain=spec.domain,
-                    solver=spec.solver,
-                    time_limit=remaining,
-                )
-                with entry.lock:
-                    result = entry.engine.run_query_safe(query)
-            if result is None:
-                break
-            if not result.ok:
-                failed = result.error or "query error"
-                break
-            if result.decided_by:
-                deciders.add(result.decided_by)
-            if result.cegar is not None:
-                cegar_info = {
-                    "subproblems_processed": result.cegar.subproblems_processed,
-                    "queued": result.cegar.queued,
-                    "parked": result.cegar.parked,
-                    "rounds": len(result.cegar.trace.rounds),
-                }
-                if spec.structural:
-                    cegar_info["structural_splits"] = sum(
-                        r.structural_splits for r in result.cegar.trace.rounds
-                    )
-            statuses.append(_VERDICT_STATUS.get(result.verdict.verdict, UNKNOWN))
-            if statuses[-1] == "sat":
-                break  # any reachable disjunct decides the instance
-            if cancelled or timed_out:
-                break
+                left -= step
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                if (
+                    not left
+                    or not result.ok
+                    or result.cegar is None
+                    or result.cegar.queued == 0
+                    or result.verdict.verdict.value != "unknown"
+                    or job.cancel_event.is_set()
+                    or (remaining is not None and remaining <= 0.0)
+                ):
+                    return result
 
-        elapsed = time.monotonic() - start
-        if budget is not None and elapsed > budget:
-            # bench semantics: an answer landing after the wall budget
-            # does not count, whatever the solver said
-            timed_out = True
-
+        ask = {"cegar": ask_cegar, "portfolio": ask_portfolio}.get(spec.method, ask)
+        answer = answer_instance(ask, prop.disjuncts, spec.timeout, job.cancel_event)
         payload: dict[str, Any] = {
-            "status": combine_disjunct_verdicts(statuses),
-            "statuses": statuses,
-            "decided_by": sorted(deciders),
-            "elapsed": elapsed,
+            "status": UNKNOWN if answer.status == CANCELLED else answer.status,
+            "statuses": answer.statuses,
+            "decided_by": answer.decided_by,
+            "elapsed": answer.elapsed,
             "store_hits": self.store.stats.hits - hits_before,
             "model_digest": entry.digest,
         }
         if spec.label is not None:
             payload["label"] = spec.label
-        if cegar_info is not None:
-            payload["cegar"] = cegar_info
-
-        if cancelled:
-            payload["status"] = UNKNOWN
-            self._apply_outcome(job, JobState.CANCELLED, payload)
-        elif timed_out:
-            payload["status"] = "timeout"
-            self._apply_outcome(job, JobState.TIMEOUT, payload)
-        elif failed is not None:
-            job.error = failed
-            payload["status"] = "error"
-            self._apply_outcome(job, JobState.FAILED, payload)
-        else:
-            self._apply_outcome(job, JobState.DONE, payload)
-
-    def _run_cegar_sliced(
-        self,
-        job: Job,
-        entry: _EngineEntry,
-        set_name: str,
-        disjunct,
-        start: float,
-        budget: float | None,
-    ):
-        """Spend the CEGAR budget in slices, checkpointing between them.
-
-        The engine caches the loop per (set, risk), so every slice
-        resumes the surviving frontier; a cancellation or wall-budget
-        expiry between slices leaves that frontier intact for a
-        resubmitted job to pick up.
-        """
-        spec = job.spec
-        total = spec.refine_budget or _CEGAR_BUDGET
-        spent = 0
-        result = None
-        while spent < total:
-            if job.cancel_event.is_set():
-                return result, True, False
-            remaining = (
-                None if budget is None else budget - (time.monotonic() - start)
-            )
-            if remaining is not None and remaining <= 0.0:
-                return result, False, True
-            query = VerificationQuery(
-                risk=disjunct,
-                set_name=set_name,
-                method="cegar",
-                domain=spec.domain,
-                solver=spec.solver,
-                time_limit=remaining,
-                refine_budget=min(self.cegar_slice, total - spent),
-                structural=spec.structural,
-            )
-            with entry.lock:
-                result = entry.engine.run_query_safe(query)
-            if not result.ok:
-                return result, False, False
-            spent += min(self.cegar_slice, total - spent)
-            decided = (
-                result.verdict is not None
-                and result.verdict.verdict.value != "unknown"
-            )
-            exhausted = result.cegar is not None and result.cegar.queued == 0
-            if decided or exhausted or result.cegar is None:
-                return result, False, False
-        return result, False, False
+        cegars = [r.cegar for r in answer.results if r.cegar is not None]
+        if cegars:
+            cegar = cegars[-1]
+            payload["cegar"] = {
+                "subproblems_processed": cegar.subproblems_processed,
+                "queued": cegar.queued,
+                "parked": cegar.parked,
+                "rounds": len(cegar.trace.rounds),
+            }
+            if spec.structural:
+                payload["cegar"]["structural_splits"] = sum(
+                    r.structural_splits for r in cegar.trace.rounds
+                )
+        if answer.status == ERROR:
+            job.error = answer.error
+        state = _JOB_STATES.get(answer.status, JobState.DONE)
+        self._apply_outcome(job, state, payload)
 
     def _apply_outcome(
         self, job: Job, state: JobState, payload: dict[str, Any] | None

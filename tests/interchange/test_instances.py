@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.verdict import Verdict
 from repro.interchange import (
     BenchmarkInstance,
     combine_disjunct_verdicts,
@@ -14,6 +19,7 @@ from repro.interchange import (
     load_instances,
     write_index,
 )
+from repro.interchange.instances import answer_instance
 from repro.interchange.vnnlib import VnnLibProperty
 from repro.nn import Dense, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq
@@ -165,3 +171,98 @@ class TestVerdictCombination:
     )
     def test_combine(self, verdicts, expected):
         assert combine_disjunct_verdicts(verdicts) == expected
+
+
+def _result(status: str, decided_by: str = "solve", delay: float = 0.0):
+    """A stand-in query result with one of the loop's verdict statuses."""
+    time.sleep(delay)
+    if status == "error":
+        return SimpleNamespace(ok=False, error="solver crashed", decided_by=None)
+    verdict = {"sat": Verdict.UNSAFE_IN_SET, "unsat": Verdict.SAFE}.get(
+        status, Verdict.UNKNOWN
+    )
+    return SimpleNamespace(
+        ok=True,
+        error=None,
+        decided_by=decided_by,
+        verdict=SimpleNamespace(verdict=verdict),
+    )
+
+
+class TestAnswerInstance:
+    """The one per-instance budget loop, driven by a scripted ``ask``."""
+
+    @staticmethod
+    def _scripted(*replies):
+        asked: list[tuple[str, float | None]] = []
+
+        def ask(disjunct, remaining):
+            asked.append((disjunct, remaining))
+            return replies[len(asked) - 1]()
+
+        return ask, asked
+
+    def test_sat_disjunct_stops_further_asks(self):
+        ask, asked = self._scripted(
+            lambda: _result("unsat", "prescreen"), lambda: _result("sat", "attack")
+        )
+        answer = answer_instance(ask, ["a", "b", "c"], 10.0)
+        assert [d for d, _ in asked] == ["a", "b"]
+        assert answer.status == "sat"
+        assert answer.statuses == ["unsat", "sat"]
+        assert answer.decided_by == ["attack", "prescreen"]
+        assert answer.error is None and len(answer.results) == 2
+
+    def test_all_unsat_is_unsat(self):
+        ask, _ = self._scripted(lambda: _result("unsat"), lambda: _result("unsat"))
+        assert answer_instance(ask, ["a", "b"], None).status == "unsat"
+
+    def test_remaining_shrinks_and_is_none_without_budget(self):
+        slow = lambda: _result("unsat", delay=0.01)  # noqa: E731
+        ask, asked = self._scripted(slow, slow, slow)
+        answer_instance(ask, ["a", "b", "c"], 10.0)
+        remaining = [r for _, r in asked]
+        assert all(r is not None and r <= 10.0 for r in remaining)
+        assert remaining == sorted(remaining, reverse=True)
+        assert remaining[-1] <= remaining[0] - 0.02
+        ask, asked = self._scripted(slow, slow)
+        answer_instance(ask, ["a", "b"], None)
+        assert [r for _, r in asked] == [None, None]
+
+    def test_late_answer_is_timeout_and_stops_the_loop(self):
+        ask, asked = self._scripted(lambda: _result("unsat", delay=0.05))
+        answer = answer_instance(ask, ["a", "b"], 0.01)
+        assert answer.status == "timeout"
+        assert len(asked) == 1
+        # the late answer is still reported per disjunct
+        assert answer.statuses == ["unsat"]
+        assert answer.elapsed > 0.01
+
+    def test_late_failed_query_is_error(self):
+        ask, _ = self._scripted(lambda: _result("error", delay=0.05))
+        answer = answer_instance(ask, ["a", "b"], 0.01)
+        assert answer.status == "error"
+        assert answer.error == "solver crashed"
+        assert answer.statuses == []
+
+    def test_cancel_between_disjuncts_stops_asking(self):
+        cancel = threading.Event()
+
+        def cancelled_after():
+            cancel.set()
+            return _result("unsat")
+
+        ask, asked = self._scripted(cancelled_after, lambda: _result("unsat"))
+        answer = answer_instance(ask, ["a", "b"], None, cancel)
+        assert answer.status == "cancelled"
+        assert [d for d, _ in asked] == ["a"]
+
+    def test_cancel_outranks_error(self):
+        cancel = threading.Event()
+
+        def fail_cancelled():
+            cancel.set()
+            return _result("error")
+
+        ask, _ = self._scripted(fail_cancelled)
+        assert answer_instance(ask, ["a"], None, cancel).status == "cancelled"

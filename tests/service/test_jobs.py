@@ -160,6 +160,44 @@ class TestStoreIntegration:
             svc.close(drain=False)
 
 
+    @pytest.mark.parametrize(
+        "leader_fields, follower_fields",
+        [
+            ({"structural": True}, {"structural": False}),
+            ({"refine_budget": 30}, {"refine_budget": 31}),
+        ],
+        ids=["structural", "refine_budget"],
+    )
+    def test_single_flight_never_merges_different_questions(
+        self, bench_dir, monkeypatch, leader_fields, follower_fields
+    ):
+        """A follower that differs in a field shaping the answer computes
+        its own answer instead of copying the in-flight leader's."""
+        svc = VerificationService(
+            ResultStore(), workers=2, solver="highs", root=bench_dir
+        )
+        entered, release = _gate_engine(monkeypatch)
+        try:
+            base = {**HARD_CEGAR, "refine_budget": 30}
+            leader = svc.submit_payload({**base, **leader_fields})
+            assert entered.wait(60.0), "leader never reached the engine"
+            follower = svc.submit_payload({**base, **follower_fields})
+            # the leader is held in the engine: a follower keyed apart
+            # registers its own flight instead of waiting on the leader
+            deadline = time.monotonic() + 10.0
+            while len(svc._inflight) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
+            for job in (leader, follower):
+                assert job.wait(300.0)
+                assert job.state is JobState.DONE
+                assert job.coalesced_with is None
+            assert svc.metrics()["coalesced"] == 0
+        finally:
+            release.set()
+            svc.close(drain=False)
+
+
 class TestPrioritiesAndCancellation:
     def test_higher_priority_overtakes_the_queue(self, bench_dir, monkeypatch):
         svc = _slow_service(bench_dir, workers=1)
