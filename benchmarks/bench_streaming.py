@@ -22,22 +22,26 @@ All timed comparisons run interleaved rounds and compare medians (the
 back-to-back on fresh engines, so a slow-tenancy window on a shared
 runner hits all contenders alike and cancels out of the ratio.
 
-The measured ratios are merged into ``BENCH_9.json`` at the repo root;
-CI asserts them and uploads the file as an artifact.
+A pytest run merges the measured ratios into
+``.benchmarks/BENCH_9.json``; CI asserts them and uploads the file as
+an artifact.  The committed ``BENCH_9.json`` at the repo root changes
+only through::
+
+    PYTHONPATH=src python benchmarks/bench_streaming.py --regenerate
 """
 
 from __future__ import annotations
 
-import json
 import os
+import sys
 import time
 import tracemalloc
-from pathlib import Path
 from statistics import median
 
 import numpy as np
 import pytest
 
+import measurements
 from repro.api import Campaign, Portfolio, VerificationEngine
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
 from repro.properties.library import steer_far_left
@@ -48,21 +52,11 @@ from repro.scenario.streaming import (
     stream_enclosure_range,
 )
 
-_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_9.json"
 
 #: scenes per size step (4 regions per scene under the default axes)
 _SCALED_SCENES = (64, 256, 1024)
 _FULL_SCENES = 250_000  # 10^6 regions; REPRO_BENCH_FULL=1 only
 _ROUNDS = 3
-
-
-def _update_bench(section: dict) -> None:
-    """Merge one test's measurements into BENCH_9.json."""
-    payload: dict = {}
-    if _BENCH_PATH.exists():
-        payload = json.loads(_BENCH_PATH.read_text())
-    payload.update(section)
-    _BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +124,8 @@ def test_stream_constant_memory(conv_model):
     pixels = int(np.prod(conv_model.input_shape))
     eager_predicted_mb = regions[-1] * pixels * 2 * 8 / 1e6
     memory_ratio = peaks[-1] / peaks[0]
-    _update_bench(
+    measurements.update(
+        "BENCH_9.json",
         {
             "stream_regions": regions,
             "stream_peak_mb": [round(p, 2) for p in peaks],
@@ -247,7 +242,8 @@ def test_portfolio_vs_fixed_ladder(conv_model):
         f"{ladder_wall:.3f}s, portfolio {portfolio_wall:.3f}s "
         f"({speedup:.2f}x)"
     )
-    _update_bench(
+    measurements.update(
+        "BENCH_9.json",
         {
             "portfolio_queries": len(ladder_verdicts),
             "portfolio_ladder_wall_s": round(ladder_wall, 4),
@@ -259,4 +255,10 @@ def test_portfolio_vs_fixed_ladder(conv_model):
     assert speedup >= 1.5, (
         f"portfolio is only {speedup:.2f}x the fixed ladder; "
         f"the adaptive racer promises >= 1.5x on mixed workloads"
+    )
+
+
+if __name__ == "__main__":
+    raise SystemExit(
+        measurements.regenerate(sys.argv[1:], "BENCH_9.json", __file__)
     )

@@ -21,20 +21,24 @@ Asserted here and in CI's campaign-smoke job:
   the ground truth, not an artifact of the abstraction.
 
 The branch-and-bound backend is budgeted in *nodes* (deterministic,
-machine-independent), so the separation is reproducible anywhere; the
-measurements are merged into ``BENCH_10.json`` at the repo root and
-uploaded as a CI artifact.
+machine-independent), so the separation is reproducible anywhere.  A
+pytest run merges the measurements into ``.benchmarks/BENCH_10.json``
+(uploaded as a CI artifact); the committed ``BENCH_10.json`` at the
+repo root changes only through::
+
+    PYTHONPATH=src python benchmarks/bench_structural.py --regenerate
 """
 
 from __future__ import annotations
 
-import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import measurements
 from repro.interchange.onnx import import_onnx
 from repro.interchange.vnnlib import read_vnnlib
 from repro.verification.abstraction.merge import MergeState
@@ -42,7 +46,6 @@ from repro.verification.cegar import CegarConfig, CegarLoop, _ScopedLeafSolver
 from repro.verification.sets import Box
 from repro.verification.solver.result import SolveStatus
 
-_BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_10.json"
 _INSTANCE_DIR = Path(__file__).resolve().parent / "instances" / "structural"
 
 #: the committed separation budget: enough for region-only CEGAR to
@@ -51,15 +54,6 @@ _INSTANCE_DIR = Path(__file__).resolve().parent / "instances" / "structural"
 _BUDGET = 10
 _NODE_LIMIT = 128
 _PARITY_NODE_LIMIT = 500_000
-
-
-def _update_bench(section: dict) -> None:
-    """Merge one test's measurements into BENCH_10.json."""
-    payload: dict = {}
-    if _BENCH_PATH.exists():
-        payload = json.loads(_BENCH_PATH.read_text())
-    payload.update(section)
-    _BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +128,8 @@ def test_structural_decides_where_region_splitting_stalls(instance):
     assert structural.status is SolveStatus.UNSAT
     assert structural.decided_fraction == pytest.approx(1.0)
 
-    _update_bench(
+    measurements.update(
+        "BENCH_10.json",
         {
             "structural_budget": _BUDGET,
             "structural_node_limit": _NODE_LIMIT,
@@ -196,7 +191,8 @@ def test_verdict_parity_vs_exact64(instance):
     assert merged.status is SolveStatus.UNSAT
     assert merged.nodes_explored < _NODE_LIMIT
 
-    _update_bench(
+    measurements.update(
+        "BENCH_10.json",
         {
             "exact64_status": exact.status.value,
             "exact64_nodes": exact.nodes_explored,
@@ -211,4 +207,10 @@ def test_verdict_parity_vs_exact64(instance):
         f"exact64 complete proof: {exact.nodes_explored} nodes "
         f"({exact_s:.2f}s); merged proof: {merged.nodes_explored} nodes "
         f"-> {exact.nodes_explored / max(merged.nodes_explored, 1):.0f}x"
+    )
+
+
+if __name__ == "__main__":
+    raise SystemExit(
+        measurements.regenerate(sys.argv[1:], "BENCH_10.json", __file__)
     )

@@ -15,11 +15,13 @@ Queries run in batches (a single query is a batch of one) through one
    enclosure per ``(set, domain)`` rung, each rung one batched pass over
    the sets still pending at it;
 2. *support-cache* — for single-inequality risks ``a·y >= t`` (the
-   threshold-sweep family), one exact MILP optimization of ``a·y`` over
-   the constrained region answers **every** threshold: ``t`` beyond the
-   cached support value is UNSAT, anything else is SAT with the cached
-   optimizer as witness.  This is the paper's output-range-analysis view
-   of verification, applied as a query planner;
+   threshold-sweep family), one exact minimization of ``a·y`` over the
+   constrained region — closed form when the suffix is affine on a box,
+   else one exact MILP optimization — answers **every** threshold: ``t``
+   beyond the cached support value is UNSAT, anything else is SAT with
+   the cached optimizer, replayed once through the real network, as
+   witness.  This is the paper's output-range-analysis view of
+   verification, applied as a query planner;
 3. *relaxed-lp* — one LP over the cached binary-free relaxation: an
    infeasible LP is a proof, an LP point satisfying the exact neuron
    semantics is a genuine witness;
@@ -77,7 +79,12 @@ from repro.verification.milp.encoder import (
     encode_verification_problem,
 )
 from repro.verification.milp.relaxed import encode_relaxed_problem
-from repro.verification.output_range import optimize_range, trivial_reachability_risk
+from repro.verification.output_range import (
+    RELU_LIKE_OPS,
+    box_support,
+    optimize_range,
+    trivial_reachability_risk,
+)
 from repro.verification.pool import WorkerPool
 from repro.verification.prescreen import (
     output_enclosure,
@@ -86,7 +93,7 @@ from repro.verification.prescreen import (
 )
 from repro.verification.refinement import verify_with_refinement
 from repro.verification.robustness import verify_local_robustness
-from repro.verification.sets import BoxBatch, FeatureSet
+from repro.verification.sets import Box, BoxBatch, FeatureSet
 from repro.verification.solver import solver_spec
 from repro.verification.solver.case_split import most_violated
 from repro.verification.solver.lp import solve_lp_relaxation
@@ -106,6 +113,37 @@ class RegisteredFeatureSet:
     input_box: tuple[np.ndarray, np.ndarray] | None = None
 
 
+@dataclass(frozen=True)
+class _Support:
+    """A cached support answer: ``min a·y`` over one set, and where.
+
+    ``features`` / ``output`` are the minimizer and its replay through
+    the real network, checked once when the entry is built; a query
+    takes only its own risk margin from them.  An empty region has
+    ``value`` inf and no minimizer.
+    """
+
+    value: float
+    #: the solver's optimal assignment (the closed form's: the features)
+    witness: np.ndarray | None = None
+    features: np.ndarray | None = None
+    output: np.ndarray | None = None
+    #: the characterizer's accepting logit at the minimizer, if encoded
+    logit: float | None = None
+
+    def counterexample(self, risk: RiskCondition) -> FeatureCounterexample:
+        return FeatureCounterexample(
+            features=self.features,
+            predicted_output=self.output,
+            risk_margin=float(risk.margin(self.output[None, :])[0]),
+            characterizer_logit=self.logit,
+        )
+
+
+#: relative gap between a closed-form support value and its replay past
+#: which the solver path decides instead
+_REPLAY_RTOL = 1e-9
+
 #: methods the prescreen and relaxed-LP stages answer; every other
 #: method passes them by, to the support cache (exact only) and solve
 _SCREENED = (Method.EXACT, Method.RELAXED)
@@ -116,7 +154,8 @@ _SET_CACHES = (
     "_bounds_cache",
     "_enclosure_cache",
     "_encoding_cache",
-    #: (set, property, direction) -> (support value, optimal assignment)
+    #: (set, property, direction) -> _Support (value, minimizer and its
+    #: replayed output), or None when the optimization hit a limit
     "_support_cache",
     #: single-row directions seen by one-off queries (amortization gate)
     "_direction_seen",
@@ -623,22 +662,43 @@ class VerificationEngine:
         )
 
     def _support(
-        self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
-    ) -> tuple[float, np.ndarray | None] | None:
+        self,
+        query: VerificationQuery,
+        direction: tuple[float, ...],
+        hits: list[str],
+        *,
+        optimize: bool = True,
+    ) -> _Support | None:
         """Exact ``min direction·y`` over the constrained region, cached.
 
-        Returns ``(value, optimal assignment)``; ``(inf, None)`` for an
-        empty region (every risk is then unreachable); ``None`` when the
-        optimization could not be proved optimal (callers must fall back
-        to the regular solve path — the failure is cached too, so a sweep
-        does not re-pay a hopeless optimization per query).
+        Closed form when the query has no characterizer and the suffix
+        is affine on the set (:meth:`_closed_form_support`), else one
+        MILP optimization.  Returns the :class:`_Support` entry (value
+        inf, no minimizer, for an empty region: every risk is then
+        unreachable); ``None`` when the optimization could not be proved
+        optimal (callers must fall back to the regular solve path — the
+        failure is cached too, so a sweep does not re-pay a hopeless
+        optimization per query).  With ``optimize=False`` only a closed
+        form is built: without one the key stays uncached and the result
+        is ``None``.
 
         Always runs under the engine-level solver options: the support
-        stage only routes un-budgeted queries here, so per-query budgets never
-        truncate (and thereby poison) the cached value.
+        stage only lets un-budgeted queries optimize, so per-query
+        budgets never truncate (and thereby poison) the cached value.
         """
+        key = (query.set_name, query.property_name, direction)
+        if not optimize and key not in self._support_cache:
+            closed = self._closed_form_support(query, direction, hits)
+            if closed is None:
+                return None
+            return self._cached(
+                self._support_cache, key, "support", lambda: closed, hits
+            )
 
-        def build() -> tuple[float, np.ndarray | None] | None:
+        def build() -> _Support | None:
+            closed = self._closed_form_support(query, direction, hits)
+            if closed is not None:
+                return closed
             base = self._base_encoding(
                 query.set_name, query.property_name, "milp", hits
             )
@@ -653,15 +713,56 @@ class VerificationEngine:
                 problem.model.set_objective(coeffs)
                 result = backend.minimize(problem.model)
             if result.status is SolveStatus.UNSAT:
-                return float("inf"), None
+                return _Support(float("inf"))
             if result.status is SolveStatus.SAT and result.stats.get(
                 "proved_optimal", True
             ):
-                return float(result.objective), result.witness
+                # the encoder-replay check (raises on an encoder bug)
+                # runs once here, not once per query
+                replay = decode_witness(
+                    base, result.witness, self.model, self.cut_layer, query.risk
+                )
+                return _Support(
+                    float(result.objective),
+                    result.witness,
+                    replay.features,
+                    replay.predicted_output,
+                    replay.characterizer_logit,
+                )
             return None  # resource limit: remember not to retry
 
-        key = (query.set_name, query.property_name, direction)
         return self._cached(self._support_cache, key, "support", build, hits)
+
+    def _closed_form_support(
+        self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
+    ) -> _Support | None:
+        """``min direction·y`` without a solver, for a query with no
+        characterizer whose suffix is affine on its box set
+        (:func:`~repro.verification.output_range.box_support`).
+
+        Relu-like ops must be stable over the set by its cached
+        abstraction bounds, which a relu-free suffix never computes.
+        The minimizing vertex replays through the real network and the
+        replayed ``direction·y`` is the support value.  Returns ``None``
+        (the solver decides) for any other query, set or suffix, or
+        when the replay disagrees with the closed form.
+        """
+        feature_set = self._registered(query.set_name).feature_set
+        if query.property_name is not None or type(feature_set) is not Box:
+            return None
+        bounds = None
+        if any(isinstance(op, RELU_LIKE_OPS) for op in self.suffix.ops):
+            bounds = self._op_bounds(query.set_name, "suffix", self.suffix, hits)
+        closed = box_support(self.suffix, feature_set, np.asarray(direction), bounds)
+        if closed is None:
+            return None
+        value, features = closed
+        output = self.model.suffix_apply(features[None, :], self.cut_layer)[0]
+        replayed = float(np.dot(direction, output))
+        # written so that a NaN (an unbounded box) also fails the check
+        if not abs(replayed - value) <= _REPLAY_RTOL * max(1.0, abs(value)):
+            return None
+        return _Support(replayed, features, features, output)
 
     # -- backends ----------------------------------------------------------
 
@@ -765,6 +866,10 @@ class VerificationEngine:
                 item.result = stored.to_query_result(query)
                 return
             item.store_key = key
+        if query.solver is not None:
+            # fail fast: a stage that needs no backend (prescreen, closed
+            # form) must not answer a query naming an unknown one
+            solver_spec(query.solver)
         if query.method in (Method.EXACT, Method.RELAXED, Method.CEGAR):
             self._check_risk(query.risk)
             item.registered = self._registered(query.set_name)
@@ -945,14 +1050,18 @@ class VerificationEngine:
         """Answer single-inequality risks from one cached optimization.
 
         A risk ``a·y <= b`` is feasible iff ``b >= min a·y`` over the
-        region, and the cached minimizer is a genuine witness for every
-        such ``b``: one exact optimization answers a whole threshold
-        sweep.  It costs more than one first-incumbent feasibility
+        region, and the cached minimizer, replayed through the real
+        network once when cached, is a genuine witness for every such
+        ``b``: one exact optimization answers a whole threshold sweep,
+        and each query only takes its own risk margin.  A MILP
+        optimization costs more than one first-incumbent feasibility
         solve, so a one-off query keeps the feasibility path until its
         direction repeats; a campaign batch optimizes eagerly.
-        Budget-limited queries never *trigger* it (a truncated
+        Budget-limited queries never *trigger* one (a truncated
         optimization would poison the cache for the whole sweep), but an
-        already-cached value answers them for free.
+        already-cached value answers them for free.  A closed form costs
+        less than any solve and no budget truncates it, so every query
+        takes one at once.
         """
 
         def step(item: _Item) -> None:
@@ -965,34 +1074,28 @@ class VerificationEngine:
             direction = tuple(float(v) for v in a_risk[0])
             key = (query.set_name, query.property_name, direction)
             budgeted = query.time_limit is not None or query.node_limit is not None
-            if key not in self._support_cache and (
-                budgeted
-                or not (batch.campaign or self._direction_seen.get(key, 0) >= 1)
-            ):
+            optimize = not budgeted and (
+                batch.campaign or self._direction_seen.get(key, 0) >= 1
+            )
+            entry = self._support(query, direction, item.hits, optimize=optimize)
+            if entry is None and not (optimize or key in self._support_cache):
                 if not budgeted:
                     self._direction_seen[key] = self._direction_seen.get(key, 0) + 1
                 return
             item.ladder.append("support-cache")
-            entry = self._support(query, direction, item.hits)
             if entry is None:
                 return
-            support, witness = entry
-            stats = {"decided": "support-cache", "support": support}
-            if support > float(b_risk[0]):
+            stats = {"decided": "support-cache", "support": entry.value}
+            if entry.value > float(b_risk[0]):
                 self._answer(item, "support-cache", SolveStatus.UNSAT, stats=stats)
                 return
-            base = self._base_encoding(
-                query.set_name, query.property_name, "milp", item.hits
-            )
             self._answer(
                 item,
                 "support-cache",
                 SolveStatus.SAT,
-                witness=witness,
+                witness=entry.witness,
                 stats=stats,
-                counterexample=decode_witness(
-                    base, witness, self.model, self.cut_layer, query.risk
-                ),
+                counterexample=entry.counterexample(query.risk),
             )
 
         return self._each(batch, pending, step)

@@ -16,10 +16,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.nn.graph import PiecewiseLinearNetwork
+import numpy as np
+
+from repro.nn.graph import (
+    AffineOp,
+    ElementwiseAffineOp,
+    LeakyReLUOp,
+    PiecewiseLinearNetwork,
+    ReLUOp,
+    ReshapeOp,
+)
 from repro.properties.risk import RiskCondition, output_geq
 from repro.verification.milp.encoder import encode_verification_problem
-from repro.verification.sets import FeatureSet
+from repro.verification.sets import Box, FeatureSet
 from repro.verification.solver import make_solver
 from repro.verification.solver.result import SolveStatus
 
@@ -71,6 +80,74 @@ def optimize_range(problem, backend, output_index: int = 0) -> OutputRange:
 
     lower, upper = bounds
     return OutputRange(output_index=output_index, lower=lower, upper=upper, exact=exact)
+
+
+#: relu-like ops, affine on a box where their input interval keeps one sign
+RELU_LIKE_OPS = (ReLUOp, LeakyReLUOp)
+
+#: the ops :func:`box_support` pulls a direction back through
+BOX_SUPPORT_OPS = (AffineOp, ElementwiseAffineOp, ReshapeOp, *RELU_LIKE_OPS)
+
+
+def box_support(
+    network: PiecewiseLinearNetwork,
+    box: Box,
+    direction: np.ndarray,
+    op_bounds: list[tuple[Box, Box]] | None = None,
+) -> tuple[float, np.ndarray] | None:
+    """Closed-form ``min direction·network(x)`` over ``box``.
+
+    Exact when ``network`` is affine on the box: every op is in
+    :data:`BOX_SUPPORT_OPS` and every relu-like op's input interval
+    (``op_bounds[i][0]``, the per-op bounds of
+    :func:`~repro.verification.milp.bigm.op_bounds_for_set` over this
+    box; needed only when such an op is present) lies on one side of 0.
+    The network is then ``y = W x + b`` on the box; with
+    ``c = directionᵀW`` the minimum is at the vertex taking ``lower_j``
+    where ``c_j >= 0`` and ``upper_j`` elsewhere.  The direction is
+    pulled back through the ops one vector-Jacobian product at a time,
+    so ``W`` is never formed.
+
+    Returns ``(value, vertex)``, or ``None`` when some op is not affine
+    on the box.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.nn.graph import AffineOp, PiecewiseLinearNetwork
+    >>> net = PiecewiseLinearNetwork([AffineOp([[1.0, -2.0]], [0.5])], 2)
+    >>> value, x = box_support(net, Box(np.zeros(2), np.ones(2)), np.ones(1))
+    >>> value, x.tolist()
+    (-1.5, [0.0, 1.0])
+    """
+    slopes: list[np.ndarray | None] = []
+    for index, op in enumerate(network.ops):
+        if not isinstance(op, BOX_SUPPORT_OPS):
+            return None
+        if not isinstance(op, RELU_LIKE_OPS):
+            slopes.append(None)
+            continue
+        if op_bounds is None:
+            raise ValueError("relu-like ops need op_bounds to decide stability")
+        pre = op_bounds[index][0]
+        active = pre.lower >= 0.0
+        if not np.all(active | (pre.upper <= 0.0)):
+            return None  # an unstable neuron: not affine on the box
+        alpha = op.alpha if isinstance(op, LeakyReLUOp) else 0.0
+        slopes.append(np.where(active, 1.0, alpha))
+    c = np.asarray(direction, dtype=float)
+    offset = 0.0
+    for op, slope in zip(reversed(network.ops), reversed(slopes)):
+        if isinstance(op, AffineOp):
+            offset += float(c @ op.bias)
+            c = c @ op.weight
+        elif isinstance(op, ElementwiseAffineOp):
+            offset += float(c @ op.shift)
+            c = c * op.scale
+        elif slope is not None:
+            c = c * slope
+    vertex = np.where(c >= 0.0, box.lower, box.upper)
+    return float(c @ vertex) + offset, vertex
 
 
 def output_range(

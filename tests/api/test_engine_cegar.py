@@ -204,7 +204,9 @@ class TestCegarFallback:
             model, cut, solver="always-unknown",
             lp_screen=False, refine_fallback=True, cegar_budget=4000,
         )
-        engine.add_static_feature_set(0.0, 1.0, name="domain")
+        # an octagon set, not a box: over a box the affine suffix's
+        # closed-form support would answer before the solver is reached
+        engine.add_static_feature_set(0.0, 1.0, domain="octagon", name="domain")
         query = VerificationQuery(
             risk=_risk(reachable[1] + 0.3), set_name="domain",
             domain=None,
