@@ -304,11 +304,15 @@ class VerificationEngine:
         self._char_net_cache: dict[str | None, tuple] = {}
         for name in _SET_CACHES:
             setattr(self, name, {})
+        #: ``(plan, shards)`` a streamed sweep's threshold pre-pass kept
+        #: for the next ``run_stream``, which takes them off either way
+        self._kept_shards: tuple | None = None
         self.cache_stats: dict[str, int] = {}
 
     def clear_caches(self) -> None:
         """Drop all cached lowerings/bounds/encodings (e.g. after
-        re-registering a feature set with ``overwrite=True``)."""
+        re-registering a feature set with ``overwrite=True``) and any
+        shards a streamed sweep's threshold pre-pass kept."""
         self._reset_caches()
 
     def analyze(self, domain: str | None = None):
@@ -333,6 +337,7 @@ class VerificationEngine:
         for key in ("_char_net_cache", *_SET_CACHES):
             state[key] = {}
         state["cache_stats"] = {}
+        state["_kept_shards"] = None
         # the store holds a thread lock and an open-by-path log; workers
         # compute without it and the parent's copy keeps collecting
         state["store"] = None

@@ -114,6 +114,13 @@ class MaxGroupOp:
                 raise ValueError("empty max group")
             if g.min() < 0 or g.max() >= self.in_dim:
                 raise ValueError(f"group indices out of range for in_dim={self.in_dim}")
+        #: ``(out_dim, widest group)`` gather index: each group padded by
+        #: repeating its own members, which leaves its max and its first
+        #: argmax unchanged, so one gather serves every group at once
+        width = max((g.size for g in self.groups), default=1)
+        self.index = np.array(
+            [np.resize(g, width) for g in self.groups], dtype=np.intp
+        ).reshape(len(self.groups), width)
 
     @property
     def out_dim(self) -> int:
@@ -121,13 +128,7 @@ class MaxGroupOp:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=FLOAT)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        out = np.empty((x.shape[0], self.out_dim), dtype=FLOAT)
-        for j, g in enumerate(self.groups):
-            out[:, j] = x[:, g].max(axis=1)
-        return out[0] if single else out
+        return x[..., self.index].max(axis=-1)
 
 
 @dataclass

@@ -237,6 +237,11 @@ _MEMORY_FRACTION = 0.5
 #: an overhead factor for the downstream per-region copies listed above
 _BYTES_PER_PIXEL = 8 * 2 * 3
 
+#: the most a streamed sweep's threshold pre-pass keeps of its shards
+#: (regions, registered sets, enclosures) for the sweep that follows, at
+#: ``_BYTES_PER_PIXEL`` per region pixel; a larger plan is streamed twice
+_KEPT_SHARDS_BYTES = 64 * 2**20
+
 
 def ensure_regions_fit(
     n_regions: int,

@@ -22,7 +22,12 @@ shard at a time:
   starts.  Survivors go on to the engine's solver stages, the adaptive
   portfolio, or are left ``stream-undecided``; results aggregate into a
   :class:`StreamReport` (verdict histogram + ODD-coverage per
-  perturbation axis) whose peak memory is O(shard), not O(grid).
+  perturbation axis) whose peak memory is O(shard), not O(grid);
+- :func:`stream_enclosure_range` is the sweep's threshold pre-pass.  On
+  a plan small enough (a fixed 64 MiB cap at the eager grid's bytes per
+  pixel) it keeps every shard it generated and propagated, and the
+  :func:`run_stream` over the same plan that follows takes them, so each
+  region is generated and propagated once; past the cap both stream.
 
 With ``workers > 1`` shards go to a
 :class:`~repro.verification.pool.WorkerPool`: each shard's stacked
@@ -47,6 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from repro.scenario import regions
 from repro.scenario.dataset import SceneConfig, SceneParams, sample_scene
 from repro.scenario.regions import (
     PerturbationAxes,
@@ -73,7 +79,7 @@ from repro.verification.prescreen import (  # noqa: F401
 
 if TYPE_CHECKING:  # repro.api imports this module, so import lazily
     from repro.api.campaign import CampaignReport, QueryResult
-    from repro.api.engine import VerificationEngine
+    from repro.api.engine import RegisteredFeatureSet, VerificationEngine
     from repro.properties.risk import RiskCondition
 
 #: golden-ratio fraction used to pick the coverage-lattice stride
@@ -321,6 +327,40 @@ def stream_scenario_regions(plan: StreamPlan) -> Iterator[RegionGrid]:
         yield RegionGrid(shard, config)
 
 
+@dataclass(frozen=True)
+class _KeptShard:
+    """A shard the threshold pre-pass kept for the sweep that follows.
+
+    Its regions, the interval sets
+    :meth:`~repro.api.engine.VerificationEngine.add_region_sets` built
+    for them and their interval output enclosures, in region order.
+    """
+
+    grid: RegionGrid
+    sets: "list[RegisteredFeatureSet]"
+    enclosures: list
+
+    def register(self, engine: "VerificationEngine") -> list[str]:
+        """Register the kept sets and seed the engine's enclosure cache."""
+        for name, registered, enclosure in zip(
+            self.grid.names, self.sets, self.enclosures
+        ):
+            engine._register_set(name, registered, overwrite=False)
+            engine._enclosure_cache[(name, "interval")] = enclosure
+        return self.grid.names
+
+
+def _keeps_shards(engine: "VerificationEngine", plan: StreamPlan, domain: str) -> bool:
+    """Whether a pre-pass keeps its shards: interval sets, within the cap.
+
+    ``run_stream`` registers interval sets whatever its ``domain``, so
+    only an interval pre-pass builds sets it can take.
+    """
+    pixels = int(np.prod(engine.model.input_shape))
+    needed = plan.total_regions * pixels * regions._BYTES_PER_PIXEL
+    return domain == "interval" and needed <= regions._KEPT_SHARDS_BYTES
+
+
 # -- the streaming campaign executor ---------------------------------------
 
 
@@ -479,12 +519,15 @@ def _decide_shard(
     grid: RegionGrid,
     risks: "Sequence[RiskCondition]",
     options: _StreamOptions,
+    kept: _KeptShard | None = None,
 ) -> ShardOutcome:
     """Decide one shard through the engine's stage list, then aggregate.
 
     The shard's regions are registered for the shard's lifetime through
     :meth:`~repro.api.engine.VerificationEngine.add_region_sets` — the
-    eager grid's own propagation — and their queries, in the eager
+    eager grid's own propagation — or, for a shard the threshold
+    pre-pass ``kept``, as the sets and interval enclosures that
+    propagation already gave.  Their queries, in the eager
     campaign's order, run the engine's prescreen, then one batched PGD
     attack per risk over what the prescreen left (a hit is a genuine
     counterexample, so the region is UNSAFE without any solver), then
@@ -568,7 +611,7 @@ def _decide_shard(
         for prop in options.properties
         for risk in risks
     ]
-    names = engine.add_region_sets(grid)
+    names = engine.add_region_sets(grid) if kept is None else kept.register(engine)
     try:
         results = engine._run_queries(
             queries, stages=(engine._prescreen_stage, attack, *rest)
@@ -665,7 +708,18 @@ def run_stream(
     :meth:`~repro.api.engine.VerificationEngine.add_region_sets`.  Risks
     over the wrong number of outputs are rejected before the first shard
     is generated.
+
+    After :func:`stream_enclosure_range` kept its shards for an equal
+    ``plan``, the sweep takes them instead of generating the regions
+    again: sequentially it registers the kept sets and their interval
+    enclosures, so nothing is rendered or propagated twice; with
+    ``workers > 1`` the kept regions are shipped and the workers
+    propagate them.  Equal plans give the same shards and the same
+    propagation bit for bit, so no verdict changes.  Every call takes
+    the kept shards off the engine, whether it uses them or not.
     """
+    kept, engine._kept_shards = engine._kept_shards, None
+    shards = kept[1] if kept is not None and kept[0] == plan else None
     if not risks:
         raise ValueError("run_stream needs at least one risk condition")
     for risk in risks:
@@ -688,18 +742,22 @@ def run_stream(
         portfolio=portfolio,
     )
     start = time.perf_counter()
-    shards = enumerate(stream_scenario_regions(plan))
+    source = enumerate(
+        ((grid, None) for grid in stream_scenario_regions(plan))
+        if shards is None
+        else ((shard.grid, shard) for shard in shards)
+    )
     if workers > 1:
         with WorkerPool(workers, (engine, tuple(risks), options)) as pool:
-            tasks = (_shard_task(index, grid) for index, grid in shards)
+            tasks = (_shard_task(index, grid) for index, (grid, _) in source)
             outcomes = _reported(
                 pool.map(_run_shard, tasks, inflight=workers + 2), progress
             )
         executor = pool.label(f"process-pool[{workers}]", "sequential")
     else:
         decided = (
-            _decide_shard(engine, index, grid, risks, options)
-            for index, grid in shards
+            _decide_shard(engine, index, grid, risks, options, shard)
+            for index, (grid, shard) in source
         )
         outcomes = _reported(decided, progress)
         executor = "sequential"
@@ -747,7 +805,7 @@ def stream_enclosure_range(
     domain: str = "interval",
     output_index: int = 0,
 ) -> tuple[float, float]:
-    """Output-enclosure range over a streamed grid, O(shard) memory.
+    """Output-enclosure range over a streamed grid.
 
     Each shard is registered through
     :meth:`~repro.api.engine.VerificationEngine.add_region_sets`, its
@@ -759,8 +817,17 @@ def stream_enclosure_range(
     equal the eager scenario-grid campaign's except at a rounding
     boundary.  Sets the caller registered under the plan's region names
     are rejected before the first shard (``ValueError``).
+
+    An interval pass whose plan fits a fixed memory cap (64 MiB at the
+    eager grid's bytes per pixel, decided before the first shard) keeps
+    each shard's regions, sets and enclosures on the engine, outside its
+    registered sets, for the :func:`run_stream` over the same plan that
+    follows; ``clear_caches`` drops them.  Any other pass holds one
+    shard at a time.
     """
     _reject_clashes(engine, plan)
+    engine._kept_shards = None
+    kept: list[_KeptShard] | None = [] if _keeps_shards(engine, plan, domain) else None
     hull = get_domain(domain).enclosure_box
     lo = math.inf
     hi = -math.inf
@@ -768,11 +835,16 @@ def stream_enclosure_range(
         names = engine.add_region_sets(grid, domain=domain)
         try:
             enclosures = engine.output_enclosures(names, domain)
+            if kept is not None:
+                sets = [engine._registered(name) for name in names]
+                kept.append(_KeptShard(grid, sets, enclosures))
         finally:
             engine.remove_feature_sets(names)
         for box in map(hull, enclosures):
             lo = min(lo, float(box.lower[output_index]))
             hi = max(hi, float(box.upper[output_index]))
+    if kept is not None:
+        engine._kept_shards = (plan, kept)
     return lo, hi
 
 

@@ -156,11 +156,12 @@ def _op_vjp(op: IROp, op_in: np.ndarray, grad: np.ndarray) -> np.ndarray:
     if isinstance(op, LeakyReLUOp):
         return np.where(op_in >= 0.0, grad, op.alpha * grad)
     if isinstance(op, MaxGroupOp):
+        # each group's first argmax; add.at visits a row's groups in
+        # order, so overlapping groups sum their gradients as a loop would
+        first = op_in[:, op.index].argmax(axis=2)
+        winner = op.index[np.arange(op.out_dim), first]
         out = np.zeros_like(op_in)
-        rows = np.arange(op_in.shape[0])
-        for j, g in enumerate(op.groups):
-            winner = g[np.argmax(op_in[:, g], axis=1)]
-            np.add.at(out, (rows, winner), grad[:, j])
+        np.add.at(out, (np.arange(op_in.shape[0])[:, None], winner), grad)
         return out
     if isinstance(op, ReshapeOp):
         return grad

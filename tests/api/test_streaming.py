@@ -13,6 +13,9 @@ to the eager grid at O(shard) memory:
 - the cascade runs prescreen first: the attack only sees the boxes the
   prescreen left, and its witnesses' batched feature pass matches a
   per-row one;
+- after its threshold pre-pass on an equal plan, a sweep decides from
+  the kept shards without generating or propagating a region, with the
+  answers a fresh engine gives, and leaves nothing on the engine;
 - the memory guard rejects eager grids that cannot fit, pointing at
   the streaming path, while ``run_stream`` itself stays unguarded;
 - a shard's own exception under ``workers > 1`` propagates once,
@@ -23,6 +26,8 @@ to the eager grid at O(shard) memory:
 from __future__ import annotations
 
 import os
+import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +402,9 @@ class TestSingleRegistration:
         self, engine, enclosure_range, monkeypatch, domain
     ):
         lo, hi = enclosure_range
+        # the fixture's pre-pass kept its shards for this plan; without
+        # them the sweep propagates its one shard itself
+        engine.clear_caches()
         propagations = []
         screens = []
         propagate = engine_mod.propagate_regions
@@ -437,6 +445,153 @@ class TestSingleRegistration:
         )
         assert len(screens) == expected
         assert all(r.ladder.count("prescreen") == 1 for r in report.results)
+
+
+@pytest.fixture
+def generated(monkeypatch, tmp_path):
+    """Count region generations and propagations, pool workers' too.
+
+    Each call appends a line to a file, which forked workers inherit
+    along with the patched module attributes.
+    """
+    log = tmp_path / "calls"
+    log.touch()
+    generate = streaming_mod.stream_scenario_regions
+    propagate = engine_mod.propagate_regions
+
+    def note(what):
+        with open(log, "a") as out:
+            out.write(what + "\n")
+
+    def counting_generate(plan):
+        note("generate")
+        return generate(plan)
+
+    def counting_propagate(*args, **kwargs):
+        note("propagate")
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(streaming_mod, "stream_scenario_regions", counting_generate)
+    monkeypatch.setattr(engine_mod, "propagate_regions", counting_propagate)
+
+    def counts(reset=False):
+        lines = log.read_text().split()
+        if reset:
+            log.write_text("")
+        return {what: lines.count(what) for what in ("generate", "propagate")}
+
+    return counts
+
+
+def _answers(report):
+    """Each query's verdict, decider and counterexample features."""
+    assert report.results is not None
+    answers = []
+    for result in report.results:
+        cex = result.verdict.counterexample
+        answers.append(
+            (
+                result.query.set_name,
+                result.verdict.verdict,
+                result.decided_by,
+                None if cex is None else tuple(cex.features.tolist()),
+            )
+        )
+    return answers
+
+
+class TestPrePassReuse:
+    """``run_stream`` decides from the shards its threshold pre-pass kept."""
+
+    PLAN = StreamPlan(n_scenes=2, seed=3, shard_size=3)  # shards of 3, 3, 2
+
+    @pytest.fixture
+    def setup(self, conv_engine):
+        """A conv model, the CLI's two thresholds and a reference sweep."""
+        model = conv_engine[0].model
+        engine = VerificationEngine(model, 6, solver="highs")
+        lo, hi = stream_enclosure_range(engine, self.PLAN)
+        risks = [
+            steer_far_left(round(hi + 0.25, 3)),
+            steer_far_left(round(0.5 * (lo + hi), 3)),
+        ]
+        fresh = VerificationEngine(model, 6, solver="highs")
+        reference = _answers(
+            run_stream(fresh, self.PLAN, risks, collect_results=True)
+        )
+        return engine, risks, reference
+
+    @pytest.mark.parametrize(
+        "attack_steps, deciders",
+        [(20, {"prescreen", "attack"}), (0, {"prescreen", "support-cache"})],
+    )
+    def test_equal_plan_generates_and_propagates_nothing(
+        self, setup, generated, attack_steps, deciders
+    ):
+        engine, risks, reference = setup
+        if attack_steps == 0:  # the frontier risk reaches the solver stages
+            fresh = VerificationEngine(engine.model, 6, solver="highs")
+            reference = _answers(
+                run_stream(
+                    fresh, self.PLAN, risks, attack_steps=0, collect_results=True
+                )
+            )
+        generated(reset=True)
+        report = run_stream(
+            engine, self.PLAN, risks, attack_steps=attack_steps,
+            collect_results=True,
+        )
+        assert generated() == {"generate": 0, "propagate": 0}
+        assert _answers(report) == reference
+        assert {decided_by for _, _, decided_by, _ in reference} == deciders
+
+    @pytest.mark.parametrize("case", ["plan", "octagon", "over-cap"])
+    def test_regenerates_without_reusable_shards(
+        self, setup, generated, monkeypatch, case
+    ):
+        engine, risks, reference = setup
+        plan = self.PLAN
+        if case == "plan":
+            plan = replace(plan, shard_size=4)
+        elif case == "octagon":
+            stream_enclosure_range(engine, plan, domain="octagon")
+        else:
+            monkeypatch.setattr(regions_mod, "_KEPT_SHARDS_BYTES", 1)
+            stream_enclosure_range(engine, plan)
+        generated(reset=True)
+        report = run_stream(engine, plan, risks, collect_results=True)
+        shards = -(-plan.total_regions // plan.shard_size)
+        assert generated() == {"generate": 1, "propagate": shards}
+        if case != "plan":  # other shard boundaries may move a last bit
+            assert _answers(report) == reference
+
+    def test_workers_propagate_the_kept_regions(self, setup, generated):
+        engine, risks, reference = setup
+        generated(reset=True)
+        report = run_stream(
+            engine, self.PLAN, risks, workers=2, collect_results=True
+        )
+        assert generated() == {"generate": 0, "propagate": 3}
+        assert _answers(report) == reference
+
+    def test_nothing_is_left_on_the_engine(self, setup):
+        engine, risks, _ = setup
+        names = engine.feature_set_names()
+        stream_enclosure_range(engine, self.PLAN)
+        assert engine.feature_set_names() == names
+        assert engine._kept_shards is not None
+        assert pickle.loads(pickle.dumps(engine))._kept_shards is None
+        engine.clear_caches()
+        assert engine._kept_shards is None
+        for plan in (self.PLAN, replace(self.PLAN, shard_size=4)):
+            stream_enclosure_range(engine, self.PLAN)
+            run_stream(engine, plan, risks, attack_steps=0, solver_fallback=False)
+            assert engine._kept_shards is None
+            assert engine.feature_set_names() == names
+        stream_enclosure_range(engine, self.PLAN)
+        with pytest.raises(ValueError, match="at least one risk"):
+            run_stream(engine, self.PLAN, [])
+        assert engine._kept_shards is None
 
 
 def _shm_segments() -> set[str]:

@@ -62,6 +62,45 @@ class TestMaxGroupOp:
         with pytest.raises(ValueError, match="empty"):
             MaxGroupOp(2, [np.array([], dtype=int)])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        in_dim=st.integers(1, 9),
+        n_groups=st.integers(1, 6),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gather_equals_per_group_loop(self, in_dim, n_groups, rows, seed):
+        """One padded gather gives each group's max and first argmax."""
+        from repro.verification.abstraction.domain import get_domain
+        from repro.verification.ir import _op_vjp
+        from repro.verification.sets import BoxBatch
+
+        rng = np.random.default_rng(seed)
+        # unequal, overlapping groups (members may repeat); small integer
+        # values make ties within a group common
+        groups = [
+            rng.integers(0, in_dim, size=int(rng.integers(1, in_dim + 3)))
+            for _ in range(n_groups)
+        ]
+        op = MaxGroupOp(in_dim, groups)
+        x = rng.integers(-2, 3, size=(rows, in_dim)).astype(float)
+        upper = x + rng.integers(0, 2, size=x.shape)
+        grad = rng.normal(size=(rows, n_groups))
+
+        def loop_max(values):
+            return np.stack([values[:, g].max(axis=1) for g in op.groups], axis=1)
+
+        vjp = np.zeros_like(x)
+        for j, g in enumerate(op.groups):
+            np.add.at(vjp, (np.arange(rows), g[np.argmax(x[:, g], axis=1)]), grad[:, j])
+
+        assert np.array_equal(op.apply(x), loop_max(x))
+        assert np.array_equal(op.apply(x[0]), loop_max(x[:1])[0])
+        image = get_domain("interval").transform(op, BoxBatch(x, upper))
+        assert np.array_equal(image.lower, loop_max(x))
+        assert np.array_equal(image.upper, loop_max(upper))
+        assert np.array_equal(_op_vjp(op, x, grad), vjp)
+
 
 class TestPiecewiseLinearNetwork:
     def test_dimension_chain_checked(self):
