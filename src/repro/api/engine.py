@@ -14,14 +14,16 @@ Queries run in batches (a single query is a batch of one) through one
    → zonotope → symbolic) up to the query's ``domain``, one cached
    enclosure per ``(set, domain)`` rung, each rung one batched pass over
    the sets still pending at it;
-2. *support-cache* — for single-inequality risks ``a·y >= t`` (the
-   threshold-sweep family), one exact minimization of ``a·y`` over the
-   constrained region — closed form when the suffix is affine on a box,
-   else one exact MILP optimization — answers **every** threshold: ``t``
-   beyond the cached support value is UNSAT, anything else is SAT with
-   the cached optimizer, replayed once through the real network, as
-   witness.  This is the paper's output-range-analysis view of
-   verification, applied as a query planner;
+2. *support-cache* — per risk row ``a·y <= b``, a cached support
+   entry for ``min a·y`` over the constrained region.  The linear
+   support (back-substitution over the set's interval hull, relu-like
+   ops relaxed) gives a sound bound and a hull vertex; a bound past
+   ``b`` is UNSAT, and a vertex in the set whose replay through the real
+   network meets every row is a SAT witness.  Where bound and replay
+   meet (the suffix affine on the hull) the entry is exact and, as a
+   MILP optimization's is, answers **every** threshold of a
+   single-inequality sweep.  This is the paper's output-range-analysis
+   view of verification, applied as a query planner;
 3. *relaxed-lp* — one LP over the cached binary-free relaxation: an
    infeasible LP is a proof, an LP point satisfying the exact neuron
    semantics is a genuine witness;
@@ -81,7 +83,8 @@ from repro.verification.milp.encoder import (
 from repro.verification.milp.relaxed import encode_relaxed_problem
 from repro.verification.output_range import (
     RELU_LIKE_OPS,
-    box_support,
+    linear_op_bounds,
+    linear_support,
     optimize_range,
     trivial_reachability_risk,
 )
@@ -117,19 +120,25 @@ class RegisteredFeatureSet:
 class _Support:
     """A cached support answer: ``min a·y`` over one set, and where.
 
-    ``features`` / ``output`` are the minimizer and its replay through
-    the real network, checked once when the entry is built; a query
-    takes only its own risk margin from them.  An empty region has
-    ``value`` inf and no minimizer.
+    ``features`` / ``output`` are a point of the region and its replay
+    through the real network, checked once when the entry is built; a
+    query takes only its own risk margin from them.  An *exact* entry's
+    ``value`` is the minimum, attained at ``features``.  Otherwise
+    ``value`` is a sound lower bound on it and ``replayed`` (``a·output``,
+    when there is a point) an upper one.  An empty region has ``value``
+    inf and no minimizer.
     """
 
     value: float
-    #: the solver's optimal assignment (the closed form's: the features)
+    #: the solver's optimal assignment (the linear support's: the features)
     witness: np.ndarray | None = None
     features: np.ndarray | None = None
     output: np.ndarray | None = None
     #: the characterizer's accepting logit at the minimizer, if encoded
     logit: float | None = None
+    exact: bool = True
+    #: ``a·output`` of a linear-support entry
+    replayed: float | None = None
 
     def counterexample(self, risk: RiskCondition) -> FeatureCounterexample:
         return FeatureCounterexample(
@@ -140,9 +149,37 @@ class _Support:
         )
 
 
-#: relative gap between a closed-form support value and its replay past
-#: which the solver path decides instead
+#: relative tolerance of the support stage: a linear bound and its
+#: replay this close make the entry exact, and a bound proves a
+#: threshold only past it
 _REPLAY_RTOL = 1e-9
+
+#: a support entry that knows nothing yet: only an optimization decides
+_UNBOUNDED = _Support(float("-inf"), exact=False)
+
+
+def _support_outcome(
+    entries: list[_Support | None], risk: RiskCondition, b: np.ndarray
+) -> tuple[SolveStatus, _Support] | None:
+    """What one support entry per risk row ``a_i·y <= b_i`` decides.
+
+    UNSAT when a row's bound exceeds its ``b_i`` by more than
+    :data:`_REPLAY_RTOL` (relative); SAT when an entry's replayed point
+    meets every row, or when a single row's exact minimum does not
+    exceed ``b``.  ``None`` leaves the query to the later stages.
+    """
+    for entry, rhs in zip(entries, b):
+        margin = _REPLAY_RTOL * max(1.0, abs(float(rhs)))
+        if entry is not None and entry.value > float(rhs) + margin:
+            return SolveStatus.UNSAT, entry
+    for entry in entries:
+        if entry is None or entry.output is None:
+            continue
+        single = entry.exact and len(entries) == 1 and entry.value <= float(b[0])
+        if single or risk.margin(entry.output[None, :])[0] >= 0.0:
+            return SolveStatus.SAT, entry
+    return None
+
 
 #: methods the prescreen and relaxed-LP stages answer; every other
 #: method passes them by, to the support cache (exact only) and solve
@@ -154,8 +191,9 @@ _SET_CACHES = (
     "_bounds_cache",
     "_enclosure_cache",
     "_encoding_cache",
-    #: (set, property, direction) -> _Support (value, minimizer and its
-    #: replayed output), or None when the optimization hit a limit
+    #: (set, property, direction) -> _Support (the linear support's
+    #: bracket, or the exact value with its minimizer and replayed
+    #: output), or None when the optimization hit a limit
     "_support_cache",
     #: single-row directions seen by one-off queries (amortization gate)
     "_direction_seen",
@@ -384,15 +422,18 @@ class VerificationEngine:
             for key in [k for k in cache if k[1] == prop]:
                 del cache[key]
 
-    def _characterizer_parts(self, property_name: str | None, hits: list[str]):
-        """Lowered characterizer network + threshold, cached per property."""
-        if property_name is None:
-            return None, 0.0
-        if property_name not in self.characterizers:
+    def _check_property(self, property_name: str | None) -> None:
+        if property_name is not None and property_name not in self.characterizers:
             raise KeyError(
                 f"no characterizer for {property_name!r}; "
                 f"attached: {sorted(self.characterizers)}"
             )
+
+    def _characterizer_parts(self, property_name: str | None, hits: list[str]):
+        """Lowered characterizer network + threshold, cached per property."""
+        if property_name is None:
+            return None, 0.0
+        self._check_property(property_name)
 
         def build():
             characterizer = self.characterizers[property_name]
@@ -589,13 +630,25 @@ class VerificationEngine:
     # -- cached risk-independent artifacts ---------------------------------
 
     def _op_bounds(self, set_name: str, net_key: str, network, hits: list[str]):
-        registered = self._registered(set_name)
+        """Per-op bounds of ``network`` over a set's interval hull, cached.
+
+        A suffix with a relu-like op gets them tightened by
+        back-substitution (:func:`~repro.verification.output_range.linear_op_bounds`),
+        which the linear support, the big-M constants and the relaxed LP
+        all read.
+        """
+        feature_set = self._registered(set_name).feature_set
+
+        def build():
+            bounds = op_bounds_for_set(network, feature_set)
+            if net_key == "suffix" and any(
+                isinstance(op, RELU_LIKE_OPS) for op in network.ops
+            ):
+                return linear_op_bounds(network, bounds)
+            return bounds
+
         return self._cached(
-            self._bounds_cache,
-            (set_name, net_key),
-            "abstraction-bounds",
-            lambda: op_bounds_for_set(network, registered.feature_set),
-            hits,
+            self._bounds_cache, (set_name, net_key), "abstraction-bounds", build, hits
         )
 
     def output_enclosures(
@@ -667,107 +720,116 @@ class VerificationEngine:
         )
 
     def _support(
-        self,
-        query: VerificationQuery,
-        direction: tuple[float, ...],
-        hits: list[str],
-        *,
-        optimize: bool = True,
+        self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
     ) -> _Support | None:
-        """Exact ``min direction·y`` over the constrained region, cached.
+        """The cached support entry for ``direction`` over the query's
+        constrained region.
 
-        Closed form when the query has no characterizer and the suffix
-        is affine on the set (:meth:`_closed_form_support`), else one
-        MILP optimization.  Returns the :class:`_Support` entry (value
-        inf, no minimizer, for an empty region: every risk is then
-        unreachable); ``None`` when the optimization could not be proved
-        optimal (callers must fall back to the regular solve path — the
-        failure is cached too, so a sweep does not re-pay a hopeless
-        optimization per query).  With ``optimize=False`` only a closed
-        form is built: without one the key stays uncached and the result
-        is ``None``.
+        Built by the linear support (:meth:`_linear_support`, or
+        :data:`_UNBOUNDED` where it does not apply) and replaced by
+        :meth:`_optimized_support`.  ``None`` when that optimization hit
+        a limit: the failure is cached, so a sweep does not re-pay a
+        hopeless optimization per query.
+        """
+        key = (query.set_name, query.property_name, direction)
+        return self._cached(
+            self._support_cache,
+            key,
+            "support",
+            lambda: self._linear_support(query, direction, hits) or _UNBOUNDED,
+            hits,
+        )
+
+    def _optimized_support(
+        self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
+    ) -> _Support | None:
+        """Exact ``min direction·y`` by one MILP optimization, replacing
+        the cached entry: a :class:`_Support` (value inf, no minimizer,
+        for an empty region), or ``None`` when it could not be proved
+        optimal (callers fall back to the regular solve path).
 
         Always runs under the engine-level solver options: the support
         stage only lets un-budgeted queries optimize, so per-query
         budgets never truncate (and thereby poison) the cached value.
         """
-        key = (query.set_name, query.property_name, direction)
-        if not optimize and key not in self._support_cache:
-            closed = self._closed_form_support(query, direction, hits)
-            if closed is None:
-                return None
-            return self._cached(
-                self._support_cache, key, "support", lambda: closed, hits
+        base = self._base_encoding(query.set_name, query.property_name, "milp", hits)
+        spec = solver_spec(self._milp_solver_name(query))
+        backend = spec.factory(**self._options_for(spec, None))
+        with base.scoped() as problem:
+            coeffs = {
+                problem.output_vars[j]: direction[j]
+                for j in range(len(problem.output_vars))
+                if direction[j] != 0.0
+            }
+            problem.model.set_objective(coeffs)
+            result = backend.minimize(problem.model)
+        entry = None  # resource limit: remember not to retry
+        if result.status is SolveStatus.UNSAT:
+            entry = _Support(float("inf"))
+        elif result.status is SolveStatus.SAT and result.stats.get(
+            "proved_optimal", True
+        ):
+            # the encoder-replay check (raises on an encoder bug) runs
+            # once here, not once per query
+            replay = decode_witness(
+                base, result.witness, self.model, self.cut_layer, query.risk
             )
-
-        def build() -> _Support | None:
-            closed = self._closed_form_support(query, direction, hits)
-            if closed is not None:
-                return closed
-            base = self._base_encoding(
-                query.set_name, query.property_name, "milp", hits
+            entry = _Support(
+                float(result.objective),
+                result.witness,
+                replay.features,
+                replay.predicted_output,
+                replay.characterizer_logit,
             )
-            spec = solver_spec(self._milp_solver_name(query))
-            backend = spec.factory(**self._options_for(spec, None))
-            with base.scoped() as problem:
-                coeffs = {
-                    problem.output_vars[j]: direction[j]
-                    for j in range(len(problem.output_vars))
-                    if direction[j] != 0.0
-                }
-                problem.model.set_objective(coeffs)
-                result = backend.minimize(problem.model)
-            if result.status is SolveStatus.UNSAT:
-                return _Support(float("inf"))
-            if result.status is SolveStatus.SAT and result.stats.get(
-                "proved_optimal", True
-            ):
-                # the encoder-replay check (raises on an encoder bug)
-                # runs once here, not once per query
-                replay = decode_witness(
-                    base, result.witness, self.model, self.cut_layer, query.risk
-                )
-                return _Support(
-                    float(result.objective),
-                    result.witness,
-                    replay.features,
-                    replay.predicted_output,
-                    replay.characterizer_logit,
-                )
-            return None  # resource limit: remember not to retry
+        self._support_cache[(query.set_name, query.property_name, direction)] = entry
+        return entry
 
-        return self._cached(self._support_cache, key, "support", build, hits)
-
-    def _closed_form_support(
+    def _linear_support(
         self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
     ) -> _Support | None:
-        """``min direction·y`` without a solver, for a query with no
-        characterizer whose suffix is affine on its box set
-        (:func:`~repro.verification.output_range.box_support`).
+        """``min direction·y`` bracketed without a solver, over the set's
+        interval hull (:func:`~repro.verification.output_range.linear_support`).
 
-        Relu-like ops must be stable over the set by its cached
-        abstraction bounds, which a relu-free suffix never computes.
-        The minimizing vertex replays through the real network and the
-        replayed ``direction·y`` is the support value.  Returns ``None``
-        (the solver decides) for any other query, set or suffix, or
-        when the replay disagrees with the closed form.
+        Relu-like ops are relaxed over the set's cached suffix bounds,
+        which a relu-free suffix never computes.  The bound is sound for
+        the constrained region too.  The minimizing hull vertex is a
+        point of the region only when the query has no characterizer and
+        the set contains it; it then replays through the real network,
+        and a bound that meets its replay within :data:`_REPLAY_RTOL` is
+        exact (every neuron stable, the suffix affine on the hull).
+        Returns ``None`` (only an optimization decides) for a suffix op
+        it does not support, a bound that is not finite, or one past its
+        own replay.
         """
         feature_set = self._registered(query.set_name).feature_set
-        if query.property_name is not None or type(feature_set) is not Box:
-            return None
         bounds = None
         if any(isinstance(op, RELU_LIKE_OPS) for op in self.suffix.ops):
             bounds = self._op_bounds(query.set_name, "suffix", self.suffix, hits)
-        closed = box_support(self.suffix, feature_set, np.asarray(direction), bounds)
-        if closed is None:
+        box = type(feature_set) is Box
+        hull = feature_set if box else Box(*feature_set.bounds())
+        support = linear_support(self.suffix, hull, np.asarray(direction), bounds)
+        if support is None or not np.isfinite(support[0]):
             return None
-        value, features = closed
+        bound, features = support
+        if query.property_name is not None or not (
+            box or feature_set.contains_point(features, tol=0.0)
+        ):
+            return _Support(bound, exact=False)
         output = self.model.suffix_apply(features[None, :], self.cut_layer)[0]
         replayed = float(np.dot(direction, output))
-        # written so that a NaN (an unbounded box) also fails the check
-        if not abs(replayed - value) <= _REPLAY_RTOL * max(1.0, abs(value)):
+        tolerance = _REPLAY_RTOL * max(1.0, abs(bound))
+        # written so that a NaN replay also fails the check
+        if not replayed - bound >= -tolerance:
             return None
-        return _Support(replayed, features, features, output)
+        exact = replayed - bound <= tolerance
+        return _Support(
+            replayed if exact else bound,
+            features,
+            features,
+            output,
+            exact=exact,
+            replayed=replayed,
+        )
 
     # -- backends ----------------------------------------------------------
 
@@ -1052,58 +1114,86 @@ class VerificationEngine:
     # support cache ----------------------------------------------------------
 
     def _support_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
-        """Answer single-inequality risks from one cached optimization.
+        """Answer risks from cached support entries, one per risk row.
 
-        A risk ``a·y <= b`` is feasible iff ``b >= min a·y`` over the
-        region, and the cached minimizer, replayed through the real
-        network once when cached, is a genuine witness for every such
-        ``b``: one exact optimization answers a whole threshold sweep,
-        and each query only takes its own risk margin.  A MILP
-        optimization costs more than one first-incumbent feasibility
-        solve, so a one-off query keeps the feasibility path until its
-        direction repeats; a campaign batch optimizes eagerly.
-        Budget-limited queries never *trigger* one (a truncated
-        optimization would poison the cache for the whole sweep), but an
-        already-cached value answers them for free.  A closed form costs
-        less than any solve and no budget truncates it, so every query
-        takes one at once.
+        A risk ``A y <= b`` is unreachable when some row's ``min a·y``
+        over the region exceeds its ``b``, and a point of the region
+        whose replay through the real network meets every row is a
+        genuine witness.  Each row's entry starts as the linear support
+        (:meth:`_linear_support`), and any entry's bound proves UNSAT
+        only past :data:`_REPLAY_RTOL`.  An exact entry (a linear
+        support whose bound meets its replay, or a MILP optimization)
+        answers every other threshold of a single-row risk ``a·y <= b``,
+        so one entry answers a whole threshold sweep and each query
+        only takes its own risk margin.
+
+        A single-row query left in an open bracket may optimize, which
+        replaces the entry.  A MILP optimization costs more than one
+        first-incumbent feasibility solve, so a one-off query keeps the
+        feasibility path until its direction repeats; a campaign batch
+        optimizes eagerly.  Budget-limited queries never *trigger* one
+        (a truncated optimization would poison the cache for the whole
+        sweep), but an already-cached entry answers them for free.  The
+        linear support costs less than any solve and no budget truncates
+        it, so every query takes it at once.
         """
 
         def step(item: _Item) -> None:
             query = item.query
             if query.method is not Method.EXACT:
                 return
+            self._check_property(query.property_name)  # as the solver path does
             a_risk, b_risk = query.risk.as_matrix()
-            if len(b_risk) != 1:
+            directions = [tuple(float(v) for v in row) for row in a_risk]
+            entries = [self._support(query, d, item.hits) for d in directions]
+            outcome = _support_outcome(entries, query.risk, b_risk)
+            if outcome is None and self._optimizes(batch, query, directions, entries):
+                item.ladder.append("support-cache")
+                entries = [self._optimized_support(query, directions[0], item.hits)]
+                outcome = _support_outcome(entries, query.risk, b_risk)
+            elif outcome is not None:
+                item.ladder.append("support-cache")
+            if outcome is None:
                 return
-            direction = tuple(float(v) for v in a_risk[0])
-            key = (query.set_name, query.property_name, direction)
-            budgeted = query.time_limit is not None or query.node_limit is not None
-            optimize = not budgeted and (
-                batch.campaign or self._direction_seen.get(key, 0) >= 1
-            )
-            entry = self._support(query, direction, item.hits, optimize=optimize)
-            if entry is None and not (optimize or key in self._support_cache):
-                if not budgeted:
-                    self._direction_seen[key] = self._direction_seen.get(key, 0) + 1
-                return
-            item.ladder.append("support-cache")
-            if entry is None:
-                return
+            status, entry = outcome
             stats = {"decided": "support-cache", "support": entry.value}
-            if entry.value > float(b_risk[0]):
-                self._answer(item, "support-cache", SolveStatus.UNSAT, stats=stats)
+            if entry.replayed is not None:
+                stats["replayed"] = entry.replayed
+            if status is SolveStatus.UNSAT:
+                self._answer(item, "support-cache", status, stats=stats)
                 return
             self._answer(
                 item,
                 "support-cache",
-                SolveStatus.SAT,
+                status,
                 witness=entry.witness,
                 stats=stats,
                 counterexample=entry.counterexample(query.risk),
             )
 
         return self._each(batch, pending, step)
+
+    def _optimizes(
+        self,
+        batch: _Batch,
+        query: VerificationQuery,
+        directions: list[tuple[float, ...]],
+        entries: list[_Support | None],
+    ) -> bool:
+        """Whether a query the entries left undecided runs the MILP
+        optimization: a single-row risk in an open bracket, no budget,
+        and a campaign or a repeated direction (a one-off query's first
+        sighting of its direction is counted here)."""
+        entry = entries[0]
+        if len(entries) != 1 or entry is None or entry.exact:
+            return False
+        if query.time_limit is not None or query.node_limit is not None:
+            return False
+        key = (query.set_name, query.property_name, directions[0])
+        if batch.campaign or self._direction_seen.get(key, 0) >= 1:
+            return True
+        self._direction_seen[key] = 1
+        return False
 
     # relaxed LP -------------------------------------------------------------
 

@@ -97,11 +97,26 @@ class RiskCondition:
         return margins.min(axis=0)
 
     def as_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked normalized form ``A y <= b`` (one row per inequality)."""
-        rows = [ineq.normalized() for ineq in self.inequalities]
-        a = np.stack([r[0] for r in rows])
-        b = np.array([r[1] for r in rows])
-        return a, b
+        """Stacked normalized form ``A y <= b`` (one row per inequality).
+
+        Built on the first call and kept on the instance (outside its
+        fields, so equality, hashing and pickling ignore it); both
+        arrays are read-only.
+        """
+        matrix = self.__dict__.get("_matrix")
+        if matrix is None:
+            rows = [ineq.normalized() for ineq in self.inequalities]
+            a = np.stack([r[0] for r in rows])
+            b = np.array([r[1] for r in rows])
+            a.flags.writeable = b.flags.writeable = False
+            matrix = (a, b)
+            object.__setattr__(self, "_matrix", matrix)
+        return matrix
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_matrix", None)
+        return state
 
     def __str__(self) -> str:
         body = " AND ".join(str(ineq) for ineq in self.inequalities)

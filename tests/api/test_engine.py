@@ -7,6 +7,7 @@ from repro.api import Method, VerificationEngine, VerificationQuery
 from repro.core.verdict import Verdict
 from repro.properties.risk import RiskCondition, output_geq
 from repro.verification.abstraction.interval import propagate_box
+from repro.verification.output_range import output_range
 from repro.verification.sets import Box
 
 
@@ -33,11 +34,11 @@ def _unreachable_risk(engine):
 
 
 class TestEncodingCache:
-    def test_one_encode_across_repeated_queries(self, api_system):
+    def test_one_encode_across_repeated_queries(self, api_system, open_data_set):
         """The headline win: N same-shape queries, exactly one encoding."""
         model, images, cut, characterizer = api_system
         engine = VerificationEngine(model, cut, solver="highs")
-        engine.add_feature_set_from_data(images)
+        engine.add_raw_set(open_data_set, sound=False, name="data")
         outputs = model.forward(images)
         for quantile in np.linspace(0.05, 0.95, 10):
             risk = RiskCondition(
@@ -47,13 +48,14 @@ class TestEncodingCache:
                 VerificationQuery(risk=risk, domain=None)
             )
             assert result.ok
-        # single-row risks: the first query keeps the one-off feasibility
-        # path (one relaxed encode); the repeated direction then triggers
-        # one support optimization (one MILP encode) that answers the rest
+        # single-row risks: the first query builds the support bracket,
+        # which leaves it open, and keeps the one-off feasibility path
+        # (one relaxed encode); the repeated direction then triggers one
+        # support optimization (one MILP encode) that answers the rest
         assert engine.cache_stats.get("miss:encoding:relaxed", 0) == 1
         assert engine.cache_stats.get("miss:encoding:milp", 0) == 1
         assert engine.cache_stats.get("miss:support", 0) == 1
-        assert engine.cache_stats.get("hit:support", 0) == 8
+        assert engine.cache_stats.get("hit:support", 0) == 9
         # suffix abstraction bounds propagated exactly once for the set
         assert engine.cache_stats.get("miss:abstraction-bounds", 0) <= 2
 
@@ -127,16 +129,17 @@ class TestEncodingCache:
         assert engine.cache_stats.get("miss:prescreen-enclosure", 0) == 1
         assert engine.cache_stats.get("hit:prescreen-enclosure", 0) == 3
 
-    def test_cache_disabled_reencodes(self, engine, api_system):
+    def test_cache_disabled_reencodes(self, engine, api_system, open_data_set):
         """No cache = a fresh engine per query: each encodes from
         scratch and agrees with the cached engine."""
         model, images, cut, _ = api_system
+        engine.add_raw_set(open_data_set, sound=False, name="data", overwrite=True)
         risk = _reachable_risk(api_system, 0.5)
         query = VerificationQuery(risk=risk, domain=None)
         cached = engine.run_query(query).verdict.verdict
         for _ in range(3):
             fresh = VerificationEngine(model, cut)
-            fresh.add_feature_set_from_data(images)
+            fresh.add_raw_set(open_data_set, sound=False, name="data")
             assert fresh.run_query(query).verdict.verdict is cached
             assert fresh.cache_stats.get("hit:encoding:relaxed", 0) == 0
             assert fresh.cache_stats.get("miss:encoding:relaxed", 0) == 1
@@ -229,14 +232,14 @@ class TestFeatureSetGuard:
         assert narrow.output_range.lower >= wide.output_range.lower - 1e-9
         assert narrow.output_range.upper <= wide.output_range.upper + 1e-9
 
-    def test_overwrite_forgets_seen_directions(self, api_system):
+    def test_overwrite_forgets_seen_directions(self, api_system, open_data_set):
         """A replaced set starts its one-off queries' ladder afresh."""
         model, images, cut, _ = api_system
         query = VerificationQuery(risk=_reachable_risk(api_system, 0.5), domain=None)
         engine = VerificationEngine(model, cut)
-        engine.add_feature_set_from_data(images)
+        engine.add_raw_set(open_data_set, sound=False, name="data")
         first = engine.run_query(query)
-        engine.add_feature_set_from_data(images, overwrite=True)
+        engine.add_raw_set(open_data_set, sound=False, name="data", overwrite=True)
         again = engine.run_query(query)
         assert again.ladder == first.ladder
         assert "support-cache" not in again.ladder
@@ -314,28 +317,43 @@ class TestFailedScreenLP:
     """A relaxed LP that stops without an answer must never decide UNSAT."""
 
     @staticmethod
-    def _engine(api_system, solver):
-        model, images, cut, _ = api_system
+    def _engine(api_system, open_data_set, solver):
+        model, _, cut, _ = api_system
         engine = VerificationEngine(model, cut, solver=solver)
-        engine.add_feature_set_from_data(images)
+        engine.add_raw_set(open_data_set, sound=False, name="data")
         return engine
 
-    def test_screen_falls_through_to_the_complete_solver(self, api_system, fail_lps):
-        engine = self._engine(api_system, "highs")
-        query = VerificationQuery(risk=_unreachable_risk(engine), domain=None)
+    @staticmethod
+    def _unreachable_risk(open_data_set, engine):
+        """Past the set's reach but within its hull's: the support
+        bound (over the hull) proves nothing, the LP over the set does."""
+        reach = output_range(engine.suffix, open_data_set).upper
+        hull = propagate_box(engine.suffix, open_data_set.box).upper[0]
+        assert reach < hull - 0.1
+        return RiskCondition("never", (output_geq(2, 0, 0.5 * (reach + hull)),))
+
+    def test_screen_falls_through_to_the_complete_solver(
+        self, api_system, open_data_set, fail_lps
+    ):
+        engine = self._engine(api_system, open_data_set, "highs")
+        risk = self._unreachable_risk(open_data_set, engine)
+        query = VerificationQuery(risk=risk, domain=None)
         assert engine.run_query(query).decided_by == "relaxed-lp"
         fail_lps()
-        result = self._engine(api_system, "highs").run_query(query)
+        result = self._engine(api_system, open_data_set, "highs").run_query(query)
         assert result.decided_by == "solve:highs"
         assert result.verdict.verdict is Verdict.CONDITIONALLY_SAFE
 
     @pytest.mark.parametrize("method", [Method.EXACT, Method.RELAXED])
     @pytest.mark.parametrize("solver", ["branch-and-bound", "phase-split"])
-    def test_no_path_answers_unsat(self, api_system, fail_lps, method, solver):
-        engine = self._engine(api_system, solver)
+    def test_no_path_answers_unsat(
+        self, api_system, open_data_set, fail_lps, method, solver
+    ):
+        engine = self._engine(api_system, open_data_set, solver)
+        risk = self._unreachable_risk(open_data_set, engine)
         fail_lps()
         result = engine.run_query(
-            VerificationQuery(risk=_unreachable_risk(engine), domain=None, method=method)
+            VerificationQuery(risk=risk, domain=None, method=method)
         )
         assert result.verdict.verdict is Verdict.UNKNOWN
 

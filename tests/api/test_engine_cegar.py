@@ -204,9 +204,11 @@ class TestCegarFallback:
             model, cut, solver="always-unknown",
             lp_screen=False, refine_fallback=True, cegar_budget=4000,
         )
-        # an octagon set, not a box: over a box the affine suffix's
-        # closed-form support would answer before the solver is reached
-        engine.add_static_feature_set(0.0, 1.0, domain="octagon", name="domain")
+        # a zonotope-propagated set: its difference record excludes the
+        # hull vertex the linear support picks, and the hull reaches past
+        # the threshold, so the support stage leaves the query to the
+        # solver (over a box, or the octagon set, it would answer first)
+        engine.add_static_feature_set(0.0, 1.0, domain="zonotope", name="domain")
         query = VerificationQuery(
             risk=_risk(reachable[1] + 0.3), set_name="domain",
             domain=None,

@@ -1,11 +1,12 @@
 """Closed-form support: when the engine skips the MILP, and when not.
 
 A query without a characterizer over a plain box, through a suffix that
-is affine on it (stable relu-like neurons allowed), takes its support
-value in closed form; every other case keeps the MILP optimization.
-Either way the verdicts match an engine forced onto the solver path,
-and each support entry carries its replayed counterexample, so a warm
-re-run decodes no witness.
+is affine on it (stable relu-like neurons allowed), takes its exact
+support value from the linear support; a query whose linear support
+leaves it open keeps the MILP optimization.  Either way the verdicts
+match an engine forced onto the solver path, and each support entry
+carries its replayed counterexample, so a warm re-run decodes no
+witness.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ THRESHOLDS = np.linspace(-3.0, 3.0, 9)
 
 
 def _solver_only(engine: VerificationEngine) -> VerificationEngine:
-    """``engine`` with the closed form switched off."""
-    engine._closed_form_support = lambda *args: None
+    """``engine`` with the linear support switched off."""
+    engine._linear_support = lambda *args: None
     return engine
 
 
@@ -166,12 +167,12 @@ class TestSolverPathKept:
         report = self._check(build, properties=("high_f0",))
         assert "support-cache" in {r.decided_by for r in report.results}
 
-    def test_box_with_diffs_set(self, api_system):
+    def test_box_with_diffs_set(self, api_system, open_data_set):
         model, images, cut, _ = api_system
 
         def build():
             engine = VerificationEngine(model, cut, solver="highs")
-            _data_box(engine, images, kind="box+diff")
+            engine.add_raw_set(open_data_set, sound=False, name="set")
             return engine
 
         self._check(build)
@@ -188,7 +189,13 @@ class TestSolverPathKept:
         bounds = engine._op_bounds("set", "suffix", engine.suffix, [])
         pre = bounds[1][0]
         assert np.any((pre.lower < 0) & (pre.upper > 0))
-        self._check(build)
+        # a threshold inside the linear support's bracket on -y0: its
+        # bound proves nothing and its replayed vertex is no witness
+        query = SimpleNamespace(set_name="set", property_name=None)
+        bracket = engine._linear_support(query, (-1.0, -0.0), [])
+        assert not bracket.exact
+        inside = -0.5 * (bracket.value + bracket.replayed)
+        self._check(build, thresholds=np.append(THRESHOLDS, inside))
 
     def test_unsupported_op(self):
         model = Sequential(
@@ -214,13 +221,13 @@ class TestSolverPathKept:
 
     def test_replay_disagreement(self, api_system, monkeypatch):
         model, images, cut, _ = api_system
-        real = engine_module.box_support
+        real = engine_module.linear_support
 
         def off_by_one(*args):
             value, vertex = real(*args)
             return value + 1.0, vertex
 
-        monkeypatch.setattr(engine_module, "box_support", off_by_one)
+        monkeypatch.setattr(engine_module, "linear_support", off_by_one)
 
         def build():
             engine = VerificationEngine(model, cut, solver="highs")
@@ -242,7 +249,7 @@ def test_unbounded_box_has_no_closed_form(api_system):
     direction = tuple(-engine.suffix.ops[0].weight[:, 0])
     query = SimpleNamespace(set_name="set", property_name=None)
     with np.errstate(invalid="ignore"):
-        assert engine._closed_form_support(query, direction, []) is None
+        assert engine._linear_support(query, direction, []) is None
 
 
 def test_scenario_grid_campaign_skips_the_milp():
@@ -288,7 +295,7 @@ def test_scenario_grid_campaign_skips_the_milp():
     assert _answers(report) == _answers(reference)
 
 
-def test_warm_rerun_decodes_no_witness(api_system, monkeypatch):
+def test_warm_rerun_decodes_no_witness(api_system, open_data_set, monkeypatch):
     """The MILP path replays its witness once, when the entry is built."""
     model, images, cut, _ = api_system
     calls = []
@@ -299,7 +306,7 @@ def test_warm_rerun_decodes_no_witness(api_system, monkeypatch):
 
     monkeypatch.setattr(engine_module, "decode_witness", counting)
     engine = VerificationEngine(model, cut, solver="highs")
-    _data_box(engine, images, kind="box+diff")
+    engine.add_raw_set(open_data_set, sound=False, name="set")
     cold = _sweep(engine)
     assert len(calls) == 1
     warm = _sweep(engine)

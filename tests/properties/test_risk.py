@@ -65,6 +65,29 @@ class TestRiskCondition:
         y = np.array([1.0, 1.0, 1.0])
         assert np.all(a @ y <= b)
 
+    def test_as_matrix_is_built_once_and_read_only(self):
+        band = RiskCondition("band", tuple(output_in_band(3, 1, 0.0, 2.0)))
+        a, b = band.as_matrix()
+        again = band.as_matrix()
+        assert again[0] is a and again[1] is b
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            b[0] = 1.0
+
+    def test_matrix_cache_leaves_equality_hash_and_pickle_alone(self):
+        import pickle
+
+        band = RiskCondition("band", tuple(output_in_band(3, 1, 0.0, 2.0)))
+        fresh = RiskCondition("band", tuple(output_in_band(3, 1, 0.0, 2.0)))
+        before = pickle.dumps(band)
+        band.as_matrix()
+        assert band == fresh and hash(band) == hash(fresh)
+        assert pickle.dumps(band) == before == pickle.dumps(fresh)
+        restored = pickle.loads(pickle.dumps(band))
+        assert restored == band
+        np.testing.assert_array_equal(restored.as_matrix()[0], band.as_matrix()[0])
+
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):
             RiskCondition("empty", ())

@@ -16,6 +16,9 @@ from repro.interchange.vnnlib import write_vnnlib
 from repro.perception.network import build_mlp_perception_network
 from repro.properties.risk import RiskCondition, output_geq
 from repro.service import ResultStore, VerificationService
+from repro.verification.abstraction.interval import op_output_bounds
+from repro.verification.output_range import linear_op_bounds, linear_support
+from repro.verification.sets import Box
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +45,11 @@ def make_bench(directory, svc_model, reachable):
 
     - ``unsat.vnnlib``: threshold far above the enclosure — the interval
       prescreen decides it instantly;
-    - ``sat.vnnlib``: mid-range threshold — needs a genuine solve, the
-      answer is a counterexample;
+    - ``sat.vnnlib``: mid-range threshold — the support stage's replayed
+      vertex is a counterexample;
+    - ``open.vnnlib``: threshold between that vertex's output and a
+      sampled one — reachable, but only the LP or a genuine solve finds a
+      counterexample;
     - ``hard.vnnlib``: threshold just above the reachable maximum —
       undecidable without refinement, so CEGAR genuinely splits.
 
@@ -55,6 +61,13 @@ def make_bench(directory, svc_model, reachable):
     lower, upper = np.zeros(4), np.ones(4)
     write_vnnlib(directory / "unsat.vnnlib", lower, upper, [_risk(hi + 50.0)])
     write_vnnlib(directory / "sat.vnnlib", lower, upper, [_risk(0.5 * (lo + hi))])
+    network = svc_model.full_network()
+    box = Box(lower, upper)
+    bounds = linear_op_bounds(network, op_output_bounds(network, box))
+    _, vertex = linear_support(network, box, np.array([-1.0, 0.0]), bounds)
+    corner = float(network.apply(vertex[None, :])[0, 0])
+    assert corner < hi - 1e-3, "the support vertex must fall short of a sample"
+    write_vnnlib(directory / "open.vnnlib", lower, upper, [_risk(0.5 * (corner + hi))])
     write_vnnlib(directory / "hard.vnnlib", lower, upper, [_risk(hi + 0.3)])
     return directory
 

@@ -338,7 +338,7 @@ class TestBudgets:
     def test_budget_exceeded_is_timeout_not_failed(self, service):
         job = submit_wait(
             service,
-            {"model": "model.onnx", "property": "sat.vnnlib", "timeout": 0.001},
+            {"model": "model.onnx", "property": "open.vnnlib", "timeout": 0.001},
         )
         assert job.state is JobState.TIMEOUT
         assert job.result["status"] == "timeout"
