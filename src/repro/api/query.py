@@ -199,10 +199,6 @@ class VerificationQuery:
         psi = self.risk.name if self.risk is not None else "*"
         return f"{self.method.value} phi={phi} psi={psi} set={self.set_name}"
 
-    def encoding_key(self) -> tuple[str, str | None]:
-        """The cache identity of this query's encoding-relevant part."""
-        return (self.set_name, self.property_name)
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable description (for campaign provenance)."""
         out: dict[str, Any] = {

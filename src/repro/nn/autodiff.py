@@ -6,7 +6,9 @@ Adversarial search (FGSM, ref [17] of the paper) instead needs the
 gradient of the *deployed* network, where BatchNorm is a fixed affine
 map and dropout is the identity.  :func:`input_gradient` computes
 ``d(out_grad . f(x)) / dx`` for that eval-mode semantics, without
-touching any layer's training caches.
+touching any layer's training caches.  The attacks ascend the lowered
+program's exact VJP instead; this layer walk is its independent
+reference in the tests.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import numpy as np
 from repro.nn.layers.activations import Identity, LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.base import Layer
 from repro.nn.layers.batchnorm import BatchNorm
-from repro.nn.layers.conv import Conv2D, _col2im, _im2col
+from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.pool import AvgPool2D, MaxPool2D
 from repro.nn.layers.reshape import Flatten
 from repro.nn.sequential import Sequential
-from repro.nn.tensor import FLOAT
+from repro.nn.tensor import FLOAT, col2im
 
 
 def _layer_input_grad(layer: Layer, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -34,7 +36,7 @@ def _layer_input_grad(layer: Layer, x: np.ndarray, grad: np.ndarray) -> np.ndarr
         n, f, ho, wo = grad.shape
         w_flat = layer.weight.value.reshape(f, -1)
         dcols = np.einsum("fk,nfp->nkp", w_flat, grad.reshape(n, f, ho * wo))
-        return _col2im(dcols, x.shape, layer.kernel, layer.stride, layer.padding)
+        return col2im(dcols, x.shape, layer.kernel, layer.stride, layer.padding)
 
     if isinstance(layer, BatchNorm):
         scale, _ = layer.affine_coefficients()

@@ -7,18 +7,9 @@ from typing import Any
 import numpy as np
 
 from repro.nn import initializers
-from repro.nn.graph import MAX_AFFINE_ENTRIES, ConvOp
+from repro.nn.graph import ConvOp
 from repro.nn.layers.base import Layer
 from repro.nn.tensor import FLOAT, Parameter, col2im, conv_output_size, im2col
-
-#: backward-compatible alias; the canonical limit lives in repro.nn.graph
-_MAX_AFFINE_ENTRIES = MAX_AFFINE_ENTRIES
-
-
-#: backward-compatible aliases; the canonical helpers live in
-#: :mod:`repro.nn.tensor` so the lowered IR ops can share them
-_im2col = im2col
-_col2im = col2im
 
 
 class Conv2D(Layer):
@@ -62,7 +53,7 @@ class Conv2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         assert self.weight is not None and self.bias is not None, "layer not built"
         n = x.shape[0]
-        cols, ho, wo = _im2col(x, self.kernel, self.stride, self.padding)
+        cols, ho, wo = im2col(x, self.kernel, self.stride, self.padding)
         w_flat = self.weight.value.reshape(self.filters, -1)
         out = np.einsum("fk,nkp->nfp", w_flat, cols) + self.bias.value[None, :, None]
         if training:
@@ -82,7 +73,7 @@ class Conv2D(Layer):
         )
         self.bias.grad += g.sum(axis=(0, 2))
         dcols = np.einsum("fk,nfp->nkp", w_flat, g)
-        return _col2im(dcols, x_shape, self.kernel, self.stride, self.padding)
+        return col2im(dcols, x_shape, self.kernel, self.stride, self.padding)
 
     def config(self) -> dict[str, Any]:
         return {

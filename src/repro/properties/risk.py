@@ -81,20 +81,18 @@ class RiskCondition:
     def dim(self) -> int:
         return self.inequalities[0].dim
 
+    def margins(self, y: np.ndarray) -> np.ndarray:
+        """Per-inequality margins ``b - A y``, shape ``(..., len(inequalities))``."""
+        a, b = self.as_matrix()
+        return b - np.asarray(y, dtype=float) @ a.T
+
     def satisfied(self, y: np.ndarray, tol: float = 1e-9) -> np.ndarray | bool:
         """True where *all* inequalities hold (the risk occurs)."""
-        results = [ineq.satisfied(y, tol) for ineq in self.inequalities]
-        out = results[0]
-        for r in results[1:]:
-            out = np.logical_and(out, r)
-        return out
+        return self.margin(y) >= -tol
 
     def margin(self, y: np.ndarray) -> np.ndarray | float:
         """Worst (most violated) inequality margin; >= 0 iff psi holds."""
-        margins = np.stack(
-            [np.asarray(ineq.margin(y), dtype=float) for ineq in self.inequalities]
-        )
-        return margins.min(axis=0)
+        return self.margins(y).min(axis=-1)
 
     def as_matrix(self) -> tuple[np.ndarray, np.ndarray]:
         """Stacked normalized form ``A y <= b`` (one row per inequality).

@@ -138,26 +138,6 @@ def transform(op: PLOp, box: Box) -> Box:
     return out.box(0)
 
 
-def affine_bounds(op: AffineOp, box: Box) -> Box:
-    """Exact interval image of an affine map (batch-of-one view)."""
-    return transform(op, box)
-
-
-def relu_bounds(box: Box) -> Box:
-    """Exact interval image of ReLU (batch-of-one view)."""
-    return transform(ReLUOp(box.dim), box)
-
-
-def leaky_relu_bounds(op: LeakyReLUOp, box: Box) -> Box:
-    """Exact interval image of LeakyReLU (batch-of-one view)."""
-    return transform(op, box)
-
-
-def max_group_bounds(op: MaxGroupOp, box: Box) -> Box:
-    """Exact interval image of grouped max (batch-of-one view)."""
-    return transform(op, box)
-
-
 def propagate_box(network: PiecewiseLinearNetwork, box: Box) -> Box:
     """Interval image of the whole network (batch of one)."""
     element = INTERVAL.lift(BoxBatch(box.lower[None], box.upper[None]))

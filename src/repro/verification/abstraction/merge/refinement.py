@@ -1,10 +1,12 @@
 """Counterexample-guided refinement of a merged program.
 
-Given a spurious witness (a point where the *merged* program violates
-the rewritten risk but the original does not), refinement picks a merged
-group to split so the abstraction tightens where it hurt.  Candidate
-ordering is deterministic and guided by three signals evaluated at the
-witness:
+Given a spurious witness, refinement picks a merged group to split so
+the abstraction tightens where it hurt.  :func:`merged_attack` finds the
+witness with the sign-gradient ascent of
+:mod:`repro.verification.counterexample`, run on the merged program
+with the rewritten risk: its first merged-risk hit, or else its last
+iterate.  Candidate ordering is deterministic and guided by three
+signals evaluated at the witness:
 
 - **deviation gap** — how far the merged rail value strays from the
   tightest member it covers (the abstraction error this group injects);
@@ -28,6 +30,7 @@ import numpy as np
 from repro.properties.risk import RiskCondition
 from repro.verification.abstraction.merge.abstraction import MergeState
 from repro.verification.abstraction.merge.classify import RAILS
+from repro.verification.counterexample import _ascend
 
 SATURATED_WEIGHT = 0.1
 
@@ -60,34 +63,22 @@ def merged_attack(
     steps: int = 12,
     step_fraction: float = 0.25,
 ) -> np.ndarray:
-    """Deterministic ascent of the merged risk margin inside a box.
+    """A spurious-witness point for ``state`` inside one box.
 
-    Mirrors :func:`repro.verification.counterexample.pgd_in_boxes` — box
-    centre start, sign-gradient steps — but runs on the merged program
-    with the rewritten risk and returns the best point found rather than
-    requiring an actual violation.
+    The sign-gradient ascent of
+    :mod:`repro.verification.counterexample` run on the merged program
+    with the rewritten risk: its first merged-risk hit, or else its last
+    iterate.
     """
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    program = state.program()
-    merged_risk = state.merged_risk(risk)
-    matrix, bounds = merged_risk.as_matrix()
-    atoms = matrix.shape[0]
-    # Ascend the most-violated atom: maximise a . y - b.
-    step = step_fraction * (upper - lower)
-    point = (lower + upper) / 2.0
-    best_point = point.copy()
-    best_margin = -np.inf
-    for _ in range(max(1, int(steps)) + 1):
-        batch = np.tile(point, (atoms, 1))
-        outputs, gradients = program.value_and_input_gradient(batch, matrix)
-        margins = (matrix * outputs).sum(axis=1) - bounds
-        worst = int(np.argmax(margins))
-        if float(margins[worst]) > best_margin:
-            best_margin = float(margins[worst])
-            best_point = point.copy()
-        point = np.clip(point + step * np.sign(gradients[worst]), lower, upper)
-    return best_point
+    hits, last = _ascend(
+        state.program(),
+        state.merged_risk(risk),
+        np.asarray(lower, dtype=float).reshape(1, -1),
+        np.asarray(upper, dtype=float).reshape(1, -1),
+        steps=steps,
+        step_fraction=step_fraction,
+    )
+    return hits[0].image if hits else last[0]
 
 
 def _merged_layer_values(

@@ -5,9 +5,14 @@ A SAT verification result yields a cut-layer vector ``n̂`` — a
 it against the real network.  For properties that cannot be proved, the
 paper suggests "it should be possible to construct a counter example
 either by capturing more data or by using adversarial perturbation
-techniques [17], [10]"; :func:`fgsm_falsify` implements that input-space
-search (FGSM-style ascent on the risk margin restricted to images that
-satisfy ``phi``).
+techniques [17], [10]".  Every such search here is the one
+sign-gradient ascent on the risk margin over stacked input boxes,
+:func:`_ascend`: :func:`pgd_hits_in_boxes` returns every box's first
+hit on the real network, :func:`pgd_in_boxes` the earliest of them,
+:func:`fgsm_falsify` is :func:`pgd_in_boxes` over the boxes
+``clip(seed ± epsilon, 0, 1)``, and
+:func:`~repro.verification.abstraction.merge.merged_attack` runs the
+ascent on a merged program with the rewritten risk.
 """
 
 from __future__ import annotations
@@ -16,24 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.autodiff import input_gradient
 from repro.nn.sequential import Sequential
 from repro.properties.risk import RiskCondition
 from repro.verification.ir import LoweredProgram, lowered_full
 from repro.verification.milp.encoder import EncodedProblem
-
-
-def _attack_program(model: Sequential) -> LoweredProgram | None:
-    """The cached lowered program PGD ascends, if the model lowers.
-
-    Falling back to ``None`` (layer-walking forward + autodiff) keeps
-    adversarial search available for exotic models without an IR
-    lowering; every built-in layer lowers.
-    """
-    try:
-        return lowered_full(model)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -95,17 +86,55 @@ class InputCounterexample:
         return self.risk_margin >= 0.0
 
 
-def _risk_gradient_direction(risk: RiskCondition, output: np.ndarray) -> np.ndarray:
-    """Gradient of the (soft-min) risk margin with respect to the output.
+def _ascend(
+    program: LoweredProgram,
+    risk: RiskCondition,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    *,
+    steps: int,
+    step_fraction: float,
+) -> tuple[dict[int, InputCounterexample], np.ndarray]:
+    """The one sign-gradient ascent behind every attack.
 
-    Ascending this direction pushes the output *toward* satisfying psi
-    (increasing the worst inequality's slack).
+    Each stacked box ``lower[i] .. upper[i]`` (any trailing shape that
+    flattens to ``program.in_dim``) starts at its centre and steps
+    ``step_fraction`` of its width along the sign of the input gradient
+    of its worst risk row's margin, clipped to the box.  All boxes
+    advance together, one batched forward and one batched gradient per
+    step.  A box's first iterate with a non-negative margin is frozen as
+    its hit; the ascent stops after ``steps`` steps or once every box
+    has a hit.
+
+    Returns ``(hits, x)``: the hits keyed by box index, and the last
+    iterates.
     """
-    margins = np.array([float(ineq.margin(output)) for ineq in risk.inequalities])
-    worst = int(np.argmin(margins))
-    a, _ = risk.inequalities[worst].normalized()
-    # margin = b - a.y, so d(margin)/dy = -a
-    return -a
+    a_matrix, _ = risk.as_matrix()
+    x = 0.5 * (lower + upper)
+    width = upper - lower
+    k = x.shape[0]
+    hits: dict[int, InputCounterexample] = {}
+    for it in range(steps + 1):
+        outputs = program.apply(x.reshape(k, -1))
+        margins = risk.margins(outputs)
+        margin = margins.min(axis=1)
+        for index in np.flatnonzero(margin >= 0.0).tolist():
+            if index not in hits:
+                hits[index] = InputCounterexample(
+                    image=x[index].copy(),
+                    output=outputs[index].copy(),
+                    risk_margin=float(margin[index]),
+                    iterations=it,
+                )
+        if it == steps or len(hits) == k:
+            break
+        _, grads = program.value_and_input_gradient(
+            x.reshape(k, -1), -a_matrix[margins.argmin(axis=1)]
+        )
+        x = np.clip(
+            x + step_fraction * width * np.sign(grads.reshape(x.shape)), lower, upper
+        )
+    return hits, x
 
 
 def pgd_in_boxes(
@@ -180,12 +209,13 @@ def pgd_hits_in_boxes(
 ) -> list[tuple[int, InputCounterexample]]:
     """Batched PGD over many input boxes, returning every box's hit.
 
-    The one ascent behind both attacks: the streaming campaign executor
-    falsifies as many of the regions its prescreen left as one batched
-    ascent can reach, and :func:`pgd_in_boxes` (CEGAR's concretization)
-    keeps the earliest of these hits.  Every box keeps climbing for the
-    full ``steps`` budget (see :func:`pgd_in_boxes` for the step rule),
-    each box's first hit is frozen, and all hits are returned together.
+    The ascent (:func:`_ascend`) on the model's lowered program: the
+    streaming campaign executor falsifies as many of the regions its
+    prescreen left as one batched ascent can reach, and
+    :func:`pgd_in_boxes` (CEGAR's concretization) keeps the earliest of
+    these hits.  Boxes keep climbing until ``steps`` run out or every
+    box has a hit; each box's first hit is frozen, and all hits are
+    returned together.
 
     Returns
     -------
@@ -218,93 +248,15 @@ def pgd_hits_in_boxes(
             f"expected stacked bounds of shape (k, {model.input_shape}), got "
             f"{lower.shape} / {upper.shape}"
         )
-    a_matrix, _ = risk.as_matrix()
-    program = _attack_program(model)
-    x = 0.5 * (lower + upper)
-    width = upper - lower
-    k = x.shape[0]
-    hits: dict[int, InputCounterexample] = {}
-    for it in range(steps + 1):
-        if program is not None:
-            outputs = program.apply(x.reshape(k, -1))
-        else:
-            outputs = model.forward(x, training=False)
-        margins = np.asarray(risk.margin(outputs), dtype=float)
-        for index in np.nonzero(margins >= 0.0)[0]:
-            index = int(index)
-            if index not in hits:  # freeze each box's first hit
-                hits[index] = InputCounterexample(
-                    image=x[index].copy(),
-                    output=outputs[index].copy(),
-                    risk_margin=float(margins[index]),
-                    iterations=it,
-                )
-        if it == steps or len(hits) == k:
-            break
-        per_row = np.stack(
-            [np.asarray(ineq.margin(outputs), dtype=float) for ineq in risk.inequalities]
-        )
-        worst = np.argmin(per_row, axis=0)
-        directions = -a_matrix[worst]
-        if program is not None:
-            _, flat_grads = program.value_and_input_gradient(
-                x.reshape(k, -1), directions
-            )
-            grads = flat_grads.reshape(x.shape)
-        else:
-            _, grads = input_gradient(model, x, directions)
-        x = np.clip(x + step_fraction * width * np.sign(grads), lower, upper)
-    return [(index, hits[index]) for index in sorted(hits)]
-
-
-def attack_frontier(
-    model: Sequential,
-    make_risk,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    lo: float,
-    hi: float,
-    *,
-    iterations: int = 12,
-    steps: int = 20,
-) -> float:
-    """Bisect the PGD-reachable frontier of a threshold family.
-
-    The shared threshold-picking primitive of the CLI ``refine``
-    command and the refinement examples: thresholds *below* the
-    returned frontier are reachable by the same attack CEGAR's
-    concretization uses (instant UNSAFE), thresholds just *above* it
-    are the genuinely undecided band where refinement has to work.
-
-    Parameters
-    ----------
-    model : Sequential
-        The network under attack.
-    make_risk : callable
-        ``make_risk(t)`` builds the risk "output beyond threshold t".
-    lower, upper : numpy.ndarray
-        Stacked region bounds of shape ``(k, *model.input_shape)``.
-    lo, hi : float
-        Bracketing thresholds (e.g. the output enclosure's bounds).
-    iterations : int, optional
-        Bisection steps; the frontier is located to within
-        ``(hi - lo) / 2**iterations``.
-    steps : int, optional
-        PGD steps per probe (see :func:`pgd_in_boxes`).
-
-    Returns
-    -------
-    float
-        The largest probed threshold the attack could still reach
-        (``lo`` if even that is unreachable).
-    """
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if pgd_in_boxes(model, make_risk(mid), lower, upper, steps=steps) is not None:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    hits, _ = _ascend(
+        lowered_full(model),
+        risk,
+        lower,
+        upper,
+        steps=steps,
+        step_fraction=step_fraction,
+    )
+    return sorted(hits.items())
 
 
 def undecided_band_threshold(
@@ -322,16 +274,27 @@ def undecided_band_threshold(
     """A threshold just above the attack frontier (the undecided band).
 
     The one shared policy behind ``repro refine``'s default threshold
-    and the refinement examples: :func:`attack_frontier` locates the
-    PGD-reachable maximum, and the returned threshold sits ``band`` of
+    and the refinement examples.  Bisection between ``lo`` and ``hi``
+    locates the largest threshold the attack CEGAR's concretization
+    uses can still reach, and the returned threshold sits ``band`` of
     the way from there toward ``hi`` (the sound output bound) — low
     enough that bound propagation cannot decide the root, high enough
     that concretization cannot instantly refute it, so a refinement
     loop genuinely has to work.
+
+    ``make_risk(t)`` builds the risk "output beyond threshold t";
+    ``lower, upper`` are stacked region bounds of shape
+    ``(k, *model.input_shape)``; ``iterations`` bisection steps locate
+    the frontier to within ``(hi - lo) / 2**iterations``, each probe a
+    ``steps``-step :func:`pgd_in_boxes`.
     """
-    frontier = attack_frontier(
-        model, make_risk, lower, upper, lo, hi, iterations=iterations, steps=steps
-    )
+    frontier, unreachable = lo, hi
+    for _ in range(iterations):
+        mid = 0.5 * (frontier + unreachable)
+        if pgd_in_boxes(model, make_risk(mid), lower, upper, steps=steps) is not None:
+            frontier = mid
+        else:
+            unreachable = mid
     return round(frontier + band * (hi - frontier), 3)
 
 
@@ -344,13 +307,16 @@ def fgsm_falsify(
     steps: int = 20,
     step_size: float | None = None,
 ) -> InputCounterexample | None:
-    """Projected gradient ascent on the risk margin from seed images.
+    """Projected gradient ascent on the risk margin around seed images.
 
-    Perturbations stay within an L∞ ball of radius ``epsilon`` around the
-    seed (and within ``[0, 1]`` pixel range), so a seed satisfying
-    ``phi`` keeps satisfying it for perceptually small ``epsilon``.
-    Returns the first perturbed image whose output satisfies the risk
-    condition, or ``None``.
+    :func:`pgd_in_boxes` over the boxes ``clip(seed ± epsilon, 0, 1)``:
+    perturbations stay within an L∞ ball of radius ``epsilon`` around
+    each seed and within the ``[0, 1]`` pixel range, so a seed
+    satisfying ``phi`` keeps satisfying it for perceptually small
+    ``epsilon``.  Each search starts at its box centre and steps
+    ``step_size`` (default ``2.5 * epsilon / steps``) per pixel where
+    the box is a full ball; the earliest hit over all seeds is
+    returned, or ``None``.
     """
     if epsilon <= 0.0 or steps <= 0:
         raise ValueError("epsilon and steps must be positive")
@@ -358,37 +324,12 @@ def fgsm_falsify(
     if images.ndim == len(model.input_shape):
         images = images[None, ...]
     alpha = step_size if step_size is not None else 2.5 * epsilon / steps
-    program = _attack_program(model)
-
-    for seed in images:
-        x = seed.copy()
-        for it in range(steps):
-            if program is not None:
-                output = program.apply(x.reshape(1, -1))
-            else:
-                output = model.forward(x[None, ...], training=False)
-            direction = _risk_gradient_direction(risk, output[0])
-            if float(risk.margin(output)[0]) >= 0.0:
-                return InputCounterexample(
-                    image=x,
-                    output=output[0],
-                    risk_margin=float(risk.margin(output)[0]),
-                    iterations=it,
-                )
-            if program is not None:
-                _, flat_grad = program.value_and_input_gradient(
-                    x.reshape(1, -1), direction[None, :]
-                )
-                grad_in = flat_grad.reshape(x[None, ...].shape)
-            else:
-                _, grad_in = input_gradient(model, x[None, ...], direction[None, :])
-            x = x + alpha * np.sign(grad_in[0])
-            x = np.clip(x, seed - epsilon, seed + epsilon)
-            x = np.clip(x, 0.0, 1.0)
-        output = model.forward(x[None, ...], training=False)
-        margin = float(risk.margin(output)[0])
-        if margin >= 0.0:
-            return InputCounterexample(
-                image=x, output=output[0], risk_margin=margin, iterations=steps
-            )
-    return None
+    hit = pgd_in_boxes(
+        model,
+        risk,
+        np.clip(images - epsilon, 0.0, 1.0),
+        np.clip(images + epsilon, 0.0, 1.0),
+        steps=steps,
+        step_fraction=alpha / (2.0 * epsilon),
+    )
+    return None if hit is None else hit[1]

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.properties.risk import (
     LinearInequality,
@@ -87,6 +90,43 @@ class TestRiskCondition:
         restored = pickle.loads(pickle.dumps(band))
         assert restored == band
         np.testing.assert_array_equal(restored.as_matrix()[0], band.as_matrix()[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), rows=st.integers(1, 3))
+    def test_one_product_matches_the_per_inequality_definitions(
+        self, data, dim, rows
+    ):
+        # small integers keep every product and sum exact, so the matrix
+        # product and the per-row dot products must agree bit for bit,
+        # margins of exactly 0 included
+        inequalities = []
+        for _ in range(rows):
+            coeffs = data.draw(
+                st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).filter(
+                    any
+                )
+            )
+            op = data.draw(st.sampled_from(("<=", ">=")))
+            inequalities.append(
+                LinearInequality(tuple(coeffs), op, data.draw(st.integers(-6, 6)))
+            )
+        risk = RiskCondition("probe", tuple(inequalities))
+        batch = data.draw(st.sampled_from([(), (1,), (4,)]))
+        shape = (*batch, dim)
+        y = data.draw(arrays(float, shape, elements=st.integers(-8, 8).map(float)))
+
+        per_row = np.stack([np.asarray(ineq.margin(y)) for ineq in inequalities])
+        assert risk.margins(y).shape == (*shape[:-1], rows)
+        margin = np.asarray(risk.margin(y))
+        assert margin.shape == shape[:-1]
+        np.testing.assert_array_equal(margin, per_row.min(axis=0))
+        for tol in (0.0, 1e-9):
+            reference = np.logical_and.reduce(
+                [np.asarray(ineq.satisfied(y, tol)) for ineq in inequalities]
+            )
+            satisfied = np.asarray(risk.satisfied(y, tol))
+            assert satisfied.shape == shape[:-1]
+            np.testing.assert_array_equal(satisfied, reference)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one"):

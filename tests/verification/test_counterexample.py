@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Dense, ReLU, Sequential
-from repro.properties.risk import RiskCondition, output_geq
+from repro.properties.risk import RiskCondition, output_geq, output_leq
 from repro.verification.assume_guarantee import box_from_data
 from repro.verification.counterexample import (
     FeatureCounterexample,
@@ -104,6 +104,26 @@ class TestFgsmFalsify:
         risk = RiskCondition("bright", (output_geq(2, 0, 0.51),))
         cx = fgsm_falsify(model, risk, np.full(9, 0.5), epsilon=0.1, steps=10)
         assert cx is not None
+
+    @pytest.mark.parametrize(
+        ("risk", "reaching_seed"),
+        [
+            (RiskCondition("bright", (output_geq(2, 0, 0.96),)), 1),
+            (RiskCondition("dark", (output_leq(2, 0, 0.04),)), 0),
+        ],
+    )
+    def test_edge_pixel_seeds_stay_in_the_clipped_ball(self, risk, reaching_seed):
+        model = self._steerable_model()
+        # pixels at 0 and 1 clip their balls to [0, eps] / [1 - eps, 1],
+        # so the search starts off the seed, at the clipped box's centre
+        seeds = np.stack([np.zeros(9), np.ones(9), np.r_[np.zeros(4), np.ones(5)]])
+        cx = fgsm_falsify(model, risk, seeds, epsilon=0.1, steps=10)
+        assert cx is not None and cx.risk_occurs
+        assert cx.image.min() >= 0.0 and cx.image.max() <= 1.0
+        assert np.all(np.abs(cx.image - seeds[reaching_seed]) <= 0.1 + 1e-12)
+        replayed = model.forward(cx.image[None], training=False)
+        np.testing.assert_allclose(replayed[0], cx.output)
+        assert risk.margin(replayed)[0] >= 0.0
 
     def test_validation(self):
         model = self._steerable_model()

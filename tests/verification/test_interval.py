@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from repro.nn import Dense, ReLU, Sequential
 from repro.nn.graph import AffineOp, LeakyReLUOp, MaxGroupOp, ReLUOp
 from repro.verification.abstraction.interval import (
-    affine_bounds,
-    leaky_relu_bounds,
-    max_group_bounds,
     op_output_bounds,
     propagate_box,
-    relu_bounds,
     transform,
 )
 from repro.verification.sets import Box
@@ -23,32 +19,32 @@ class TestOpTransformers:
     def test_affine_exact_on_point_box(self):
         op = AffineOp(np.array([[2.0, -1.0]]), np.array([0.5]))
         point = Box(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
-        out = affine_bounds(op, point)
+        out = transform(op, point)
         assert out.lower[0] == out.upper[0] == pytest.approx(0.5)
 
     def test_affine_width_scales_with_abs_weights(self):
         op = AffineOp(np.array([[1.0, -3.0]]), np.zeros(1))
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-        out = affine_bounds(op, box)
+        out = transform(op, box)
         assert out.lower[0] == -4.0 and out.upper[0] == 4.0
 
     def test_relu_clamps(self):
         box = Box(np.array([-2.0, 1.0, -3.0]), np.array([-1.0, 2.0, 3.0]))
-        out = relu_bounds(box)
+        out = transform(ReLUOp(box.dim), box)
         np.testing.assert_array_equal(out.lower, [0.0, 1.0, 0.0])
         np.testing.assert_array_equal(out.upper, [0.0, 2.0, 3.0])
 
     def test_leaky_relu_monotone(self):
         op = LeakyReLUOp(2, alpha=0.1)
         box = Box(np.array([-10.0, -1.0]), np.array([10.0, -0.5]))
-        out = leaky_relu_bounds(op, box)
+        out = transform(op, box)
         np.testing.assert_allclose(out.lower, [-1.0, -0.1])
         np.testing.assert_allclose(out.upper, [10.0, -0.05])
 
     def test_max_group(self):
         op = MaxGroupOp(4, [np.array([0, 1]), np.array([2, 3])])
         box = Box(np.array([0.0, 1.0, -5.0, -4.0]), np.array([2.0, 3.0, -1.0, 0.0]))
-        out = max_group_bounds(op, box)
+        out = transform(op, box)
         np.testing.assert_array_equal(out.lower, [1.0, -4.0])
         np.testing.assert_array_equal(out.upper, [3.0, 0.0])
 

@@ -22,6 +22,8 @@ On random affine/ReLU chains and random input boxes:
 - the risk rewrite is an implication: an input whose original output
   triggers the risk also triggers the rewritten risk on the merged
   program;
+- the merged attack's witness is no farther from the rewritten risk
+  than the box centre it starts from;
 - every merged program passes the IR validator (including the IR013
   merged-metadata contract).
 """
@@ -247,6 +249,26 @@ class TestRefinement:
         assert [c.group for c in once] == [c.group for c in twice]
         for candidate in once:
             assert candidate.group in state.groups(candidate.layer, candidate.rail)
+
+
+class TestMergedAttack:
+    @_SETTINGS
+    @given(seed=st.integers(0, 10_000), threshold=st.floats(-2.0, 10.0))
+    def test_witness_margin_is_at_least_the_centres(self, seed, threshold):
+        # the witness ascends the merged risk's margin from the box
+        # centre, so it never ends up farther from the risk than it began
+        program = _random_chain_program(seed)
+        lower, upper = _random_box(seed)
+        state = MergeState.coarsest(program, lower, upper)
+        risk = RiskCondition("y0-high", (output_geq(2, 0, threshold),))
+        merged_risk = state.merged_risk(risk)
+
+        witness = merged_attack(state, risk, lower, upper)
+        centre = 0.5 * (lower + upper)
+        points = np.stack([witness, centre])
+        margins = merged_risk.margin(state.program().apply(points))
+        assert np.all(witness >= lower) and np.all(witness <= upper)
+        assert margins[0] >= margins[1]
 
 
 class TestRiskRewrite:
