@@ -290,14 +290,14 @@ def run_competition(
     if daemon is not None:
         from repro.service.client import ServiceClient
 
-        client = ServiceClient(daemon)
-        outcomes = _reported(
-            (
-                run_instance_daemon(client, track, instance, timeout=timeout)
-                for instance, track in cells
-            ),
-            progress,
-        )
+        with ServiceClient(daemon) as client:
+            outcomes = _reported(
+                (
+                    run_instance_daemon(client, track, instance, timeout=timeout)
+                    for instance, track in cells
+                ),
+                progress,
+            )
     elif workers > 1:
         with WorkerPool(workers, timeout) as pool:
             outcomes = _reported(pool.map(_run_cell, cells), progress)

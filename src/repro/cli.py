@@ -549,6 +549,7 @@ def _serve(args: argparse.Namespace) -> int:
     print("shutting down...")
     server.shutdown()
     clean = service.close(drain=not args.no_drain)
+    server.server_close()
     print("drained" if clean else "jobs still in flight at shutdown deadline")
     return 0 if clean else 1
 
@@ -581,13 +582,13 @@ def _submit(args: argparse.Namespace) -> int:
     if args.structural:
         payload["structural"] = True
 
-    client = ServiceClient(args.daemon)
     try:
-        job = client.submit(payload)
-        print(f"submitted {job['id']}")
-        if args.no_wait:
-            return 0
-        job = client.wait_for(job["id"], timeout=args.wait)
+        with ServiceClient(args.daemon) as client:
+            job = client.submit(payload)
+            print(f"submitted {job['id']}")
+            if args.no_wait:
+                return 0
+            job = client.wait_for(job["id"], timeout=args.wait)
     except ServiceError as exc:
         print(f"error: {exc}")
         return 1

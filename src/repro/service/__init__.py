@@ -9,14 +9,14 @@ daemon:
 - :mod:`repro.service.store` — the persistent, digest-keyed result
   store (append-only JSONL under ``~/.cache/repro``) with incremental
   invalidation wired to the model's training-invalidation hook;
-- :mod:`repro.service.jobs` — the asyncio job queue over the engine:
-  states, priorities, wall budgets, single-flight deduplication and
+- :mod:`repro.service.jobs` — the job queue over the engine (worker
+  threads on one priority heap): states, priorities, wall budgets, single-flight deduplication and
   graceful shutdown that checkpoints in-flight CEGAR frontiers;
 - :mod:`repro.service.httpd` — the dependency-free HTTP/JSON front end
   (``POST /v1/jobs``, ``GET /v1/jobs/{id}``, ``GET /v1/results``,
-  ``/healthz``, ``/metrics``);
-- :mod:`repro.service.client` — the urllib client ``repro submit`` and
-  ``repro bench --daemon`` talk through.
+  ``/healthz``, ``/metrics``) over kept-alive connections;
+- :mod:`repro.service.client` — the keep-alive client ``repro submit``
+  and ``repro bench --daemon`` talk through.
 """
 
 from repro.service.client import ServiceClient, ServiceError

@@ -2,7 +2,10 @@
 
 Built on :class:`http.server.ThreadingHTTPServer` — one handler thread
 per connection calling into the (thread-safe) service, nothing outside
-the standard library.  The surface is deliberately small:
+the standard library.  Connections are persistent (HTTP/1.1 keep-alive)
+and replies skip Nagle's delay (``TCP_NODELAY``), so a client's submit
+and wait share one connection and one handler thread.  The surface is
+deliberately small:
 
 ========  ======================  =======================================
 method    path                    meaning
@@ -20,7 +23,8 @@ GET       /metrics                job/store/latency counters (JSON)
 ==========================================================================
 
 Every response is a JSON object; errors are ``{"error": ...}`` with the
-matching status code.  The server binds, serves and shuts down without
+matching status code (a 400 for a bad ``Content-Length`` and a 413 also
+close the connection).  The server binds, serves and shuts down without
 touching the service's own lifecycle — callers stop the service
 separately (the CLI wires SIGTERM/SIGINT to both).
 """
@@ -28,6 +32,7 @@ separately (the CLI wires SIGTERM/SIGINT to both).
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
@@ -46,6 +51,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the service attached to the server."""
 
     protocol_version = "HTTP/1.1"
+    #: a reply's headers and body go out in two sends; under Nagle's
+    #: algorithm the body waits for the client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
     server: "ServiceServer"
 
     # -- plumbing ----------------------------------------------------------
@@ -183,6 +191,29 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: VerificationService):
         super().__init__(address, _Handler)
         self.service = service
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every kept-alive connection, so each
+        idle handler thread reads end of stream and exits."""
+        super().server_close()
+        with self._open_lock:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the connection has already ended
+                    pass
 
     @property
     def url(self) -> str:
@@ -196,7 +227,8 @@ def start_server(
     """Bind and serve on a background thread; ``port=0`` picks a free one.
 
     Returns the server (``server.url`` has the resolved address) and its
-    thread.  Stop with ``server.shutdown()`` then ``service.close()``.
+    thread.  Stop with ``server.shutdown()``, ``service.close()``, then
+    ``server.server_close()``, which also ends kept-alive connections.
     """
     server = ServiceServer((host, port), service)
     thread = threading.Thread(

@@ -1,15 +1,15 @@
-"""The async job queue over the verification engine.
+"""The job queue over the verification engine.
 
-:class:`VerificationService` owns an asyncio event loop on a background
-thread, a priority heap of submitted jobs, and a thread-pool of job
-executors capped at ``workers``.  Each job answers one (model, property)
-pair through the bench runner's own per-instance loop,
-:func:`~repro.interchange.instances.answer_instance` — per-disjunct
-queries under a genuine wall budget, ``sat`` short-circuits, a late
-answer scores ``timeout``, and cancelled > error > timeout > verdict —
-but against **long-lived per-model engines** whose enclosure/encoding
-caches and persistent result store survive across jobs, which is the
-whole point of running as a daemon.
+:class:`VerificationService` keeps a priority heap of submitted jobs
+that ``workers`` job threads pop under one condition variable, so a job
+crosses one thread hop, from its submitter to the worker that runs it.
+Each job answers one (model, property) pair through the bench runner's
+own per-instance loop, :func:`~repro.interchange.instances.answer_instance`
+— per-disjunct queries under a genuine wall budget, ``sat``
+short-circuits, a late answer scores ``timeout``, and cancelled > error >
+timeout > verdict — but against **long-lived per-model engines** whose
+enclosure/encoding caches and persistent result store survive across
+jobs, which is the whole point of running as a daemon.
 
 Job lifecycle::
 
@@ -36,7 +36,6 @@ Job lifecycle::
 
 from __future__ import annotations
 
-import asyncio
 import enum
 import heapq
 import itertools
@@ -249,7 +248,6 @@ class VerificationService:
         self.started_at = time.time()
 
         self._jobs: dict[str, Job] = {}
-        self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
         self._engines: dict[Path, _EngineEntry] = {}
         self._engines_lock = threading.Lock()
@@ -259,32 +257,29 @@ class VerificationService:
         self._latencies: list[float] = []
         self._closing = False
 
-        # scheduler state, touched only on the loop thread
+        # the scheduler: ``_ready`` guards the job table, the heap,
+        # ``_closing`` and every queued -> running/cancelled transition
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = itertools.count()
-        self._slots = workers
-
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-job"
-        )
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-service", daemon=True
-        )
-        self._thread.start()
+        self._ready = threading.Condition()
+        self._workers = [
+            threading.Thread(target=self._work, name=f"repro-job-{n}", daemon=True)
+            for n in range(workers)
+        ]
+        for thread in self._workers:
+            thread.start()
 
     # -- submission --------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> Job:
         """Enqueue a job; returns once it is visible to the scheduler."""
-        if self._closing:
-            raise ServiceClosed("service is shutting down; job rejected")
-        with self._jobs_lock:
+        with self._ready:
+            if self._closing:
+                raise ServiceClosed("service is shutting down; job rejected")
             job = Job(id=f"job-{next(self._ids):06d}", spec=spec)
             self._jobs[job.id] = job
-        asyncio.run_coroutine_threadsafe(self._admit(job), self._loop).result()
+            heapq.heappush(self._heap, (-spec.priority, next(self._seq), job))
+            self._ready.notify()
         return job
 
     def submit_payload(self, payload: dict[str, Any]) -> Job:
@@ -325,46 +320,39 @@ class VerificationService:
             raise ValueError("job payload needs 'model' and 'property' paths")
         return self.submit(JobSpec(**payload))
 
-    async def _admit(self, job: Job) -> None:
-        heapq.heappush(self._heap, (-job.spec.priority, next(self._seq), job))
-        self._pump()
-
-    def _pump(self) -> None:
-        while self._heap and self._slots > 0:
-            _, _, job = heapq.heappop(self._heap)
-            if job.terminal:  # cancelled while queued
-                continue
-            self._slots -= 1
-            task = self._loop.create_task(self._run(job))
-            task.add_done_callback(self._release)
-
-    def _release(self, _task: "asyncio.Task") -> None:
-        self._slots += 1
-        self._pump()
-
-    async def _run(self, job: Job) -> None:
-        job.state = JobState.RUNNING
-        job.started = time.time()
-        try:
-            await self._loop.run_in_executor(self._executor, self._execute, job)
-        except Exception as exc:  # the daemon outlives any job
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = JobState.FAILED
-        finally:
-            job.finished = time.time()
-            if job.started is not None:
+    def _work(self) -> None:
+        """One job thread: run the highest-priority queued job, repeat
+        until the service is closing and the heap is empty."""
+        while True:
+            with self._ready:
+                while not self._heap:
+                    if self._closing:
+                        return
+                    self._ready.wait()
+                _, _, job = heapq.heappop(self._heap)
+                if job.terminal:  # cancelled while queued
+                    continue
+                job.state = JobState.RUNNING
+                job.started = time.time()
+            try:
+                self._execute(job)
+            except Exception as exc:  # the daemon outlives any job
+                job.error = f"{type(exc).__name__}: {exc}"
+                job.state = JobState.FAILED
+            finally:
+                job.finished = time.time()
                 self._latencies.append(job.finished - job.started)
                 del self._latencies[:-512]
-            job.done_event.set()
+                job.done_event.set()
 
     # -- inspection / cancellation -----------------------------------------
 
     def job(self, job_id: str) -> Job | None:
-        with self._jobs_lock:
+        with self._ready:
             return self._jobs.get(job_id)
 
     def jobs(self) -> list[Job]:
-        with self._jobs_lock:
+        with self._ready:
             return list(self._jobs.values())
 
     def cancel(self, job_id: str) -> bool:
@@ -379,14 +367,18 @@ class VerificationService:
         if job is None or job.terminal:
             return False
         job.cancel_event.set()
-        if job.state is JobState.QUEUED:
-            self._finish(job, JobState.CANCELLED)
-            return True
+        with self._ready:
+            if job.state is JobState.QUEUED:
+                self._finish(job, JobState.CANCELLED)
+                return True
+        self._interrupt_cegar()
+        return True
+
+    def _interrupt_cegar(self) -> None:
         with self._engines_lock:
             entries = list(self._engines.values())
         for entry in entries:
             entry.engine.interrupt_cegar()
-        return True
 
     def _finish(self, job: Job, state: JobState) -> None:
         job.state = state
@@ -623,10 +615,8 @@ class VerificationService:
     # -- metrics -----------------------------------------------------------
 
     def metrics(self) -> dict[str, Any]:
-        with self._jobs_lock:
-            jobs = list(self._jobs.values())
         by_state = {state.value: 0 for state in JobState}
-        for job in jobs:
+        for job in self.jobs():
             by_state[job.state.value] += 1
         latencies = sorted(self._latencies)
 
@@ -662,31 +652,21 @@ class VerificationService:
         from stored results; an in-process resubmission resumes the
         frontier itself).  Idempotent.
         """
-        self._closing = True
+        with self._ready:
+            self._closing = True
+            if not drain:
+                for job in self._jobs.values():
+                    if not job.terminal:
+                        job.cancel_event.set()
+                        if job.state is JobState.QUEUED:
+                            self._finish(job, JobState.CANCELLED)
+            self._ready.notify_all()
         if not drain:
-            with self._jobs_lock:
-                jobs = list(self._jobs.values())
-            for job in jobs:
-                if not job.terminal:
-                    job.cancel_event.set()
-                    if job.state is JobState.QUEUED:
-                        self._finish(job, JobState.CANCELLED)
-            with self._engines_lock:
-                entries = list(self._engines.values())
-            for entry in entries:
-                entry.engine.interrupt_cegar()
+            self._interrupt_cegar()
+        # once closing, a job thread exits when its job is done and the
+        # heap is empty: every job is terminal when every thread is gone
         deadline = None if timeout is None else time.monotonic() + timeout
-        clean = True
-        for job in self.jobs():
-            wait = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if not job.done_event.wait(wait):
-                clean = False
-        if self._loop.is_running():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        self._executor.shutdown(wait=clean)
-        if not self._thread.is_alive():
-            self._loop.close()
-        return clean
+        for thread in self._workers:
+            left = None if deadline is None else max(0.0, deadline - time.monotonic())
+            thread.join(left)
+        return not any(thread.is_alive() for thread in self._workers)

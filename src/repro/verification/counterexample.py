@@ -101,10 +101,10 @@ def _ascend(
     flattens to ``program.in_dim``) starts at its centre and steps
     ``step_fraction`` of its width along the sign of the input gradient
     of its worst risk row's margin, clipped to the box.  All boxes
-    advance together, one batched forward and one batched gradient per
-    step.  A box's first iterate with a non-negative margin is frozen as
-    its hit; the ascent stops after ``steps`` steps or once every box
-    has a hit.
+    advance together: one batched forward pass per iterate, whose
+    activations also feed that iterate's batched gradient.  A box's
+    first iterate with a non-negative margin is frozen as its hit; the
+    ascent stops after ``steps`` steps or once every box has a hit.
 
     Returns ``(hits, x)``: the hits keyed by box index, and the last
     iterates.
@@ -115,7 +115,9 @@ def _ascend(
     k = x.shape[0]
     hits: dict[int, InputCounterexample] = {}
     for it in range(steps + 1):
-        outputs = program.apply(x.reshape(k, -1))
+        flat = x.reshape(k, -1)
+        values = program.activations(flat)
+        outputs = values[-1]
         margins = risk.margins(outputs)
         margin = margins.min(axis=1)
         for index in np.flatnonzero(margin >= 0.0).tolist():
@@ -129,7 +131,7 @@ def _ascend(
         if it == steps or len(hits) == k:
             break
         _, grads = program.value_and_input_gradient(
-            x.reshape(k, -1), -a_matrix[margins.argmin(axis=1)]
+            flat, -a_matrix[margins.argmin(axis=1)], activations=values
         )
         x = np.clip(
             x + step_fraction * width * np.sign(grads.reshape(x.shape)), lower, upper

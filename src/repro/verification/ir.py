@@ -109,8 +109,27 @@ class LoweredProgram(PiecewiseLinearNetwork):
         """True when every op is MILP-encodable."""
         return all(isinstance(op, PLOp) for op in self.ops)
 
+    def activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every op's input for a flat batch ``(n, in_dim)``, then the output.
+
+        The forward pass :meth:`value_and_input_gradient` differentiates
+        through: a caller that reads the outputs before choosing its
+        directions hands this list back instead of paying a second pass.
+        """
+        x = np.asarray(x, dtype=FLOAT)
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ValueError(f"expected (n, {self.in_dim}) inputs, got {x.shape}")
+        values = [x]
+        for op in self.ops:
+            values.append(op.apply(values[-1]))
+        return values
+
     def value_and_input_gradient(
-        self, x: np.ndarray, directions: np.ndarray
+        self,
+        x: np.ndarray,
+        directions: np.ndarray,
+        *,
+        activations: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Outputs and gradients of ``directions . output`` per sample.
 
@@ -118,22 +137,17 @@ class LoweredProgram(PiecewiseLinearNetwork):
         ``(n, out_dim)``.  Returns ``(outputs, gradients)`` with
         gradients flat of shape ``(n, in_dim)`` — the exact vector-
         Jacobian product through every op, including the smooth
-        monotone ones.
+        monotone ones.  ``activations``, this ``x``'s
+        :meth:`activations`, replaces the forward pass.
         """
-        x = np.asarray(x, dtype=FLOAT)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"expected (n, {self.in_dim}) inputs, got {x.shape}")
-        inputs: list[np.ndarray] = []
-        cur = x
-        for op in self.ops:
-            inputs.append(cur)
-            cur = op.apply(cur)
+        values = self.activations(x) if activations is None else activations
+        cur = values[-1]
         grad = np.asarray(directions, dtype=FLOAT)
         if grad.shape != cur.shape:
             raise ValueError(
                 f"directions shape {grad.shape} does not match outputs {cur.shape}"
             )
-        for op, op_in in zip(reversed(self.ops), reversed(inputs)):
+        for op, op_in in zip(reversed(self.ops), reversed(values[:-1])):
             grad = _op_vjp(op, op_in, grad)
         return cur, grad
 

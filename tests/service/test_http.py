@@ -20,8 +20,11 @@ from __future__ import annotations
 
 import json
 import re
+import socket
 import sys
 import tempfile
+import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -67,7 +70,8 @@ def server(bench_dir):
 
 @pytest.fixture
 def client(server):
-    return ServiceClient(server.url, timeout=60.0)
+    with ServiceClient(server.url, timeout=60.0) as client:
+        yield client
 
 
 class TestRoutes:
@@ -191,6 +195,127 @@ class TestErrors:
         with pytest.raises(ServiceError) as exc:
             client.submit({"model": "model.onnx", "property": "unsat.vnnlib"})
         assert exc.value.status == 503
+
+
+def _count_connections(server):
+    """Record the socket of every connection ``server`` accepts."""
+    accepted = []
+    process = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(request)
+        process(request, client_address)
+
+    server.process_request = counting
+    return accepted
+
+
+class TestConnections:
+    def test_round_trips_share_one_connection(self, server, client):
+        accepted = _count_connections(server)
+        for _ in range(20):
+            job = client.submit({"model": "model.onnx", "property": "unsat.vnnlib"})
+            assert client.wait_for(job["id"])["state"] == "done"
+        assert len(accepted) == 1
+
+    def test_replies_skip_the_nagle_delay(self, server, client):
+        accepted = _count_connections(server)
+        assert client.health()["status"] == "ok"
+        # headers and body go out in two sends; with Nagle's algorithm
+        # on, the body would wait for the client's delayed ACK
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_oversized_payload_closes_and_the_client_reconnects(self, server, client):
+        accepted = _count_connections(server)
+        assert client.health()["status"] == "ok"
+        with pytest.raises(ServiceError) as exc:
+            client.submit({"model": "x" * (1 << 20), "property": "unsat.vnnlib"})
+        assert exc.value.status == 413
+        job = client.submit({"model": "model.onnx", "property": "unsat.vnnlib"})
+        assert client.wait_for(job["id"])["state"] == "done"
+        # the 413 closed the first connection; the submit opened a second
+        assert len(accepted) == 2
+
+    def test_threads_sharing_a_client_get_their_own_answers(self, server, client):
+        accepted = _count_connections(server)
+        statuses = {}
+
+        def ask(prop):
+            job = client.submit({"model": "model.onnx", "property": prop})
+            statuses[prop] = client.wait_for(job["id"])["result"]["status"]
+
+        threads = [
+            threading.Thread(target=ask, args=(prop,))
+            for prop in ("unsat.vnnlib", "sat.vnnlib")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+        assert statuses == {"unsat.vnnlib": "unsat", "sat.vnnlib": "sat"}
+        assert len(accepted) == 2
+
+    def test_client_reconnects_to_a_restarted_daemon(self, bench_dir):
+        service = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        first, _thread = start_server(service)
+        client = ServiceClient(first.url, timeout=60.0)
+        try:
+            assert client.health()["status"] == "ok"
+            first.shutdown()
+            first.server_close()
+            # the kept-alive connection is dead: the next request must
+            # notice before sending and reconnect to the new daemon
+            second, _thread = start_server(service, port=first.server_address[1])
+            try:
+                assert client.health()["status"] == "ok"
+            finally:
+                second.shutdown()
+                second.server_close()
+        finally:
+            client.close()
+            service.close(drain=False, timeout=60.0)
+
+    def test_unreachable_daemon_is_a_service_error(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with ServiceClient(f"http://127.0.0.1:{port}") as client:
+            with pytest.raises(ServiceError, match="failed") as exc:
+                client.health()
+        assert exc.value.status is None
+
+    def test_server_close_ends_kept_alive_handlers(self, bench_dir):
+        service = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        server, thread = start_server(service)
+        handlers = []
+        run = server.process_request_thread
+
+        def recorded(request, client_address):
+            handlers.append(threading.current_thread())
+            run(request, client_address)
+
+        server.process_request_thread = recorded
+        client = ServiceClient(server.url, timeout=60.0)
+        try:
+            job = client.submit({"model": "model.onnx", "property": "unsat.vnnlib"})
+            assert client.wait_for(job["id"])["state"] == "done"
+            # the connection stays open, so its handler idles on it
+            assert len(handlers) == 1 and handlers[0].is_alive()
+            server.shutdown()
+            server.server_close()
+            deadline = time.monotonic() + 1.0
+            for handler in handlers:
+                handler.join(max(0.0, deadline - time.monotonic()))
+            assert not any(handler.is_alive() for handler in handlers)
+            thread.join(1.0)
+            assert not thread.is_alive()
+        finally:
+            client.close()
+            service.close(drain=False, timeout=60.0)
 
 
 # -- golden contract -------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The async job queue: states, priorities, faults, shutdown.
+"""The job queue: states, priorities, faults, shutdown.
 
-Every test runs against a real :class:`VerificationService` (background
-event loop, thread-pool executors, shared engines) — no mocked
-scheduler.  Determinism comes from the workload, not from sleeps: the
-"slow" job is a sliced CEGAR run whose every slice re-enters the
-service, so cancellation points and queue reordering are exercised at
-well-defined boundaries.
+Every test runs against a real :class:`VerificationService` (job worker
+threads on the priority heap, shared engines) — no mocked scheduler.
+Determinism comes from the workload, not from sleeps: the "slow" job is
+a sliced CEGAR run whose every slice re-enters the service, so
+cancellation points and queue reordering are exercised at well-defined
+boundaries.
 """
 
 from __future__ import annotations
@@ -501,6 +501,35 @@ class TestShutdown:
         svc.close()
         with pytest.raises(ServiceClosed):
             svc.submit_payload({"model": "model.onnx", "property": "unsat.vnnlib"})
+
+    @pytest.mark.parametrize("trial", range(20))
+    def test_submit_racing_close_is_queued_or_rejected(self, bench_dir, trial):
+        """Submit and close share one lock: a racing submission is
+        either queued before the close (and so reaches a terminal state)
+        or rejected, never stranded or blocked."""
+        svc = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        accepted, rejected = [], []
+        submitting = threading.Event()
+
+        def submit_until_rejected():
+            payload = {"model": "model.onnx", "property": "unsat.vnnlib"}
+            while True:
+                try:
+                    accepted.append(svc.submit_payload(payload))
+                except ServiceClosed:
+                    rejected.append(True)
+                    return
+                submitting.set()
+
+        thread = threading.Thread(target=submit_until_rejected, daemon=True)
+        thread.start()
+        assert submitting.wait(60.0)
+        assert svc.close(drain=False, timeout=60.0) is True
+        thread.join(10.0)
+        assert not thread.is_alive() and rejected
+        assert all(job.terminal for job in accepted)
 
     def test_close_is_idempotent(self, bench_dir):
         svc = VerificationService(ResultStore(), root=bench_dir)

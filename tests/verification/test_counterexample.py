@@ -10,11 +10,13 @@ from repro.properties.risk import RiskCondition, output_geq, output_leq
 from repro.verification.assume_guarantee import box_from_data
 from repro.verification.counterexample import (
     FeatureCounterexample,
+    _ascend,
     decode_witness,
     fgsm_falsify,
     pgd_hits_in_boxes,
     pgd_in_boxes,
 )
+from repro.verification.ir import lowered_full
 from repro.verification.milp.encoder import encode_verification_problem
 from repro.verification.solver import BranchAndBoundSolver
 
@@ -173,3 +175,92 @@ class TestPgdInBoxes:
         assert np.all(cex.image >= lower[index]) and np.all(cex.image <= upper[index])
         replayed = model.forward(cex.image[None], training=False)
         assert risk.margin(replayed)[0] >= 0.0
+
+
+def _two_pass_ascend(program, risk, lower, upper, *, steps, step_fraction):
+    """The ascent as it was written with a separate margin pass: a
+    forward pass for the margins, then a second one inside the VJP."""
+    a_matrix, _ = risk.as_matrix()
+    x = 0.5 * (lower + upper)
+    width = upper - lower
+    k = x.shape[0]
+    hits = {}
+    for it in range(steps + 1):
+        outputs = program.apply(x.reshape(k, -1))
+        margins = risk.margins(outputs)
+        margin = margins.min(axis=1)
+        for index in np.flatnonzero(margin >= 0.0).tolist():
+            if index not in hits:
+                hits[index] = (x[index].copy(), outputs[index].copy(), it)
+        if it == steps or len(hits) == k:
+            break
+        _, grads = program.value_and_input_gradient(
+            x.reshape(k, -1), -a_matrix[margins.argmin(axis=1)]
+        )
+        x = np.clip(
+            x + step_fraction * width * np.sign(grads.reshape(x.shape)), lower, upper
+        )
+    return hits, x
+
+
+class TestAscent:
+    def test_one_forward_pass_per_iterate(self, monkeypatch, rng):
+        from repro.perception.network import build_mlp_perception_network
+
+        model = build_mlp_perception_network(
+            input_dim=6, hidden=(12,), feature_width=6, seed=4
+        )
+        first = lowered_full(model).ops[0]
+        calls = []
+        apply = first.apply
+
+        def counted(x):
+            calls.append(len(x))
+            return apply(x)
+
+        monkeypatch.setattr(first, "apply", counted)
+        unreachable = RiskCondition("never", (output_geq(2, 0, 1e9),))
+        lower = rng.uniform(0.0, 0.5, (3, 6))
+        upper = lower + 0.2
+        assert pgd_hits_in_boxes(model, unreachable, lower, upper, steps=20) == []
+        # 21 iterates, each one forward pass; the 20 gradients reuse them
+        assert len(calls) == 21
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        steps=st.integers(0, 8),
+        quantile=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_two_pass_loop_bitwise(self, seed, k, steps, quantile):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        model = Sequential(
+            [Dense(int(rng.integers(3, 8))), ReLU(), Dense(4), ReLU(), Dense(2)],
+            input_shape=(dim,),
+            seed=seed,
+        )
+        program = lowered_full(model)
+        lower = rng.uniform(-1.0, 1.0, (k, dim))
+        upper = lower + rng.uniform(0.0, 1.0, (k, dim))
+        centers = model.forward(0.5 * (lower + upper), training=False)
+        risk = RiskCondition(
+            "probe",
+            (
+                output_geq(2, 0, float(np.quantile(centers[:, 0], quantile)) + 1e-3),
+                output_leq(2, 1, float(np.quantile(centers[:, 1], 1.0 - quantile))),
+            ),
+        )
+        hits, last = _ascend(
+            program, risk, lower, upper, steps=steps, step_fraction=0.25
+        )
+        ref_hits, ref_last = _two_pass_ascend(
+            program, risk, lower, upper, steps=steps, step_fraction=0.25
+        )
+        assert np.array_equal(last, ref_last)
+        assert sorted(hits) == sorted(ref_hits)
+        for index, (image, output, iterations) in ref_hits.items():
+            assert np.array_equal(hits[index].image, image)
+            assert np.array_equal(hits[index].output, output)
+            assert hits[index].iterations == iterations
