@@ -13,7 +13,7 @@ Queries run in batches (a single query is a batch of one) through one
    escalating the abstract-domain precision ladder (interval → octagon
    → zonotope → symbolic) up to the query's ``domain``, one cached
    enclosure per ``(set, domain)`` rung, each rung one batched pass over
-   the sets still pending at it;
+   the sets still pending at it and one margin matrix per risk;
 2. *support-cache* — per risk row ``a·y <= b``, a cached support
    entry for ``min a·y`` over the constrained region.  The linear
    support (back-substitution over the set's interval hull, relu-like
@@ -22,8 +22,10 @@ Queries run in batches (a single query is a batch of one) through one
    network meets every row is a SAT witness.  Where bound and replay
    meet (the suffix affine on the hull) the entry is exact and, as a
    MILP optimization's is, answers **every** threshold of a
-   single-inequality sweep.  This is the paper's output-range-analysis
-   view of verification, applied as a query planner;
+   single-inequality sweep.  The queries sharing a (characterizer,
+   risk) are decided from their cached entries with array comparisons.
+   This is the paper's output-range-analysis view of verification,
+   applied as a query planner;
 3. *relaxed-lp* — one LP over the cached binary-free relaxation: an
    infeasible LP is a proof, an LP point satisfying the exact neuron
    semantics is a genuine witness;
@@ -200,6 +202,15 @@ _SET_CACHES = (
     #: (set, risk) -> resumable CegarLoop with its shared encoding
     "_cegar_loops",
 )
+
+
+def _grouped(items, key) -> list[list]:
+    """``items`` grouped by ``key(item)``, groups and members in first-seen
+    order."""
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return list(groups.values())
 
 
 @dataclass(eq=False)
@@ -1051,16 +1062,40 @@ class VerificationEngine:
 
     # prescreen --------------------------------------------------------------
 
+    @classmethod
+    def _each_group(cls, batch: _Batch, groups, step) -> None:
+        """Run ``step`` once on each group (a list of items), its time
+        split evenly over the group.
+
+        A group whose step raises reruns item by item (``step([item])``),
+        so the error lands on the query that caused it.  A step must
+        therefore answer items only after everything that can raise.
+        """
+        for items in groups:
+            began = time.perf_counter()
+            try:
+                step(items)
+                failed = False
+            except Exception:
+                failed = True
+            share = (time.perf_counter() - began) / len(items)
+            for item in items:
+                item.elapsed += share
+            if failed:
+                left = [item for item in items if item.result is None]
+                cls._each(batch, left, lambda item: step([item]))
+
     def _prescreen_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
         """Sound bound propagation, one precision-ladder rung at a time.
 
         The rungs escalate interval → octagon → zonotope → symbolic up to
         each query's ``domain``.  A rung bounds every set still pending at
         it in one batched abstraction pass that seeds the enclosure cache
-        (a lone missing set is computed alone), then screens each query's
-        risk against its set's enclosure, so a cheap rung deciding first
-        spares the expensive ones.  The characterizer conjunct is dropped
-        here, so its lookup waits for the later stages.
+        (a lone missing set is computed alone), then screens each risk
+        against the enclosures of all its queries' sets with one margin
+        matrix, so a cheap rung deciding first spares the expensive ones.
+        The characterizer conjunct is dropped here, so its lookup waits
+        for the later stages.
         """
         open_items = [
             item
@@ -1090,10 +1125,11 @@ class VerificationEngine:
             if len(missing) > 1:
                 self.output_enclosures(missing, rung)
             share = (time.perf_counter() - began) / len(at_rung)
+            enclosures: dict[_Item, object] = {}
 
-            def screen(item: _Item) -> None:
+            def look_up(item: _Item) -> None:
                 item.elapsed += share
-                enclosure = self._cached(
+                enclosures[item] = self._cached(
                     self._enclosure_cache,
                     (item.query.set_name, rung),
                     "prescreen-enclosure",
@@ -1102,12 +1138,19 @@ class VerificationEngine:
                     ),
                     item.hits,
                 )
-                outcome = screen_enclosure(enclosure, item.query.risk, rung)
-                if outcome.excluded:
-                    stats = {"prescreen": outcome.domain}
-                    self._answer(item, "prescreen", SolveStatus.UNSAT, stats=stats)
 
-            self._each(batch, at_rung, screen)
+            def screen(items: list[_Item]) -> None:
+                outcomes = screen_enclosure(
+                    [enclosures[item] for item in items], items[0].query.risk, rung
+                )
+                for item, outcome in zip(items, outcomes):
+                    if outcome.excluded:
+                        stats = {"prescreen": outcome.domain}
+                        self._answer(item, "prescreen", SolveStatus.UNSAT, stats=stats)
+
+            looked_up = self._each(batch, at_rung, look_up)
+            by_risk = _grouped(looked_up, lambda item: item.query.risk)
+            self._each_group(batch, by_risk, screen)
             open_items = [item for item in open_items if item.result is None]
         return [item for item in pending if item.result is None]
 
@@ -1127,6 +1170,13 @@ class VerificationEngine:
         so one entry answers a whole threshold sweep and each query
         only takes its own risk margin.
 
+        Single-row queries sharing a (characterizer, risk) are decided
+        together from the entries already cached for their sets
+        (:meth:`_decide_from_entries`).  The others take the per-item
+        step (:meth:`_support_step`) in batch order: multi-row risks,
+        sets with no entry yet, entries that leave the query open, and
+        any query whose entry an earlier step of the batch may replace.
+
         A single-row query left in an open bracket may optimize, which
         replaces the entry.  A MILP optimization costs more than one
         first-incumbent feasibility solve, so a one-off query keeps the
@@ -1137,41 +1187,117 @@ class VerificationEngine:
         linear support costs less than any solve and no budget truncates
         it, so every query takes it at once.
         """
+        exact = [item for item in pending if item.query.method is Method.EXACT]
+        decided: dict[_Item, tuple] = {}
+        self._each_group(
+            batch,
+            _grouped(exact, lambda item: (item.query.property_name, item.query.risk)),
+            lambda items: decided.update(self._decide_from_entries(items)),
+        )
+        # an entry a per-item step may replace (an open bracket that
+        # optimizes) is stale for the later queries over its key
+        stepped: set = set()
+        for item in exact:
+            if item.result is not None:  # its group failed: an error
+                continue
+            plan = decided.get(item)
+            if plan is None or plan[0] in stepped:
+                self._each(batch, [item], lambda item: self._support_step(batch, item))
+                stepped.update(
+                    (item.query.set_name, item.query.property_name, tuple(row))
+                    for row in item.query.risk.as_matrix()[0].tolist()
+                )
+                continue
+            began = time.perf_counter()
+            _, status, entry = plan
+            self.cache_stats["hit:support"] = self.cache_stats.get("hit:support", 0) + 1
+            item.hits.append("support")
+            item.ladder.append("support-cache")
+            self._support_answer(item, status, entry)
+            item.elapsed += time.perf_counter() - began
+        return [item for item in pending if item.result is None]
 
-        def step(item: _Item) -> None:
-            query = item.query
-            if query.method is not Method.EXACT:
-                return
-            self._check_property(query.property_name)  # as the solver path does
-            a_risk, b_risk = query.risk.as_matrix()
-            directions = [tuple(float(v) for v in row) for row in a_risk]
-            entries = [self._support(query, d, item.hits) for d in directions]
+    def _decide_from_entries(self, items: list[_Item]) -> dict[_Item, tuple]:
+        """What the cached support entries decide for ``items``, which
+        share a property and a single-row risk ``a·y <= b``.
+
+        Returns ``item -> (support-cache key, status, entry)`` for the
+        items their entry decides, with :func:`_support_outcome`'s rules
+        as array comparisons: UNSAT past ``b`` by more than
+        :data:`_REPLAY_RTOL`, SAT for an exact minimum at most ``b``.
+        Only an inexact entry's replayed point is checked one at a time.
+        Reads the cache without counting hits; nothing is answered.
+        """
+        query = items[0].query
+        self._check_property(query.property_name)  # as the solver path does
+        a_risk, b_risk = query.risk.as_matrix()
+        if len(b_risk) != 1:
+            return {}
+        direction = tuple(a_risk[0].tolist())
+        found = []
+        for item in items:
+            key = (item.query.set_name, query.property_name, direction)
+            entry = self._support_cache.get(key)
+            if entry is not None:
+                found.append((item, key, entry))
+        if not found:
+            return {}
+        rhs = float(b_risk[0])
+        limit = rhs + _REPLAY_RTOL * max(1.0, abs(rhs))
+        values = np.fromiter((e.value for _, _, e in found), float, len(found))
+        exact = np.fromiter(
+            (e.exact and e.output is not None for _, _, e in found), bool, len(found)
+        )
+        unsat = values > limit
+        sat = ~unsat & exact & (values <= rhs)
+        plans = {}
+        for (item, key, entry), is_unsat, is_sat in zip(
+            found, unsat.tolist(), sat.tolist()
+        ):
+            if is_unsat:
+                plans[item] = (key, SolveStatus.UNSAT, entry)
+            elif is_sat:
+                plans[item] = (key, SolveStatus.SAT, entry)
+            elif entry.output is not None:
+                outcome = _support_outcome([entry], query.risk, b_risk)
+                if outcome is not None:
+                    plans[item] = (key, *outcome)
+        return plans
+
+    def _support_step(self, batch: _Batch, item: _Item) -> None:
+        """One query through the support cache, looking up (and building)
+        an entry per risk row and optimizing an open single-row bracket
+        where :meth:`_optimizes` allows."""
+        query = item.query
+        self._check_property(query.property_name)  # as the solver path does
+        a_risk, b_risk = query.risk.as_matrix()
+        directions = [tuple(row) for row in a_risk.tolist()]
+        entries = [self._support(query, d, item.hits) for d in directions]
+        outcome = _support_outcome(entries, query.risk, b_risk)
+        if outcome is None and self._optimizes(batch, query, directions, entries):
+            item.ladder.append("support-cache")
+            entries = [self._optimized_support(query, directions[0], item.hits)]
             outcome = _support_outcome(entries, query.risk, b_risk)
-            if outcome is None and self._optimizes(batch, query, directions, entries):
-                item.ladder.append("support-cache")
-                entries = [self._optimized_support(query, directions[0], item.hits)]
-                outcome = _support_outcome(entries, query.risk, b_risk)
-            elif outcome is not None:
-                item.ladder.append("support-cache")
-            if outcome is None:
-                return
-            status, entry = outcome
-            stats = {"decided": "support-cache", "support": entry.value}
-            if entry.replayed is not None:
-                stats["replayed"] = entry.replayed
-            if status is SolveStatus.UNSAT:
-                self._answer(item, "support-cache", status, stats=stats)
-                return
-            self._answer(
-                item,
-                "support-cache",
-                status,
-                witness=entry.witness,
-                stats=stats,
-                counterexample=entry.counterexample(query.risk),
-            )
+        elif outcome is not None:
+            item.ladder.append("support-cache")
+        if outcome is not None:
+            self._support_answer(item, *outcome)
 
-        return self._each(batch, pending, step)
+    def _support_answer(self, item: _Item, status: SolveStatus, entry: _Support) -> None:
+        stats = {"decided": "support-cache", "support": entry.value}
+        if entry.replayed is not None:
+            stats["replayed"] = entry.replayed
+        if status is SolveStatus.UNSAT:
+            self._answer(item, "support-cache", status, stats=stats)
+            return
+        self._answer(
+            item,
+            "support-cache",
+            status,
+            witness=entry.witness,
+            stats=stats,
+            counterexample=entry.counterexample(item.query.risk),
+        )
 
     def _optimizes(
         self,

@@ -102,25 +102,30 @@ class LeakyReLUOp:
 
 @dataclass
 class MaxGroupOp:
-    """``y_j = max(x[groups[j]])`` — the flat form of max pooling."""
+    """``y_j = max(x[groups[j]])`` — the flat form of max pooling.
+
+    ``groups`` is any sequence of index arrays, such as the rows of a
+    pooling layer's ``(out_dim, k)`` window index; it is kept as a list.
+    """
 
     in_dim: int
     groups: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.groups = [np.asarray(g, dtype=np.intp) for g in self.groups]
-        for g in self.groups:
-            if g.size == 0:
-                raise ValueError("empty max group")
-            if g.min() < 0 or g.max() >= self.in_dim:
-                raise ValueError(f"group indices out of range for in_dim={self.in_dim}")
+        members = np.concatenate([np.empty(0, np.intp), *self.groups], axis=None)
+        sizes = np.array([g.size for g in self.groups], dtype=np.intp)
+        if np.any(sizes == 0):
+            raise ValueError("empty max group")
+        if members.size and (members.min() < 0 or members.max() >= self.in_dim):
+            raise ValueError(f"group indices out of range for in_dim={self.in_dim}")
         #: ``(out_dim, widest group)`` gather index: each group padded by
-        #: repeating its own members, which leaves its max and its first
+        #: repeating its own members (``np.resize``: padded member ``i`` is
+        #: member ``i mod size``), which leaves its max and its first
         #: argmax unchanged, so one gather serves every group at once
-        width = max((g.size for g in self.groups), default=1)
-        self.index = np.array(
-            [np.resize(g, width) for g in self.groups], dtype=np.intp
-        ).reshape(len(self.groups), width)
+        starts = np.cumsum(sizes) - sizes
+        columns = np.arange(sizes.max(initial=1))
+        self.index = members[starts[:, None] + columns % sizes[:, None]]
 
     @property
     def out_dim(self) -> int:

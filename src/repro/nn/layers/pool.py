@@ -39,23 +39,17 @@ class _Pool2D(Layer):
     def config(self) -> dict[str, Any]:
         return {"size": self.size, "stride": self.stride}
 
-    def _window_index_groups(self) -> list[np.ndarray]:
-        """Flat-input index groups of every pooling window, in output order."""
+    def _window_index_groups(self) -> np.ndarray:
+        """``(out, k·k)`` flat-input indices of every pooling window, one
+        row per output in output order, each window row-major."""
         assert self.input_shape is not None and self.output_shape_ is not None
         c, h, w = self.input_shape
         _, ho, wo = self.output_shape_
         flat = np.arange(c * h * w).reshape(c, h, w)
-        groups = []
-        for ci in range(c):
-            for i in range(ho):
-                for j in range(wo):
-                    window = flat[
-                        ci,
-                        i * self.stride : i * self.stride + self.size,
-                        j * self.stride : j * self.stride + self.size,
-                    ]
-                    groups.append(window.ravel())
-        return groups
+        windows = np.lib.stride_tricks.sliding_window_view(
+            flat, (self.size, self.size), axis=(1, 2)
+        )[:, :: self.stride, :: self.stride][:, :ho, :wo]
+        return windows.reshape(c * ho * wo, self.size * self.size)
 
 
 class MaxPool2D(_Pool2D):
@@ -118,8 +112,7 @@ class AvgPool2D(_Pool2D):
     def as_verification_ops(self) -> list:
         assert self.input_shape is not None and self.output_shape_ is not None
         din = flat_size(self.input_shape)
-        groups = self._window_index_groups()
-        weight = np.zeros((len(groups), din), dtype=FLOAT)
-        for row, group in enumerate(groups):
-            weight[row, group] = 1.0 / group.size
-        return [AffineOp(weight, np.zeros(len(groups), dtype=FLOAT))]
+        index = self._window_index_groups()
+        weight = np.zeros((len(index), din), dtype=FLOAT)
+        weight[np.arange(len(index))[:, None], index] = 1.0 / index.shape[1]
+        return [AffineOp(weight, np.zeros(len(index), dtype=FLOAT))]

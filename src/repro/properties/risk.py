@@ -111,9 +111,19 @@ class RiskCondition:
             object.__setattr__(self, "_matrix", matrix)
         return matrix
 
+    def __hash__(self) -> int:
+        """The fields' hash, computed once per instance: batches group
+        their queries by risk."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.name, self.inequalities, self.description))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state.pop("_matrix", None)
+        state.pop("_hash", None)  # string hashes differ between processes
         return state
 
     def __str__(self) -> str:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -251,6 +252,9 @@ class VerificationService:
         self._ids = itertools.count(1)
         self._engines: dict[Path, _EngineEntry] = {}
         self._engines_lock = threading.Lock()
+        #: resolved path -> ((st_mtime_ns, st_size), property, its digest)
+        self._properties: dict[Path, tuple[tuple[int, int], VnnLibProperty, str]] = {}
+        self._properties_lock = threading.Lock()
         self._inflight: dict[tuple, Job] = {}
         self._flight_lock = threading.Lock()
         self._coalesced = 0
@@ -424,12 +428,29 @@ class VerificationService:
                 self._engines[model_path] = entry
         return entry
 
-    def _property_set(self, entry: _EngineEntry, prop: VnnLibProperty) -> tuple[str, str]:
-        """Register the property's input box once per engine; return
-        ``(set name, property digest)``."""
+    def _read_property(self, path: Path) -> tuple[VnnLibProperty, str]:
+        """The parsed property file and its digest, parsed once per file
+        version: cached by path and re-read when one ``os.stat`` shows a
+        new ``(st_mtime_ns, st_size)``."""
+        info = os.stat(path)
+        stamp = (info.st_mtime_ns, info.st_size)
+        with self._properties_lock:
+            cached = self._properties.get(path)
+        if cached is not None and cached[0] == stamp:
+            return cached[1], cached[2]
+        prop = read_vnnlib(path)
+        digest = property_digest(prop.input_lower, prop.input_upper, prop.disjuncts)
+        with self._properties_lock:
+            self._properties[path] = (stamp, prop, digest)
+        return prop, digest
+
+    def _property_set(
+        self, entry: _EngineEntry, prop: VnnLibProperty, digest: str
+    ) -> str:
+        """Register the property's input box once per engine; return the
+        set's name."""
         model = entry.model
         check_dimensions(model, prop)
-        digest = property_digest(prop.input_lower, prop.input_upper, prop.disjuncts)
         set_name = entry.sets.get(digest)
         if set_name is None:
             set_name = f"prop-{digest[:12]}"
@@ -440,7 +461,7 @@ class VerificationService:
                 overwrite=True,
             )
             entry.sets[digest] = set_name
-        return set_name, digest
+        return set_name
 
     def _flight_key(self, entry: _EngineEntry, prop_digest: str, spec: JobSpec) -> tuple:
         """Every spec field that shapes the answer: only identical
@@ -464,8 +485,8 @@ class VerificationService:
         model_path = self._resolve(spec.model)
         property_path = self._resolve(spec.property)
         entry = self._engine_entry(model_path)
-        prop = read_vnnlib(property_path)
-        set_name, prop_digest = self._property_set(entry, prop)
+        prop, prop_digest = self._read_property(property_path)
+        set_name = self._property_set(entry, prop, prop_digest)
 
         key = self._flight_key(entry, prop_digest, spec)
         with self._flight_lock:

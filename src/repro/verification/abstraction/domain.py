@@ -21,8 +21,9 @@ A domain provides:
   (:class:`~repro.verification.sets.Box`, ``Zonotope``,
   ``BoxWithDiffs``, …), the unit the engine caches per
   ``(feature set, domain)``;
-- :meth:`AbstractDomain.linear_lower_bound` — sound ``min a . y`` over
-  an enclosure, the prescreen primitive;
+- :meth:`AbstractDomain.linear_lower_bounds` — sound ``min a . y`` for
+  every row ``a`` of a matrix over every enclosure of a sequence, the
+  prescreen primitive (one array computation per group of enclosures);
 - :meth:`AbstractDomain.feature_set` — the enclosure as a
   :class:`~repro.verification.sets.FeatureSet` for Lemma 2 registration.
 
@@ -36,7 +37,7 @@ hulls — the contract the differential test suite enforces.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -168,17 +169,24 @@ class AbstractDomain(ABC):
         n = self.concretize(element).n_regions
         return [self.extract(element, i) for i in range(n)]
 
-    def linear_lower_bound(self, enclosure: Any, a: np.ndarray) -> float:
-        """Sound lower bound of ``a . y`` over one enclosure.
+    def linear_lower_bounds(
+        self, enclosures: Sequence[Any], a: np.ndarray
+    ) -> np.ndarray:
+        """Sound lower bounds of ``a_r . y`` over each enclosure, ``(n, rows)``.
 
-        The default evaluates ``a . y`` over the enclosure's interval
-        hull — the single implementation of the box formula; domains
-        with a tighter enclosure structure (zonotope support functions,
-        octagon LP tightening) override it.
+        The default evaluates every row over every enclosure's interval
+        hull at once, elementwise (no matrix product, so each value is
+        bitwise the one-row, one-box sum); domains with a tighter
+        enclosure structure (zonotope support functions, octagon LP
+        tightening) override it.
         """
-        box = self.enclosure_box(enclosure)
         a = np.asarray(a, dtype=float)
-        return float(np.sum(np.where(a >= 0.0, a * box.lower, a * box.upper)))
+        if not len(enclosures):
+            return np.empty((0, a.shape[0]))
+        boxes = [self.enclosure_box(enclosure) for enclosure in enclosures]
+        lower = np.stack([box.lower for box in boxes])[:, None, :]
+        upper = np.stack([box.upper for box in boxes])[:, None, :]
+        return np.where(a >= 0.0, a * lower, a * upper).sum(axis=-1)
 
     def feature_set(self, enclosure: Any) -> FeatureSet:
         """The enclosure as a Lemma-2 feature set (default: its box)."""

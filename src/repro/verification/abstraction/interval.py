@@ -149,14 +149,17 @@ def op_output_bounds(
 ) -> list[tuple[Box, Box]]:
     """Per-op ``(input_box, output_box)`` pairs along the network.
 
-    The input box of op ``i`` is the output box of op ``i-1``; the MILP
-    encoder reads pre-activation bounds for ReLU/max ops from here.
+    The input box of op ``i`` is the output box of op ``i-1`` (the same
+    object, so each op's box is built once); the MILP encoder reads
+    pre-activation bounds for ReLU/max ops from here.
     """
     element = INTERVAL.lift(BoxBatch(box.lower[None], box.upper[None]))
+    before = element.box(0)
     pairs = []
     for op in network.ops:
-        out = INTERVAL.transform(op, element)
-        pairs.append((element.box(0), out.box(0)))
-        element = out
+        element = INTERVAL.transform(op, element)
+        after = element.box(0)
+        pairs.append((before, after))
+        before = after
     return pairs
 

@@ -273,15 +273,19 @@ class OctagonDomain(AbstractDomain):
             box, element.diff_lower[index], element.diff_upper[index]
         )
 
-    def linear_lower_bound(self, enclosure, a: np.ndarray) -> float:
-        fallback = super().linear_lower_bound(enclosure, a)
-        if isinstance(enclosure, BoxWithDiffs):
-            tightened = _lp_lower_bound(enclosure, a)
-            if tightened is not None:
-                # the LP feasible region is a subset of the box, so its
-                # minimum can only be larger (sound either way)
-                return max(fallback, tightened)
-        return fallback
+    def linear_lower_bounds(self, enclosures, a: np.ndarray) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        bounds = super().linear_lower_bounds(enclosures, a)
+        for i, enclosure in enumerate(enclosures):
+            if not isinstance(enclosure, BoxWithDiffs):
+                continue
+            for r, row in enumerate(a):
+                tightened = _lp_lower_bound(enclosure, row)
+                if tightened is not None:
+                    # the LP feasible region is a subset of the box, so
+                    # its minimum can only be larger (sound either way)
+                    bounds[i, r] = max(bounds[i, r], tightened)
+        return bounds
 
     def enclosure_box(self, enclosure) -> Box:
         return enclosure if isinstance(enclosure, Box) else enclosure.box

@@ -21,6 +21,7 @@ the per-region bounds are identical to a batch-of-one run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -322,8 +323,15 @@ class ZonotopeDomain(AbstractDomain):
     def extract(self, element: ZonotopeBatch, index: int) -> Zonotope:
         return element.zonotope(index)
 
-    def linear_lower_bound(self, enclosure: Zonotope, a: np.ndarray) -> float:
-        return enclosure.linear_value_bounds(a)[0]
+    def linear_lower_bounds(
+        self, enclosures: Sequence[Zonotope], a: np.ndarray
+    ) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        bounds = np.empty((len(enclosures), len(a)))
+        for i, enclosure in enumerate(enclosures):
+            for r, row in enumerate(a):
+                bounds[i, r] = enclosure.linear_value_bounds(row)[0]
+        return bounds
 
     def enclosure_box(self, enclosure: Zonotope) -> Box:
         return enclosure.to_box()

@@ -14,14 +14,17 @@ output enclosure.
 
 The characterizer conjunct is ignored here (dropping a constraint keeps
 the over-approximation sound).
+
+Both halves are batched.  :func:`output_enclosure_batch` propagates many
+sets in one pass, and :func:`screen_enclosure` screens one risk against
+a whole sequence of enclosures with one margin matrix, so the engine
+makes one screen call per (ladder rung, risk), not one per query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.nn.graph import PiecewiseLinearNetwork
 from repro.properties.risk import RiskCondition
@@ -85,18 +88,23 @@ def output_enclosure_batch(
     return dom.enclosures(element)
 
 
-def screen_enclosure(enclosure, risk: RiskCondition, domain: str) -> PrescreenResult:
-    """Risk-dependent half: margin check against a precomputed enclosure."""
-    dom = get_domain(domain)
+def screen_enclosure(
+    enclosures: Sequence, risk: RiskCondition, domain: str
+) -> list[PrescreenResult]:
+    """Risk-dependent half: margin check against precomputed enclosures.
+
+    One array computation for the whole sequence: the margin matrix
+    ``b - min A·y`` over every enclosure
+    (:meth:`~repro.verification.abstraction.domain.AbstractDomain.linear_lower_bounds`),
+    one :class:`PrescreenResult` per enclosure.  A single enclosure is a
+    batch of one.
+    """
     a_matrix, b_vector = risk.as_matrix()
-    margins = [
-        b - dom.linear_lower_bound(enclosure, a)
-        for a, b in zip(a_matrix, b_vector)
+    margins = b_vector - get_domain(domain).linear_lower_bounds(enclosures, a_matrix)
+    return [
+        PrescreenResult(excluded=worst < 0.0, domain=domain, best_possible_margin=worst)
+        for worst in margins.min(axis=1).tolist()
     ]
-    worst = float(min(margins))
-    return PrescreenResult(
-        excluded=worst < 0.0, domain=domain, best_possible_margin=worst
-    )
 
 
 def prescreen(
@@ -117,7 +125,7 @@ def prescreen(
             f"risk is over {risk.dim} outputs, network has {suffix.out_dim}"
         )
     enclosure = output_enclosure(suffix, feature_set, domain)
-    return screen_enclosure(enclosure, risk, domain)
+    return screen_enclosure([enclosure], risk, domain)[0]
 
 
 def prescreen_batch(
@@ -131,11 +139,11 @@ def prescreen_batch(
     Semantically ``[prescreen(suffix, fs, risk, domain) for fs in
     feature_sets]`` but the enclosures are computed in one batched
     propagation pass (:func:`output_enclosure_batch`), so the cost is
-    roughly that of a single scalar prescreen plus ``n`` margin checks.
+    roughly that of a single scalar prescreen plus one margin matrix.
     """
     if risk.dim != suffix.out_dim:
         raise ValueError(
             f"risk is over {risk.dim} outputs, network has {suffix.out_dim}"
         )
     enclosures = output_enclosure_batch(suffix, feature_sets, domain)
-    return [screen_enclosure(enc, risk, domain) for enc in enclosures]
+    return screen_enclosure(enclosures, risk, domain)

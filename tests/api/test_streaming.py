@@ -355,8 +355,8 @@ class TestCascadeOrder:
             "interval",
         )
         left = [
-            i for i, enclosure in enumerate(enclosures)
-            if not screen_enclosure(enclosure, risk, "interval").excluded
+            i for i, outcome in enumerate(screen_enclosure(enclosures, risk, "interval"))
+            if not outcome.excluded
         ]
         assert 0 < len(left) < len(grid)  # the risk splits the shard
 
@@ -414,9 +414,9 @@ class TestSingleRegistration:
             propagations.append(args[1].n_regions)
             return propagate(*args, **kwargs)
 
-        def counting_screen(enclosure, risk, rung):
-            screens.append(rung)
-            return screen(enclosure, risk, rung)
+        def counting_screen(enclosures, risk, rung):
+            screens.extend(rung for _ in enclosures)
+            return screen(enclosures, risk, rung)
 
         monkeypatch.setattr(engine_mod, "propagate_regions", counting_propagate)
         monkeypatch.setattr(streaming_mod, "propagate_regions", counting_propagate)

@@ -198,6 +198,96 @@ class TestStoreIntegration:
             svc.close(drain=False)
 
 
+
+class TestPropertyCache:
+    def test_repeated_submits_parse_the_property_once(self, service, monkeypatch):
+        from repro.service import jobs
+
+        parsed = []
+        read = jobs.read_vnnlib
+
+        def counting_read(path):
+            parsed.append(path)
+            return read(path)
+
+        monkeypatch.setattr(jobs, "read_vnnlib", counting_read)
+        answers = [
+            submit_wait(service, {"model": "model.onnx", "property": "sat.vnnlib"})
+            for _ in range(3)
+        ]
+        assert [job.result["status"] for job in answers] == ["sat"] * 3
+        assert len(parsed) == 1
+
+    def test_concurrent_jobs_share_parsed_properties(self, bench_dir, monkeypatch):
+        """More job threads than cores on two property files: every
+        answer matches its file, and each file is parsed at most once
+        per thread that raced for it."""
+        import sys
+
+        from repro.service import jobs
+
+        parsed = []
+        read = jobs.read_vnnlib
+
+        def counting_read(path):
+            parsed.append(path.name)
+            return read(path)
+
+        monkeypatch.setattr(jobs, "read_vnnlib", counting_read)
+        workers = 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service = VerificationService(
+            ResultStore(), workers=workers, solver="highs", root=bench_dir
+        )
+        try:
+            names = ["sat.vnnlib", "unsat.vnnlib"] * 6
+            submitted = [
+                service.submit_payload({"model": "model.onnx", "property": name})
+                for name in names
+            ]
+            assert all(job.wait(120.0) for job in submitted)
+        finally:
+            service.close(drain=False, timeout=60.0)
+            sys.setswitchinterval(interval)
+        statuses = [job.result["status"] for job in submitted]
+        assert statuses == [name.split(".")[0] for name in names]
+        for name in set(names):
+            assert 1 <= parsed.count(name) <= workers
+
+    def test_rewritten_property_is_read_again(
+        self, service, bench_dir, reachable, monkeypatch
+    ):
+        import os
+
+        import numpy as np
+
+        from repro.interchange.vnnlib import write_vnnlib
+        from repro.service import jobs
+
+        from tests.service.conftest import _risk
+
+        parsed = []
+        read = jobs.read_vnnlib
+
+        def counting_read(path):
+            parsed.append(path)
+            return read(path)
+
+        monkeypatch.setattr(jobs, "read_vnnlib", counting_read)
+        lo, hi = reachable
+        path = bench_dir / "rewritten.vnnlib"
+        job = {"model": "model.onnx", "property": path.name}
+        write_vnnlib(path, np.zeros(4), np.ones(4), [_risk(0.5 * (lo + hi))])
+        assert submit_wait(service, job).result["status"] == "sat"
+        before = os.stat(path).st_mtime_ns
+        write_vnnlib(path, np.zeros(4), np.ones(4), [_risk(hi + 50.0)])
+        # a later modification time, whatever the clock's resolution
+        os.utime(path, ns=(before + 10**9, before + 10**9))
+        assert submit_wait(service, job).result["status"] == "unsat"
+        assert submit_wait(service, job).result["status"] == "unsat"
+        assert len(parsed) == 2
+
 class TestPrioritiesAndCancellation:
     def test_higher_priority_overtakes_the_queue(self, bench_dir, monkeypatch):
         svc = _slow_service(bench_dir, workers=1)

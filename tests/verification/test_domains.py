@@ -232,18 +232,75 @@ class TestFeatureSetExtraction:
         octagon = get_domain("octagon")
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         enclosure = BoxWithDiffs(box, np.array([-0.1]), np.array([0.1]))
-        for _ in range(10):
-            a = rng.normal(size=2)
-            box_bound = get_domain("interval").linear_lower_bound(box, a)
-            lp_bound = octagon.linear_lower_bound(enclosure, a)
-            assert lp_bound >= box_bound - ATOL
+        a = rng.normal(size=(10, 2))
+        box_bounds = get_domain("interval").linear_lower_bounds([box], a)
+        lp_bounds = octagon.linear_lower_bounds([enclosure], a)
+        assert lp_bounds.shape == (1, 10)
+        assert np.all(lp_bounds >= box_bounds - ATOL)
 
     def test_octagon_failed_lp_keeps_box_bound(self, fail_lps):
         """An LP that stops without an optimum tightens nothing."""
         octagon = get_domain("octagon")
         box = Box(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
         enclosure = BoxWithDiffs(box, np.array([-0.1]), np.array([0.1]))
-        a = np.array([1.0, -1.0])
-        assert octagon.linear_lower_bound(enclosure, a) == pytest.approx(-0.1)
+        a = np.array([[1.0, -1.0]])
+        assert octagon.linear_lower_bounds([enclosure], a)[0, 0] == pytest.approx(-0.1)
         fail_lps()
-        assert octagon.linear_lower_bound(enclosure, a) == pytest.approx(-2.0)
+        assert octagon.linear_lower_bounds([enclosure], a)[0, 0] == pytest.approx(-2.0)
+
+
+def _one_enclosure_bound(name: str, enclosure, a: np.ndarray) -> float:
+    """The per-enclosure, per-row bound ``linear_lower_bounds`` replaced:
+    the interval-hull sum, tightened by the octagon LP or replaced by the
+    zonotope support function."""
+    from repro.verification.abstraction.octagon import _lp_lower_bound
+
+    if name == "zonotope":
+        return enclosure.linear_value_bounds(a)[0]
+    box = get_domain(name).enclosure_box(enclosure)
+    bound = float(np.sum(np.where(a >= 0.0, a * box.lower, a * box.upper)))
+    if name == "octagon" and isinstance(enclosure, BoxWithDiffs):
+        tightened = _lp_lower_bound(enclosure, a)
+        if tightened is not None:
+            bound = max(bound, tightened)
+    return bound
+
+
+class TestLinearLowerBounds:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        rows=st.integers(1, 4),
+        outputs=st.integers(1, 20),
+    )
+    def test_batched_bounds_equal_per_enclosure_bounds(self, seed, n, rows, outputs):
+        """Bitwise for the box formula (interval, symbolic); to rounding
+        for the domains that keep per-enclosure logic."""
+        rng = np.random.default_rng(seed)
+        model = Sequential(
+            [Dense(int(rng.integers(3, 7))), ReLU(), Dense(outputs)],
+            input_shape=(4,),
+            seed=seed % 101,
+        )
+        regions = _random_regions(rng, n=n, dim=4)
+        a = rng.normal(size=(rows, outputs))
+        a[rng.random(a.shape) < 0.2] = 0.0
+        for name in registered_domains():
+            dom = get_domain(name)
+            enclosures = dom.enclosures(
+                propagate_regions(model, regions, model.num_layers, name)
+            )
+            batched = dom.linear_lower_bounds(enclosures, a)
+            assert batched.shape == (n, rows)
+            expected = np.array(
+                [[_one_enclosure_bound(name, e, row) for row in a] for e in enclosures]
+            )
+            if name in ("interval", "symbolic"):
+                assert batched.tobytes() == expected.tobytes(), name
+            else:
+                np.testing.assert_allclose(batched, expected, rtol=1e-12, atol=1e-12)
+
+    def test_no_enclosures(self):
+        for name in registered_domains():
+            assert get_domain(name).linear_lower_bounds([], np.ones((3, 2))).shape == (0, 3)

@@ -97,3 +97,37 @@ class TestOpOutputBounds:
         # final box equals propagate_box
         final = propagate_box(net, box)
         np.testing.assert_array_equal(pairs[-1][1].lower, final.lower)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_pairs_bitwise_equal_to_per_op_boxes(self, seed):
+        """Each op's box is built once and shared as the next op's input;
+        the values are those of rebuilding every box from its element."""
+        from repro.nn import Conv2D, Flatten, LeakyReLU, MaxPool2D
+        from repro.verification.abstraction.interval import INTERVAL
+        from repro.verification.sets import BoxBatch
+
+        rng = np.random.default_rng(seed)
+        model = Sequential(
+            [Conv2D(2, 3, padding=1), LeakyReLU(0.1), MaxPool2D(2), Flatten(),
+             Dense(5), ReLU(), Dense(2)],
+            input_shape=(1, 4, 4),
+            seed=int(rng.integers(0, 1000)),
+        )
+        net = model.full_network()
+        lower = rng.uniform(-1.0, 1.0, 16)
+        box = Box(lower, lower + rng.uniform(0.0, 0.5, 16))
+        element = INTERVAL.lift(BoxBatch(box.lower[None], box.upper[None]))
+        expected = []
+        for op in net.ops:
+            out = INTERVAL.transform(op, element)
+            expected.append((element.box(0), out.box(0)))
+            element = out
+        pairs = op_output_bounds(net, box)
+        assert len(pairs) == len(expected)
+        for (got_in, got_out), (want_in, want_out) in zip(pairs, expected):
+            for got, want in ((got_in, want_in), (got_out, want_out)):
+                assert got.lower.tobytes() == want.lower.tobytes()
+                assert got.upper.tobytes() == want.upper.tobytes()
+        for (_, out_a), (in_b, _) in zip(pairs, pairs[1:]):
+            assert out_a is in_b
