@@ -34,6 +34,7 @@ from repro.scenario.dataset import (
     SceneParams,
     generate_dataset,
     render_scene,
+    render_scenes,
     sample_scene,
 )
 from repro.scenario.geometry import RoadGeometry
@@ -79,6 +80,7 @@ __all__ = [
     "generate_dataset",
     "region_from_scene",
     "render_scene",
+    "render_scenes",
     "run_stream",
     "sample_scene",
     "scenario_region_grid",

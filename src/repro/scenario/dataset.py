@@ -9,6 +9,7 @@ distribution (the synthetic ODD) and renders them into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from repro.scenario.affordances import DEFAULT_LOOKAHEAD, affordances
 from repro.scenario.camera import PinholeCamera
 from repro.scenario.geometry import RoadGeometry
 from repro.scenario.labels import ORACLES, PropertyOracle
-from repro.scenario.render import render_ground, render_vehicles
+from repro.scenario.render import render_grounds, render_vehicles
 from repro.scenario.traffic import Vehicle, sample_vehicles
 from repro.scenario.weather import Weather
 
@@ -96,14 +97,39 @@ def sample_scene(rng: np.random.Generator, config: SceneConfig | None = None) ->
     )
 
 
+#: scenes per stacked ground rendering, bounding its temporaries
+_RENDER_CHUNK = 256
+
+
+def render_scenes(
+    scenes: Sequence[SceneParams], config: SceneConfig | None = None
+) -> np.ndarray:
+    """Render scenes to ``(N, 1, H, W)`` grayscale images in ``[0, 1]``.
+
+    Grounds are rendered in stacked :func:`render_grounds` calls, each
+    scene with an rng seeded from its ``texture_seed``.  That rng then
+    goes on to the scene's vehicles and weather, so every image is the
+    one the scene renders to alone.
+    """
+    config = config or SceneConfig()
+    camera = config.camera
+    images = np.empty((len(scenes), 1, camera.height_px, camera.width))
+    for start in range(0, len(scenes), _RENDER_CHUNK):
+        chunk = scenes[start : start + _RENDER_CHUNK]
+        rngs = [np.random.default_rng(scene.texture_seed) for scene in chunk]
+        grounds, ground_distance = render_grounds(
+            [scene.road for scene in chunk], camera, rngs
+        )
+        for i, (scene, ground, rng) in enumerate(zip(chunk, grounds, rngs)):
+            distance = ground_distance.copy()
+            render_vehicles(ground, distance, scene.road, camera, scene.vehicles)
+            images[start + i, 0] = scene.weather.apply(ground, distance, rng)
+    return images
+
+
 def render_scene(params: SceneParams, config: SceneConfig | None = None) -> np.ndarray:
     """Render one scene to a ``(1, H, W)`` grayscale image in ``[0, 1]``."""
-    config = config or SceneConfig()
-    rng = np.random.default_rng(params.texture_seed)
-    image, distance = render_ground(params.road, config.camera, rng)
-    render_vehicles(image, distance, params.road, config.camera, params.vehicles)
-    image = params.weather.apply(image, distance, rng)
-    return image[None, :, :]
+    return render_scenes([params], config)[0]
 
 
 @dataclass
@@ -173,7 +199,7 @@ def generate_dataset(
     config = config or SceneConfig()
     rng = np.random.default_rng(seed)
     params = [sample_scene(rng, config) for _ in range(n)]
-    images = np.stack([render_scene(p, config) for p in params])
+    images = render_scenes(params, config)
     targets = np.stack([affordances(p.road, config.lookahead) for p in params])
     return Dataset(images=images, affordances=targets, params=params, config=config)
 
@@ -220,6 +246,6 @@ def balanced_property_dataset(
         )
     order = np.random.default_rng(seed + 1).permutation(n)
     chosen = [chosen[i] for i in order]
-    images = np.stack([render_scene(p, config) for p in chosen])
+    images = render_scenes(chosen, config)
     targets = np.stack([affordances(p.road, config.lookahead) for p in chosen])
     return Dataset(images=images, affordances=targets, params=chosen, config=config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.scenario.affordances import affordances
-from repro.scenario.dataset import Dataset, SceneConfig, SceneParams, render_scene
+from repro.scenario.dataset import Dataset, SceneConfig, SceneParams, render_scenes
 from repro.scenario.geometry import RoadGeometry
 from repro.scenario.weather import Weather
 
@@ -111,7 +111,7 @@ def simulate_drive(
             )
         )
 
-    images = np.stack([render_scene(p, scene_config) for p in params])
+    images = render_scenes(params, scene_config)
     targets = np.stack(
         [affordances(p.road, scene_config.lookahead) for p in params]
     )

@@ -18,12 +18,58 @@ Positive curvature bends the road to the *left*, negative to the right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
 
+class _RoadLayout:
+    """The centerline and lane layout shared by one road and a stack of roads.
+
+    The formulas read only the fields annotated here, so they evaluate
+    the same way on a :class:`RoadGeometry`'s scalars and on a
+    :class:`RoadStack`'s ``(n, 1, 1)`` per-road columns.
+    """
+
+    kappa0: Any
+    kappa_rate: Any
+    y0: Any
+    psi0: Any
+    lane_width: Any
+    num_lanes: Any
+    ego_lane: Any
+
+    def centerline_offset(self, x: np.ndarray | float) -> np.ndarray | float:
+        """Lateral position ``y_c(x)`` of the ego-lane centerline."""
+        x = np.asarray(x, dtype=float)
+        return (
+            self.y0
+            + self.psi0 * x
+            + 0.5 * self.kappa0 * x**2
+            + self.kappa_rate * x**3 / 6.0
+        )
+
+    def boundary_shift(self, j: int) -> Any:
+        """Lateral shift of lane boundary ``j`` from the ego centerline."""
+        return (j - self.ego_lane - 0.5) * self.lane_width
+
+    @property
+    def road_half_span(self) -> Any:
+        """Half of the total paved width."""
+        return 0.5 * self.num_lanes * self.lane_width
+
+    def road_center_offset(self, x: np.ndarray | float) -> np.ndarray | float:
+        """Lateral position of the center of the *paved road* (all lanes)."""
+        shift = (0.5 * (self.num_lanes - 1) - self.ego_lane) * self.lane_width
+        return self.centerline_offset(x) + shift
+
+    def on_road(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Boolean mask: is world point ``(x, y)`` on the paved road?"""
+        return np.abs(y - self.road_center_offset(x)) <= self.road_half_span
+
+
 @dataclass(frozen=True)
-class RoadGeometry:
+class RoadGeometry(_RoadLayout):
     """Clothoid road segment in the vehicle frame.
 
     Parameters
@@ -74,16 +120,6 @@ class RoadGeometry:
         x = np.asarray(x, dtype=float)
         return self.psi0 + self.kappa0 * x + 0.5 * self.kappa_rate * x**2
 
-    def centerline_offset(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Lateral position ``y_c(x)`` of the ego-lane centerline."""
-        x = np.asarray(x, dtype=float)
-        return (
-            self.y0
-            + self.psi0 * x
-            + 0.5 * self.kappa0 * x**2
-            + self.kappa_rate * x**3 / 6.0
-        )
-
     # -- lane structure ----------------------------------------------------------
 
     def lane_center_offset(self, x: np.ndarray | float, lane: int) -> np.ndarray | float:
@@ -99,24 +135,7 @@ class RoadGeometry:
         road edge; interior indices are dashed lane separators.
         """
         center = self.centerline_offset(x)
-        return [
-            center + (j - self.ego_lane - 0.5) * self.lane_width
-            for j in range(self.num_lanes + 1)
-        ]
-
-    @property
-    def road_half_span(self) -> float:
-        """Half of the total paved width."""
-        return 0.5 * self.num_lanes * self.lane_width
-
-    def road_center_offset(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Lateral position of the center of the *paved road* (all lanes)."""
-        shift = (0.5 * (self.num_lanes - 1) - self.ego_lane) * self.lane_width
-        return self.centerline_offset(x) + shift
-
-    def on_road(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Boolean mask: is world point ``(x, y)`` on the paved road?"""
-        return np.abs(y - self.road_center_offset(x)) <= self.road_half_span
+        return [center + self.boundary_shift(j) for j in range(self.num_lanes + 1)]
 
     def bend_direction(self, lookahead: float, threshold: float = 1e-4) -> int:
         """Sign of the bend over the lookahead window: +1 left, -1 right, 0 straight.
@@ -130,3 +149,25 @@ class RoadGeometry:
         if mean_curvature < -threshold:
             return -1
         return 0
+
+
+class RoadStack(_RoadLayout):
+    """Several roads' fields as ``(n, 1, 1)`` columns.
+
+    Evaluated against a camera's ``(H, W)`` ground grid, the shared
+    layout formulas give ``(n, H, W)`` arrays whose slice ``i`` equals
+    ``roads[i]``'s own evaluation bit for bit: each is the same
+    elementwise IEEE operations on the same values.
+    """
+
+    def __init__(self, roads: Sequence[RoadGeometry]):
+        def column(name: str) -> np.ndarray:
+            return np.array([getattr(road, name) for road in roads])[:, None, None]
+
+        self.kappa0 = column("kappa0")
+        self.kappa_rate = column("kappa_rate")
+        self.y0 = column("y0")
+        self.psi0 = column("psi0")
+        self.lane_width = column("lane_width")
+        self.num_lanes = column("num_lanes")
+        self.ego_lane = column("ego_lane")

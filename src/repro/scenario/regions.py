@@ -45,12 +45,15 @@ finite widening covers it with certainty — pick ``epsilon`` as the
 truncation you need (e.g. ``3 * noise_sigma`` for a per-pixel
 three-sigma bound) and treat noise beyond it as out of family.
 
-This module is the one region generator.  Within a scene, camera and
-traffic renderings repeat across the weather axis, so they are rendered
-once and cached; each region is then a vectorized weather envelope over
-the cached renderings.  :func:`region_from_scene` is that generator over
-a batch of one; :func:`scenario_region_grid` materializes a whole grid
-as the concatenated shards of
+This module is the one region generator, and it builds a whole shard
+of regions in one stacked pass: the ground of every scene in the shard
+is rendered in one call per camera variant, each scene's camera ×
+traffic renderings once (they repeat across the weather axis), and the
+regions that share a weather intensity get their weather envelope
+together, one stacked computation per weather corner.
+:func:`region_from_scene` is that pass over a single region;
+:func:`scenario_region_grid` materializes a whole grid as the
+concatenated shards of
 :func:`repro.scenario.streaming.stream_scenario_regions`, so the eager
 and streamed paths differ only in sharding.  A grid's
 :meth:`RegionGrid.box_batch` feeds the batched abstraction backend
@@ -64,12 +67,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from repro.scenario.camera import PinholeCamera
 from repro.scenario.dataset import SceneConfig, SceneParams
-from repro.scenario.render import render_ground, render_vehicles
+# render_ground is not called here: perfbench/layers.py traces it by attribute
+from repro.scenario.render import render_ground, render_grounds, render_vehicles  # noqa: F401
 from repro.scenario.traffic import Vehicle
 from repro.scenario.weather import Weather
 from repro.verification.sets import BoxBatch, bisect_bounds
@@ -332,104 +337,142 @@ def _traffic_variants(scene: SceneParams, count: int) -> list[tuple[Vehicle, ...
     return [(), *placements]
 
 
-class _VariantCache:
-    """Pre-weather renderings of one scene, shared across its regions.
-
-    Within one scene the camera and traffic renderings only depend on
-    ``(camera_jitter, traffic)``, which repeat across the weather axis.
-    Caching them turns the per-region cost into a vectorized weather
-    envelope over already-rendered variants.  The textured ground under
-    the traffic depends on the camera alone (its rng is re-seeded from
-    ``scene.texture_seed`` on every call), so it is rendered once per
-    camera and shared across the traffic levels.  The cache holds one
-    scene at a time (scene-major order makes that sufficient), keeping
-    memory constant.
-    """
-
-    def __init__(self, config: SceneConfig):
-        self._config = config
-        self._scene: SceneParams | None = None
-        self._cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._ground: dict[PinholeCamera, tuple[np.ndarray, np.ndarray]] = {}
-
-    def variants(
-        self, scene: SceneParams, axes: PerturbationAxes
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(images, distances)`` of all camera × traffic variants."""
-        if scene is not self._scene:
-            self._scene = scene
-            self._cache.clear()
-            self._ground.clear()
-        key = (axes.camera_jitter, axes.traffic)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        images: list[np.ndarray] = []
-        distances: list[np.ndarray] = []
-        for camera in _camera_variants(self._config.camera, axes.camera_jitter):
-            ground = self._ground.get(camera)
-            if ground is None:
-                # one textured base rendering per camera (geometry
-                # changes with it), its rng seeded from the texture seed
-                rng = np.random.default_rng(scene.texture_seed)
-                ground = render_ground(scene.road, camera, rng)
-                self._ground[camera] = ground
-            base_image, base_distance = ground
-            for vehicles in _traffic_variants(scene, axes.traffic):
-                image = base_image.copy()
-                distance = base_distance.copy()
-                render_vehicles(image, distance, scene.road, camera, vehicles)
-                images.append(image)
-                distances.append(distance)
-        value = (np.stack(images), np.stack(distances))
-        self._cache[key] = value
-        return value
+def _variant_key(scene: SceneParams, axes: PerturbationAxes) -> tuple[int, float, int]:
+    """The pre-weather renderings a region takes: its scene, jitter and traffic."""
+    return id(scene), axes.camera_jitter, axes.traffic
 
 
-def _envelope_region(
-    scene: SceneParams,
-    axes: PerturbationAxes,
-    epsilon: float,
-    name: str,
-    cache: _VariantCache,
-) -> Region:
-    """The weather envelope over a scene's cached camera × traffic variants.
+def _weather_envelope(
+    images: np.ndarray, distances: np.ndarray | None, intensity: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel min/max of ``(m, V, H, W)`` renderings over ``V`` and weather.
 
     Replays :meth:`Weather.apply`'s exact operation order (fog blend
-    when the density is positive, then contrast, brightness, clip) over
-    the stacked variants, with ``noise_sigma`` 0: the ``epsilon``
-    widening covers additive perturbations up to ``±epsilon``.  Every
-    step is an elementwise IEEE operation on the values a per-variant
-    ``Weather.apply`` computes — the fog transmission is even taken
-    per-variant on the same 2-D array shape — and min/max reductions are
-    exact, so the bounds equal a per-rendering envelope bit for bit.
+    when the density is positive, then contrast, brightness, clip) on
+    every corner of :func:`_weather_variants`, with ``noise_sigma`` 0.
+    Every step is an elementwise IEEE operation on the values a
+    per-rendering ``Weather.apply`` computes: the corners that share a
+    fog share its blend, and an in-place step rounds exactly as the
+    operator it replaces.  Min/max reductions are exact, and the clip to
+    ``[0, 1]`` is monotone, so clipping the running min/max once equals
+    the min/max of the clipped corners bit for bit.
     """
-    images, distances = cache.variants(scene, axes)
-    stacks: list[np.ndarray] = []
-    transmissions: dict[float, np.ndarray] = {}
-    for weather in _weather_variants(axes.weather):
-        out = images.copy()
-        if weather.fog_density > 0.0:
-            transmission = transmissions.get(weather.fog_density)
-            if transmission is None:
-                transmission = np.stack(
-                    [
-                        np.exp(
-                            -weather.fog_density
-                            * np.where(np.isfinite(d), d, 200.0)
-                        )
-                        for d in distances
-                    ]
+    shifted: dict[tuple[float, float], np.ndarray] = {}
+    out = np.empty_like(images)
+    lower = upper = None
+    for weather in _weather_variants(intensity):
+        fog = (weather.fog_density, weather.fog_gray)
+        if fog not in shifted:
+            if weather.fog_density > 0.0:
+                transmission = np.exp(
+                    -weather.fog_density
+                    * np.where(np.isfinite(distances), distances, 200.0)
                 )
-                transmissions[weather.fog_density] = transmission
-            out = transmission * out + (1.0 - transmission) * weather.fog_gray
-        out = (out - 0.5) * weather.contrast + 0.5
-        out = out * weather.brightness
-        stacks.append(np.clip(out, 0.0, 1.0))
-    stack = np.concatenate(stacks)
-    lower = np.clip(stack.min(axis=0) - epsilon, 0.0, 1.0)[None, :, :]
-    upper = np.clip(stack.max(axis=0) + epsilon, 0.0, 1.0)[None, :, :]
-    return Region(name=name, scene=scene, axes=axes, lower=lower, upper=upper)
+                haze = (1.0 - transmission) * weather.fog_gray
+                blend = np.multiply(transmission, images, out=transmission)
+                blend += haze
+                blend -= 0.5
+                shifted[fog] = blend
+            else:
+                shifted[fog] = images - 0.5
+        np.multiply(shifted[fog], weather.contrast, out=out)
+        out += 0.5
+        out *= weather.brightness
+        if lower is None:
+            lower, upper = out.copy(), out.copy()
+        else:
+            np.minimum(lower, out, out=lower)
+            np.maximum(upper, out, out=upper)
+    assert lower is not None and upper is not None
+    return (
+        np.clip(lower.min(axis=1), 0.0, 1.0),
+        np.clip(upper.max(axis=1), 0.0, 1.0),
+    )
+
+
+def _shard_regions(
+    entries: Sequence[tuple[str, SceneParams, PerturbationAxes]],
+    config: SceneConfig,
+    epsilon: float,
+) -> list[Region]:
+    """The envelopes of a shard's ``(name, scene, axes)`` regions, in one pass.
+
+    1. **Ground.**  Per camera variant, one :func:`render_grounds` call
+       renders every scene of the shard that needs that camera, each
+       with an rng seeded from the scene's ``texture_seed``: the
+       textured ground depends on the camera alone, so the traffic
+       variants share it.
+    2. **Variants.**  Each scene's camera × traffic renderings, once per
+       ``(camera_jitter, traffic)`` pair, in scene-major order.
+    3. **Weather.**  Regions that share a weather intensity and a
+       variant count are stacked, and :func:`_weather_envelope` applies
+       each weather corner to the whole group.  The envelope is widened
+       by ``epsilon``, which covers additive perturbations up to
+       ``±epsilon``, and clipped to ``[0, 1]``.
+
+    Regions come back in ``entries`` order, each equal bit for bit to
+    the per-rendering envelope of its own scene and axes.
+    """
+    camera = config.camera
+    # 1. ground: the scenes each camera variant renders, in first-use order
+    users: dict[PinholeCamera, dict[int, SceneParams]] = {}
+    for _, scene, axes in entries:
+        for variant in _camera_variants(camera, axes.camera_jitter):
+            users.setdefault(variant, {}).setdefault(id(scene), scene)
+    grounds: dict[tuple[PinholeCamera, int], tuple[np.ndarray, np.ndarray]] = {}
+    for variant, scenes in users.items():
+        images, distance = render_grounds(
+            [scene.road for scene in scenes.values()],
+            variant,
+            [np.random.default_rng(scene.texture_seed) for scene in scenes.values()],
+        )
+        for key, image in zip(scenes, images):
+            grounds[variant, key] = (image, distance)
+
+    # 2. variants: every camera x traffic rendering a region takes
+    variants: dict[tuple[int, float, int], tuple[np.ndarray, np.ndarray]] = {}
+    for _, scene, axes in entries:
+        key = _variant_key(scene, axes)
+        if key in variants:
+            continue
+        renderings = [
+            (variant, vehicles)
+            for variant in _camera_variants(camera, axes.camera_jitter)
+            for vehicles in _traffic_variants(scene, axes.traffic)
+        ]
+        images = np.empty((len(renderings), camera.height_px, camera.width))
+        distances = np.empty_like(images)
+        for k, (variant, vehicles) in enumerate(renderings):
+            images[k], distances[k] = grounds[variant, id(scene)]
+            render_vehicles(images[k], distances[k], scene.road, variant, vehicles)
+        variants[key] = (images, distances)
+
+    # 3. weather: one stacked envelope per (intensity, variant count)
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, (_, scene, axes) in enumerate(entries):
+        count = len(variants[_variant_key(scene, axes)][0])
+        groups.setdefault((axes.weather, count), []).append(i)
+    regions: dict[int, Region] = {}
+    for (intensity, _), members in groups.items():
+        keys = [_variant_key(entries[i][1], entries[i][2]) for i in members]
+        # clear weather (intensity 0) has no fog, so no use for distances
+        lower, upper = _weather_envelope(
+            np.stack([variants[key][0] for key in keys]),
+            np.stack([variants[key][1] for key in keys]) if intensity else None,
+            intensity,
+        )
+        lower = np.clip(lower - epsilon, 0.0, 1.0)
+        upper = np.clip(upper + epsilon, 0.0, 1.0)
+        for row, i in enumerate(members):
+            name, scene, axes = entries[i]
+            regions[i] = Region(
+                name=name,
+                scene=scene,
+                axes=axes,
+                lower=lower[row : row + 1],
+                upper=upper[row : row + 1],
+            )
+    return [regions[i] for i in range(len(entries))]
 
 
 def region_from_scene(
@@ -443,13 +486,13 @@ def region_from_scene(
 
     The envelope of the cartesian product of weather / camera / traffic
     variants (all sharing the scene's texture seed): per-pixel min/max,
-    widened by ``epsilon`` and clipped to ``[0, 1]``.  A batch of one
-    for the generator :func:`scenario_region_grid` and the streamed
-    shards share.
+    widened by ``epsilon`` and clipped to ``[0, 1]``.  The shard pass
+    :func:`scenario_region_grid` and the streamed shards share, over a
+    single region.
     """
     if epsilon < 0.0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return _envelope_region(scene, axes, epsilon, name, _VariantCache(config))
+    return _shard_regions([(name, scene, axes)], config, epsilon)[0]
 
 
 def scenario_region_grid(

@@ -10,10 +10,12 @@ amount of procedural texture so that the images are not the degenerate
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.scenario.camera import PinholeCamera
-from repro.scenario.geometry import RoadGeometry
+from repro.scenario.geometry import RoadGeometry, RoadStack
 from repro.scenario.traffic import Vehicle
 
 # surface albedos (grayscale)
@@ -33,17 +35,76 @@ ROAD_TEXTURE = 0.015
 GRASS_TEXTURE = 0.04
 
 
-def _texture(rng: np.random.Generator, shape: tuple[int, int], amplitude: float) -> np.ndarray:
-    """Cheap spatially-correlated noise: white noise plus a blurred copy."""
-    noise = rng.normal(0.0, 1.0, size=shape)
+def _texture(noise: np.ndarray, amplitude: float) -> np.ndarray:
+    """Cheap spatially-correlated noise: white noise plus a blurred copy.
+
+    ``noise`` is white noise over the last two (image) axes; leading
+    axes are a batch.
+    """
     blurred = (
         noise
-        + np.roll(noise, 1, axis=0)
-        + np.roll(noise, -1, axis=0)
-        + np.roll(noise, 1, axis=1)
-        + np.roll(noise, -1, axis=1)
+        + np.roll(noise, 1, axis=-2)
+        + np.roll(noise, -1, axis=-2)
+        + np.roll(noise, 1, axis=-1)
+        + np.roll(noise, -1, axis=-1)
     ) / 5.0
     return amplitude * blurred
+
+
+def render_grounds(
+    roads: Sequence[RoadGeometry],
+    camera: PinholeCamera,
+    rngs: Sequence[np.random.Generator],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Render sky, grass, road and markings of a batch of scenes.
+
+    The camera's ground grid and sky are computed once for the batch.
+    Each scene draws its own grass and then road texture noise from its
+    own rng; the blur and the road masks broadcast over the leading
+    scene axis.  So image ``i`` and the state ``rngs[i]`` is left in are
+    those of rendering scene ``i`` alone, bit for bit.
+
+    Returns ``(images, distance)``: ``(n, H, W)`` images, and the
+    ``(H, W)`` ground distance per pixel (``inf`` for sky pixels) for
+    the fog model, which depends on the camera alone and so serves every
+    scene.
+    """
+    if len(roads) != len(rngs):
+        raise ValueError(f"{len(roads)} roads but {len(rngs)} rngs")
+    h, w = camera.height_px, camera.width
+    gx, gy, below = camera.ground_grid()
+
+    # sky: vertical gradient from SKY_TOP down to SKY_HORIZON at the horizon
+    rows = np.arange(h, dtype=float)[:, None]
+    horizon = max(camera.cy, 1e-6)
+    sky_t = np.clip(rows / horizon, 0.0, 1.0)
+    sky = SKY_TOP + (SKY_HORIZON - SKY_TOP) * sky_t
+
+    distance = np.full((h, w), np.inf)
+    distance[below] = gx[below]
+
+    # ground: grass by default, road where |y - road_center| <= half_span
+    noise = np.empty((2, len(roads), h, w))
+    for i, rng in enumerate(rngs):
+        noise[0, i] = rng.normal(0.0, 1.0, size=(h, w))
+        noise[1, i] = rng.normal(0.0, 1.0, size=(h, w))
+    images = np.where(below, GRASS + _texture(noise[0], GRASS_TEXTURE), sky)
+    stack = RoadStack(roads)
+    on_road = below & stack.on_road(gx, gy)
+    np.copyto(images, ROAD + _texture(noise[1], ROAD_TEXTURE), where=on_road)
+
+    # lane markings: solid road edges, dashed interior separators
+    center = stack.centerline_offset(gx)
+    dashed = np.mod(gx, DASH_PERIOD) <= DASH_LENGTH
+    marking = np.zeros(images.shape, dtype=bool)
+    for j in range(int(stack.num_lanes.max()) + 1):
+        boundary = center + stack.boundary_shift(j)
+        near_boundary = np.abs(gy - boundary) <= MARK_WIDTH / 2.0
+        interior = (0 < j) & (j < stack.num_lanes)
+        marking |= near_boundary & (j <= stack.num_lanes) & (~interior | dashed)
+    images[marking & below] = MARKING
+
+    return images, distance
 
 
 def render_ground(
@@ -51,42 +112,13 @@ def render_ground(
     camera: PinholeCamera,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Render sky, grass, road and markings.
+    """Render sky, grass, road and markings: :func:`render_grounds` of one.
 
     Returns ``(image, distance)`` where ``distance`` holds the ground
     distance per pixel (``inf`` for sky pixels) for the fog model.
     """
-    h, w = camera.height_px, camera.width
-    image = np.empty((h, w), dtype=float)
-    gx, gy, below = camera.ground_grid()
-
-    # sky: vertical gradient from SKY_TOP down to SKY_HORIZON at the horizon
-    rows = np.arange(h, dtype=float)[:, None]
-    horizon = max(camera.cy, 1e-6)
-    sky_t = np.clip(rows / horizon, 0.0, 1.0)
-    image[:] = SKY_TOP + (SKY_HORIZON - SKY_TOP) * sky_t
-
-    distance = np.full((h, w), np.inf)
-    distance[below] = gx[below]
-
-    # ground: grass by default, road where |y - road_center| <= half_span
-    grass = GRASS + _texture(rng, (h, w), GRASS_TEXTURE)
-    road_shade = ROAD + _texture(rng, (h, w), ROAD_TEXTURE)
-    image[below] = grass[below]
-
-    on_road = below & road.on_road(gx, gy)
-    image[on_road] = road_shade[on_road]
-
-    # lane markings: solid road edges, dashed interior separators
-    for j, boundary in enumerate(road.boundary_offsets(gx)):
-        near_boundary = on_road_band = np.abs(gy - boundary) <= MARK_WIDTH / 2.0
-        band = below & near_boundary
-        interior = 0 < j < road.num_lanes
-        if interior:
-            band &= np.mod(gx, DASH_PERIOD) <= DASH_LENGTH
-        image[band] = MARKING
-
-    return image, distance
+    images, distance = render_grounds([road], camera, [rng])
+    return images[0], distance
 
 
 def render_vehicles(

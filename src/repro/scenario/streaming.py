@@ -11,8 +11,8 @@ shard at a time:
   enumeration symbolically (plus optional coverage-guided sampling for
   sub-exhaustive sweeps), so the full grid never exists in memory;
 - :func:`stream_scenario_regions` turns a plan into shard-sized
-  :class:`~repro.scenario.regions.RegionGrid` batches, each region the
-  cached-rendering envelope of :mod:`repro.scenario.regions`;
+  :class:`~repro.scenario.regions.RegionGrid` batches, each built by
+  one stacked pass of :mod:`repro.scenario.regions` over the shard;
 - :func:`run_stream` drives a whole campaign over the stream.  Each
   shard is registered through the engine's own
   :meth:`~repro.api.engine.VerificationEngine.add_region_sets` for the
@@ -58,8 +58,7 @@ from repro.scenario.regions import (
     PerturbationAxes,
     Region,
     RegionGrid,
-    _envelope_region,
-    _VariantCache,
+    _shard_regions,
     ensure_regions_fit,
 )
 # not called here: perfbench/layers.py traces these module attributes
@@ -303,28 +302,25 @@ class _SceneCursor:
 def stream_scenario_regions(plan: StreamPlan) -> Iterator[RegionGrid]:
     """Yield the plan's regions as shard-sized :class:`RegionGrid` batches.
 
-    Peak memory is one shard plus one scene's rendering cache, at any
-    grid size.  Region ``k`` is named ``region-{k:03d}``; the eager
-    grid is these shards concatenated.
+    Each shard's regions are built by one stacked pass over the shard's
+    scenes, so peak memory is one shard's renderings and bounds, at any
+    grid size.  Region ``k`` is named ``region-{k:03d}``; the eager grid
+    is these shards concatenated.
     """
     config = plan.base_config
     cursor = _SceneCursor(plan)
-    cache = _VariantCache(config)
-    shard: list[Region] = []
+    entries: list[tuple[str, SceneParams, PerturbationAxes]] = []
     for flat in plan.indices():
         scene_index, weather, jitter, traffic = plan.point(flat)
-        scene = cursor.scene(scene_index)
         axes = PerturbationAxes(
             weather=weather, camera_jitter=jitter, traffic=traffic
         )
-        shard.append(
-            _envelope_region(scene, axes, plan.epsilon, f"region-{flat:03d}", cache)
-        )
-        if len(shard) >= plan.shard_size:
-            yield RegionGrid(shard, config)
-            shard = []
-    if shard:
-        yield RegionGrid(shard, config)
+        entries.append((f"region-{flat:03d}", cursor.scene(scene_index), axes))
+        if len(entries) >= plan.shard_size:
+            yield RegionGrid(_shard_regions(entries, config, plan.epsilon), config)
+            entries = []
+    if entries:
+        yield RegionGrid(_shard_regions(entries, config, plan.epsilon), config)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from repro.scenario.dataset import (
     balanced_property_dataset,
     generate_dataset,
     render_scene,
+    render_scenes,
     sample_scene,
 )
 
@@ -54,6 +55,21 @@ class TestRenderScene:
         config = SceneConfig(camera=PinholeCamera(width=48, height_px=24))
         scene = sample_scene(np.random.default_rng(4), config)
         assert render_scene(scene, config).shape == (1, 24, 48)
+
+
+class TestRenderScenes:
+    def test_chunked_batch_equals_scenes_alone(self, monkeypatch):
+        """Stacked grounds hand each scene's rng on to its vehicles and weather."""
+        from repro.scenario import dataset
+
+        config = SceneConfig(num_lanes=3, traffic_probability=1.0)
+        rng = np.random.default_rng(8)
+        scenes = [sample_scene(rng, config) for _ in range(8)]
+        monkeypatch.setattr(dataset, "_RENDER_CHUNK", 3)
+        images = render_scenes(scenes, config)
+        assert images.shape == (8, 1, 32, 32)
+        for scene, image in zip(scenes, images):
+            assert np.array_equal(image, render_scene(scene, config))
 
 
 class TestGenerateDataset:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.scenario.dataset import SceneConfig, sample_scene
@@ -18,6 +18,7 @@ from repro.scenario.regions import (
     scenario_region_grid,
 )
 from repro.scenario.render import render_ground, render_vehicles
+from repro.scenario.streaming import StreamPlan, stream_scenario_regions
 from repro.scenario.weather import Weather
 
 
@@ -166,6 +167,80 @@ class TestReferenceParity:
         lower, upper = _reference_region(scene, axes, base_config, epsilon)
         assert np.array_equal(region.lower, lower)
         assert np.array_equal(region.upper, upper)
+
+
+_LEVELS = dict(
+    weather=st.lists(
+        st.sampled_from([0.0, 0.25, 0.4, 1.0]) | st.floats(0.0, 1.0),
+        min_size=1, max_size=3, unique=True,
+    ).map(tuple),
+    jitter=st.lists(
+        st.sampled_from([0.0, 1.0, 2.5]), min_size=1, max_size=2, unique=True
+    ).map(tuple),
+    traffic=st.lists(
+        st.integers(0, 3), min_size=1, max_size=2, unique=True
+    ).map(tuple),
+)
+
+
+class TestStreamedReferenceParity:
+    """Every streamed region equals its per-rendering envelope bit for bit."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        n_scenes=st.integers(1, 3),
+        weather_levels=_LEVELS["weather"],
+        jitter_levels=_LEVELS["jitter"],
+        traffic_levels=_LEVELS["traffic"],
+        num_lanes=st.integers(1, 4),
+        shard_size=st.integers(1, 7),
+        cap=st.none() | st.floats(0.1, 1.0),
+        sample=st.none() | st.floats(0.1, 1.0),
+        seed=st.integers(0, 1000),
+        epsilon=st.floats(0.0, 0.05),
+    )
+    # one region per shard, and shards of 3 cutting 4-region scenes apart
+    @example(1, (0.0, 0.5), (0.0,), (0, 2), 2, 1, None, None, 4, 0.01)
+    @example(3, (0.3, 1.0), (0.0, 1.0), (1,), 3, 3, None, None, 9, 0.0)
+    def test_streamed_regions_bitwise_equal_reference(
+        self, n_scenes, weather_levels, jitter_levels, traffic_levels,
+        num_lanes, shard_size, cap, sample, seed, epsilon,
+    ):
+        grid_size = (
+            n_scenes * len(weather_levels) * len(jitter_levels) * len(traffic_levels)
+        )
+        limit = None if cap is None else max(1, round(cap * grid_size))
+        capped = grid_size if limit is None else limit
+        plan = StreamPlan(
+            n_scenes=n_scenes,
+            weather_levels=weather_levels,
+            jitter_levels=jitter_levels,
+            traffic_levels=traffic_levels,
+            epsilon=epsilon,
+            config=SceneConfig(num_lanes=num_lanes),
+            seed=seed,
+            shard_size=shard_size,
+            limit=limit,
+            sample=None if sample is None else max(1, round(sample * capped)),
+            sample_seed=seed,
+        )
+        shards = list(stream_scenario_regions(plan))
+        assert all(len(shard) <= shard_size for shard in shards)
+        regions = [region for shard in shards for region in shard]
+        assert [r.name for r in regions] == [
+            f"region-{flat:03d}" for flat in plan.indices()
+        ]
+        for region in regions:
+            lower, upper = _reference_region(
+                region.scene, region.axes, plan.base_config, epsilon
+            )
+            assert region.lower.shape == lower.shape
+            assert np.array_equal(region.lower, lower)
+            assert np.array_equal(region.upper, upper)
 
 
 class TestScenarioRegionGrid:

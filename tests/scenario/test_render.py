@@ -1,6 +1,9 @@
 """Unit tests for the rasterizer."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from repro.scenario.camera import PinholeCamera
 from repro.scenario.geometry import RoadGeometry
@@ -10,6 +13,7 @@ from repro.scenario.render import (
     ROAD,
     SKY_TOP,
     render_ground,
+    render_grounds,
     render_vehicles,
 )
 from repro.scenario.traffic import Vehicle
@@ -109,3 +113,37 @@ class TestRenderVehicles:
         before = image.copy()
         render_vehicles(image, distance, road, cam, [])
         np.testing.assert_array_equal(image, before)
+
+
+class TestRenderGrounds:
+    @pytest.mark.parametrize("horizon_row", [None, 10.0, 13.5])
+    def test_batch_equals_batches_of_one(self, horizon_row):
+        """Scene ``i`` of a batch renders, and leaves its rng, as it would alone."""
+        camera = replace(PinholeCamera(), horizon_row=horizon_row)
+        draw = np.random.default_rng(7)
+        roads = [
+            RoadGeometry(
+                kappa0=float(draw.uniform(-8e-3, 8e-3)),
+                kappa_rate=float(draw.uniform(-1e-4, 1e-4)),
+                y0=float(draw.uniform(-0.8, 0.8)),
+                psi0=float(draw.uniform(-0.05, 0.05)),
+                num_lanes=lanes,
+                ego_lane=ego,
+            )
+            for lanes in range(1, 5)
+            for ego in range(lanes)
+        ]
+        seeds = [int(s) for s in draw.integers(0, 2**31 - 1, size=len(roads))]
+        batch_rngs = [np.random.default_rng(seed) for seed in seeds]
+        images, distance = render_grounds(roads, camera, batch_rngs)
+        assert images.shape == (len(roads), camera.height_px, camera.width)
+        for road, seed, image, batch_rng in zip(roads, seeds, images, batch_rngs):
+            rng = np.random.default_rng(seed)
+            alone, alone_distance = render_grounds([road], camera, [rng])
+            assert np.array_equal(image, alone[0])
+            assert np.array_equal(distance, alone_distance)
+            assert batch_rng.normal() == rng.normal()
+
+    def test_rng_count_must_match(self):
+        with pytest.raises(ValueError, match="rngs"):
+            render_grounds([RoadGeometry()] * 2, PinholeCamera(), [np.random.default_rng(0)])
