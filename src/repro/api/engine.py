@@ -22,8 +22,8 @@ Queries run in batches (a single query is a batch of one) through one
    network meets every row is a SAT witness.  Where bound and replay
    meet (the suffix affine on the hull) the entry is exact and, as a
    MILP optimization's is, answers **every** threshold of a
-   single-inequality sweep.  The queries sharing a (characterizer,
-   risk) are decided from their cached entries with array comparisons.
+   single-inequality sweep.  The queries sharing a characterizer are
+   decided together, in batch order, by one rule.
    This is the paper's output-range-analysis view of verification,
    applied as a query planner;
 3. *relaxed-lp* — one LP over the cached binary-free relaxation: an
@@ -142,14 +142,6 @@ class _Support:
     #: ``a·output`` of a linear-support entry
     replayed: float | None = None
 
-    def counterexample(self, risk: RiskCondition) -> FeatureCounterexample:
-        return FeatureCounterexample(
-            features=self.features,
-            predicted_output=self.output,
-            risk_margin=float(risk.margin(self.output[None, :])[0]),
-            characterizer_logit=self.logit,
-        )
-
 
 #: relative tolerance of the support stage: a linear bound and its
 #: replay this close make the entry exact, and a bound proves a
@@ -158,29 +150,6 @@ _REPLAY_RTOL = 1e-9
 
 #: a support entry that knows nothing yet: only an optimization decides
 _UNBOUNDED = _Support(float("-inf"), exact=False)
-
-
-def _support_outcome(
-    entries: list[_Support | None], risk: RiskCondition, b: np.ndarray
-) -> tuple[SolveStatus, _Support] | None:
-    """What one support entry per risk row ``a_i·y <= b_i`` decides.
-
-    UNSAT when a row's bound exceeds its ``b_i`` by more than
-    :data:`_REPLAY_RTOL` (relative); SAT when an entry's replayed point
-    meets every row, or when a single row's exact minimum does not
-    exceed ``b``.  ``None`` leaves the query to the later stages.
-    """
-    for entry, rhs in zip(entries, b):
-        margin = _REPLAY_RTOL * max(1.0, abs(float(rhs)))
-        if entry is not None and entry.value > float(rhs) + margin:
-            return SolveStatus.UNSAT, entry
-    for entry in entries:
-        if entry is None or entry.output is None:
-            continue
-        single = entry.exact and len(entries) == 1 and entry.value <= float(b[0])
-        if single or risk.margin(entry.output[None, :])[0] >= 0.0:
-            return SolveStatus.SAT, entry
-    return None
 
 
 #: methods the prescreen and relaxed-LP stages answer; every other
@@ -730,34 +699,15 @@ class VerificationEngine:
             hits,
         )
 
-    def _support(
-        self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
-    ) -> _Support | None:
-        """The cached support entry for ``direction`` over the query's
-        constrained region.
-
-        Built by the linear support (:meth:`_linear_support`, or
-        :data:`_UNBOUNDED` where it does not apply) and replaced by
-        :meth:`_optimized_support`.  ``None`` when that optimization hit
-        a limit: the failure is cached, so a sweep does not re-pay a
-        hopeless optimization per query.
-        """
-        key = (query.set_name, query.property_name, direction)
-        return self._cached(
-            self._support_cache,
-            key,
-            "support",
-            lambda: self._linear_support(query, direction, hits) or _UNBOUNDED,
-            hits,
-        )
-
     def _optimized_support(
         self, query: VerificationQuery, direction: tuple[float, ...], hits: list[str]
     ) -> _Support | None:
-        """Exact ``min direction·y`` by one MILP optimization, replacing
-        the cached entry: a :class:`_Support` (value inf, no minimizer,
-        for an empty region), or ``None`` when it could not be proved
-        optimal (callers fall back to the regular solve path).
+        """Exact ``min direction·y`` by one MILP optimization, the entry
+        that replaces a bracket: a :class:`_Support` (value inf, no
+        minimizer, for an empty region), or ``None`` when it could not
+        be proved optimal.  ``None`` is cached too (callers fall back to
+        the regular solve path), so a sweep does not re-pay a hopeless
+        optimization per query.
 
         Always runs under the engine-level solver options: the support
         stage only lets un-budgeted queries optimize, so per-query
@@ -792,7 +742,6 @@ class VerificationEngine:
                 replay.predicted_output,
                 replay.characterizer_logit,
             )
-        self._support_cache[(query.set_name, query.property_name, direction)] = entry
         return entry
 
     def _linear_support(
@@ -928,10 +877,11 @@ class VerificationEngine:
     ) -> _Batch:
         """One item per query, each looked up in the store and validated."""
         batch = _Batch([_Item(query) for query in queries], campaign, safe)
-        self._each(batch, batch.items, self._admit)
+        self._each_group(batch, [[item] for item in batch.items], self._admit)
         return batch
 
-    def _admit(self, item: _Item) -> None:
+    def _admit(self, group: list[_Item]) -> None:
+        (item,) = group
         query = item.query
         key = self._store_key(query)
         if key is not None:
@@ -968,28 +918,45 @@ class VerificationEngine:
                 break
             pending = stage(batch, pending)
 
-    @staticmethod
-    def _each(batch: _Batch, items: list[_Item], step) -> list[_Item]:
-        """Run ``step`` on every item, timed, keeping failures local.
+    @classmethod
+    def _each_group(cls, batch: _Batch, groups, step) -> list[_Item]:
+        """Run ``step`` once on each group (a list of items), timed, its
+        time split evenly over the group; returns the items left
+        unanswered.
 
-        Returns the items ``step`` left unanswered.
+        A per-query step takes one-item groups.  A larger group whose
+        step raises reruns as one-item groups in batch order, so the
+        error lands on the query that caused it; a one-item group that
+        raises records the error as its item's result (or re-raises when
+        the batch is not ``safe``) and does not run again.  A step must
+        therefore answer items only after everything that can raise.
         """
         left = []
-        for item in items:
+        for items in groups:
             began = time.perf_counter()
             try:
-                step(item)
+                step(items)
+                failure = None
             except Exception as exc:  # one bad query never sinks the batch
-                if not batch.safe:
+                if len(items) == 1 and not batch.safe:
                     raise
-                item.result = QueryResult(
-                    query=item.query,
-                    error=f"{type(exc).__name__}: {exc}",
+                failure = exc
+            share = (time.perf_counter() - began) / len(items)
+            for item in items:
+                item.elapsed += share
+                if failure is None and item.result is None:
+                    left.append(item)
+            if failure is None:
+                continue
+            if len(items) > 1:
+                rerun = [[item] for item in items if item.result is None]
+                left.extend(cls._each_group(batch, rerun, step))
+            else:
+                items[0].result = QueryResult(
+                    query=items[0].query,
+                    error=f"{type(failure).__name__}: {failure}",
                     decided_by="error",
                 )
-            item.elapsed += time.perf_counter() - began
-            if item.result is None:
-                left.append(item)
         return left
 
     def _answer(
@@ -1057,33 +1024,10 @@ class VerificationEngine:
                 item.result.ladder = tuple(item.ladder)
                 item.result.cache_hits = tuple(item.hits)
         stored = [i for i in batch.items if i.store_key is not None and i.result.ok]
-        self._each(batch, stored, self._store_put)
+        self._each_group(batch, [[item] for item in stored], self._store_put)
         return [item.result for item in batch.items]
 
     # prescreen --------------------------------------------------------------
-
-    @classmethod
-    def _each_group(cls, batch: _Batch, groups, step) -> None:
-        """Run ``step`` once on each group (a list of items), its time
-        split evenly over the group.
-
-        A group whose step raises reruns item by item (``step([item])``),
-        so the error lands on the query that caused it.  A step must
-        therefore answer items only after everything that can raise.
-        """
-        for items in groups:
-            began = time.perf_counter()
-            try:
-                step(items)
-                failed = False
-            except Exception:
-                failed = True
-            share = (time.perf_counter() - began) / len(items)
-            for item in items:
-                item.elapsed += share
-            if failed:
-                left = [item for item in items if item.result is None]
-                cls._each(batch, left, lambda item: step([item]))
 
     def _prescreen_stage(self, batch: _Batch, pending: list[_Item]) -> list[_Item]:
         """Sound bound propagation, one precision-ladder rung at a time.
@@ -1127,7 +1071,8 @@ class VerificationEngine:
             share = (time.perf_counter() - began) / len(at_rung)
             enclosures: dict[_Item, object] = {}
 
-            def look_up(item: _Item) -> None:
+            def look_up(group: list[_Item]) -> None:
+                (item,) = group
                 item.elapsed += share
                 enclosures[item] = self._cached(
                     self._enclosure_cache,
@@ -1148,7 +1093,7 @@ class VerificationEngine:
                         stats = {"prescreen": outcome.domain}
                         self._answer(item, "prescreen", SolveStatus.UNSAT, stats=stats)
 
-            looked_up = self._each(batch, at_rung, look_up)
+            looked_up = self._each_group(batch, [[item] for item in at_rung], look_up)
             by_risk = _grouped(looked_up, lambda item: item.query.risk)
             self._each_group(batch, by_risk, screen)
             open_items = [item for item in open_items if item.result is None]
@@ -1170,12 +1115,13 @@ class VerificationEngine:
         so one entry answers a whole threshold sweep and each query
         only takes its own risk margin.
 
-        Single-row queries sharing a (characterizer, risk) are decided
-        together from the entries already cached for their sets
-        (:meth:`_decide_from_entries`).  The others take the per-item
-        step (:meth:`_support_step`) in batch order: multi-row risks,
-        sets with no entry yet, entries that leave the query open, and
-        any query whose entry an earlier step of the batch may replace.
+        Entries are keyed by (set, characterizer, row direction), and
+        risks share directions: every threshold of a sweep has the same
+        one, and a band's two rows are two thresholds' directions.  So
+        the ``exact`` queries of one characterizer run as one group
+        (:meth:`_support_group`), in batch order, and the group answers
+        each query exactly as a batch of one would, run in that order on
+        this engine.
 
         A single-row query left in an open bracket may optimize, which
         replaces the entry.  A MILP optimization costs more than one
@@ -1188,137 +1134,172 @@ class VerificationEngine:
         it, so every query takes it at once.
         """
         exact = [item for item in pending if item.query.method is Method.EXACT]
-        decided: dict[_Item, tuple] = {}
         self._each_group(
             batch,
-            _grouped(exact, lambda item: (item.query.property_name, item.query.risk)),
-            lambda items: decided.update(self._decide_from_entries(items)),
+            _grouped(exact, lambda item: item.query.property_name),
+            lambda items: self._support_group(batch, items),
         )
-        # an entry a per-item step may replace (an open bracket that
-        # optimizes) is stale for the later queries over its key
-        stepped: set = set()
-        for item in exact:
-            if item.result is not None:  # its group failed: an error
-                continue
-            plan = decided.get(item)
-            if plan is None or plan[0] in stepped:
-                self._each(batch, [item], lambda item: self._support_step(batch, item))
-                stepped.update(
-                    (item.query.set_name, item.query.property_name, tuple(row))
-                    for row in item.query.risk.as_matrix()[0].tolist()
-                )
-                continue
-            began = time.perf_counter()
-            _, status, entry = plan
-            self.cache_stats["hit:support"] = self.cache_stats.get("hit:support", 0) + 1
-            item.hits.append("support")
-            item.ladder.append("support-cache")
-            self._support_answer(item, status, entry)
-            item.elapsed += time.perf_counter() - began
         return [item for item in pending if item.result is None]
 
-    def _decide_from_entries(self, items: list[_Item]) -> dict[_Item, tuple]:
-        """What the cached support entries decide for ``items``, which
-        share a property and a single-row risk ``a·y <= b``.
+    def _support_group(self, batch: _Batch, items: list[_Item]) -> None:
+        """One characterizer's queries through the support cache.
 
-        Returns ``item -> (support-cache key, status, entry)`` for the
-        items their entry decides, with :func:`_support_outcome`'s rules
-        as array comparisons: UNSAT past ``b`` by more than
-        :data:`_REPLAY_RTOL`, SAT for an exact minimum at most ``b``.
-        Only an inexact entry's replayed point is checked one at a time.
-        Reads the cache without counting hits; nothing is answered.
+        Reads (building where missing) the entry of every (item, risk
+        row) and decides every item from them
+        (:meth:`_support_decisions`).  Then, for each key, the first open
+        single-row item that :meth:`_optimizes` admits runs the MILP
+        optimization (:meth:`_optimized_support`); it and every later
+        item reading the key are decided again from the new entry, while
+        earlier ones keep what the bracket gave them.  The new entries,
+        first sightings and answers are written only once nothing can
+        raise any more.
         """
-        query = items[0].query
-        self._check_property(query.property_name)  # as the solver path does
-        a_risk, b_risk = query.risk.as_matrix()
-        if len(b_risk) != 1:
-            return {}
-        direction = tuple(a_risk[0].tolist())
-        found = []
+        self._check_property(items[0].query.property_name)  # as the solver path does
+        keys: dict[_Item, list[tuple]] = {}
+        entries: dict[_Item, list[_Support | None]] = {}
         for item in items:
-            key = (item.query.set_name, query.property_name, direction)
-            entry = self._support_cache.get(key)
-            if entry is not None:
-                found.append((item, key, entry))
-        if not found:
-            return {}
-        rhs = float(b_risk[0])
-        limit = rhs + _REPLAY_RTOL * max(1.0, abs(rhs))
-        values = np.fromiter((e.value for _, _, e in found), float, len(found))
-        exact = np.fromiter(
-            (e.exact and e.output is not None for _, _, e in found), bool, len(found)
-        )
-        unsat = values > limit
-        sat = ~unsat & exact & (values <= rhs)
-        plans = {}
-        for (item, key, entry), is_unsat, is_sat in zip(
-            found, unsat.tolist(), sat.tolist()
-        ):
-            if is_unsat:
-                plans[item] = (key, SolveStatus.UNSAT, entry)
-            elif is_sat:
-                plans[item] = (key, SolveStatus.SAT, entry)
-            elif entry.output is not None:
-                outcome = _support_outcome([entry], query.risk, b_risk)
-                if outcome is not None:
-                    plans[item] = (key, *outcome)
-        return plans
+            query = item.query
+            keys[item] = [
+                (query.set_name, query.property_name, tuple(row))
+                for row in query.risk.as_matrix()[0].tolist()
+            ]
+            entries[item] = [
+                self._cached(
+                    self._support_cache,
+                    key,
+                    "support",
+                    lambda: self._linear_support(query, key[2], item.hits)
+                    or _UNBOUNDED,
+                    item.hits,
+                )
+                for key in keys[item]
+            ]
+        outcomes = self._support_decisions(items, entries)
+        admitted: dict[tuple, int] = {}  # key -> position of its optimizer
+        optimum: dict[tuple, _Support | None] = {}
+        sighted: set = set()
+        for position, item in enumerate(items):
+            if item in outcomes or len(keys[item]) > 1 or keys[item][0] in admitted:
+                continue
+            key = keys[item][0]
+            if self._optimizes(batch, item.query, key, entries[item][0], sighted):
+                admitted[key] = position
+                optimum[key] = self._optimized_support(item.query, key[2], item.hits)
+        if admitted:
+            # the optimizer and every later item reading its key see the
+            # new entry; earlier items read the bracket, as one by one
+            again = []
+            for position, item in enumerate(items):
+                fresh = False
+                for row, key in enumerate(keys[item]):
+                    if key in admitted and admitted[key] <= position:
+                        entries[item][row] = optimum[key]
+                        fresh = True
+                if fresh:
+                    outcomes.pop(item, None)
+                    again.append(item)
+            outcomes.update(self._support_decisions(again, entries))
+            self._support_cache.update(optimum)
+        self._direction_seen.update(dict.fromkeys(sighted, 1))
+        optimizers = {items[position] for position in admitted.values()}
+        for item in items:
+            if item in outcomes or item in optimizers:
+                item.ladder.append("support-cache")
+            if item in outcomes:
+                self._support_answer(item, *outcomes[item])
 
-    def _support_step(self, batch: _Batch, item: _Item) -> None:
-        """One query through the support cache, looking up (and building)
-        an entry per risk row and optimizing an open single-row bracket
-        where :meth:`_optimizes` allows."""
-        query = item.query
-        self._check_property(query.property_name)  # as the solver path does
-        a_risk, b_risk = query.risk.as_matrix()
-        directions = [tuple(row) for row in a_risk.tolist()]
-        entries = [self._support(query, d, item.hits) for d in directions]
-        outcome = _support_outcome(entries, query.risk, b_risk)
-        if outcome is None and self._optimizes(batch, query, directions, entries):
-            item.ladder.append("support-cache")
-            entries = [self._optimized_support(query, directions[0], item.hits)]
-            outcome = _support_outcome(entries, query.risk, b_risk)
-        elif outcome is not None:
-            item.ladder.append("support-cache")
-        if outcome is not None:
-            self._support_answer(item, *outcome)
+    @staticmethod
+    def _support_decisions(
+        items: list[_Item], entries: dict[_Item, list[_Support | None]]
+    ) -> dict[_Item, tuple[SolveStatus, _Support, float | None]]:
+        """What one entry per risk row decides, by one rule over the
+        (item, risk row) table: ``item -> (status, entry, risk margin of
+        its output)`` for the items it decides.
 
-    def _support_answer(self, item: _Item, status: SolveStatus, entry: _Support) -> None:
+        UNSAT where a row's value exceeds its ``b_i`` by more than
+        :data:`_REPLAY_RTOL` (relative).  Otherwise SAT where a
+        single-row risk's exact entry with a point has value at most
+        ``b``, or where a row's replayed output meets every row of its
+        risk.  The first such row supplies the entry.  The margins of a
+        risk's replayed outputs are one ``risk.margin`` product, each
+        bitwise equal to that output's own; the bounds are compared as
+        floats, so a batch of one sets up no array for them.
+        """
+        outcomes: dict = {}
+        points = []
+        for item in items:
+            rows = list(zip(entries[item], item.query.risk.as_matrix()[1].tolist()))
+            past = [
+                entry
+                for entry, rhs in rows
+                if entry is not None
+                and entry.value > rhs + _REPLAY_RTOL * max(1.0, abs(rhs))
+            ]
+            if past:
+                outcomes[item] = SolveStatus.UNSAT, past[0], None
+                continue
+            points.extend(
+                (item, entry, rhs, len(rows) == 1)
+                for entry, rhs in rows
+                if entry is not None and entry.output is not None
+            )
+        # an item's rows are one risk's, in order: its first row that
+        # meets the rule decides it
+        for group in _grouped(points, lambda point: point[0].query.risk):
+            # a stack of one-row products: an (n, d) matrix product may
+            # round a row differently from ``risk.margin(output[None])``
+            outputs = np.array([point[1].output for point in group])[:, None, :]
+            margins = group[0][0].query.risk.margin(outputs)[:, 0].tolist()
+            for (item, entry, rhs, single), margin in zip(group, margins):
+                if item not in outcomes and (
+                    margin >= 0.0 or (single and entry.exact and entry.value <= rhs)
+                ):
+                    outcomes[item] = SolveStatus.SAT, entry, margin
+        return outcomes
+
+    def _support_answer(
+        self, item: _Item, status: SolveStatus, entry: _Support, margin: float | None
+    ) -> None:
         stats = {"decided": "support-cache", "support": entry.value}
         if entry.replayed is not None:
             stats["replayed"] = entry.replayed
         if status is SolveStatus.UNSAT:
             self._answer(item, "support-cache", status, stats=stats)
             return
+        counterexample = FeatureCounterexample(
+            features=entry.features,
+            predicted_output=entry.output,
+            risk_margin=margin,
+            characterizer_logit=entry.logit,
+        )
         self._answer(
             item,
             "support-cache",
             status,
             witness=entry.witness,
             stats=stats,
-            counterexample=entry.counterexample(item.query.risk),
+            counterexample=counterexample,
         )
 
     def _optimizes(
         self,
         batch: _Batch,
         query: VerificationQuery,
-        directions: list[tuple[float, ...]],
-        entries: list[_Support | None],
+        key: tuple,
+        entry: _Support | None,
+        sighted: set,
     ) -> bool:
-        """Whether a query the entries left undecided runs the MILP
-        optimization: a single-row risk in an open bracket, no budget,
-        and a campaign or a repeated direction (a one-off query's first
-        sighting of its direction is counted here)."""
-        entry = entries[0]
-        if len(entries) != 1 or entry is None or entry.exact:
+        """Whether an undecided single-row query runs the MILP
+        optimization of ``key``: an open bracket, no budget, and a
+        campaign or a repeated direction.  A one-off query's first
+        sighting of its direction goes into ``sighted``."""
+        if entry is None or entry.exact:
             return False
         if query.time_limit is not None or query.node_limit is not None:
             return False
-        key = (query.set_name, query.property_name, directions[0])
-        if batch.campaign or self._direction_seen.get(key, 0) >= 1:
+        if batch.campaign or key in self._direction_seen or key in sighted:
             return True
-        self._direction_seen[key] = 1
+        sighted.add(key)
         return False
 
     # relaxed LP -------------------------------------------------------------
@@ -1333,7 +1314,8 @@ class VerificationEngine:
         ``relaxed`` query ends here, UNKNOWN when the LP proved nothing.
         """
 
-        def step(item: _Item) -> None:
+        def step(group: list[_Item]) -> None:
+            (item,) = group
             query = item.query
             if query.method not in _SCREENED:
                 return
@@ -1385,7 +1367,7 @@ class VerificationEngine:
                     stats={"relaxed_lp": "inconclusive"},
                 )
 
-        return self._each(batch, pending, step)
+        return self._each_group(batch, [[item] for item in pending], step)
 
     # solve ------------------------------------------------------------------
 
@@ -1398,11 +1380,12 @@ class VerificationEngine:
             Method.REFINE: self._run_refine,
             Method.CEGAR: self._run_cegar,
         }
-        return self._each(
-            batch,
-            pending,
-            lambda item: runners.get(item.query.method, self._run_backend)(item),
-        )
+
+        def step(group: list[_Item]) -> None:
+            (item,) = group
+            runners.get(item.query.method, self._run_backend)(item)
+
+        return self._each_group(batch, [[item] for item in pending], step)
 
     def _run_backend(self, item: _Item) -> None:
         """The complete backend (registry-dispatched by encoding), with
@@ -1493,8 +1476,9 @@ class VerificationEngine:
             method=query.method.value,
         )
 
-    def _store_put(self, item: _Item) -> None:
+    def _store_put(self, group: list[_Item]) -> None:
         """Write a decided verdict back; undecided results never persist."""
+        (item,) = group
         payload = item.result
         if payload.verdict is None or payload.verdict.verdict is Verdict.UNKNOWN:
             return
