@@ -286,7 +286,8 @@ class ConvOp:
         g = grad_out.reshape((n,) + self.out_shape)
         f, ho, wo = self.out_shape
         w_flat = self.weight.reshape(f, -1)
-        dcols = np.einsum("fk,nfp->nkp", w_flat, g.reshape(n, f, ho * wo))
+        # (k, f) @ (n, f, p): one BLAS product per image
+        dcols = np.matmul(w_flat.T, g.reshape(n, f, ho * wo))
         dx = col2im(
             dcols, (n,) + self.in_shape, self.kernel, self.stride, self.padding
         )

@@ -538,9 +538,9 @@ def _decide_shard(
     def attack(batch, pending):
         if options.attack_steps <= 0:
             return pending
-        # one batched PGD pass per risk, then one feature pass over that
-        # risk's hit images; a sound prescreen never excludes a box an
-        # attack can hit, so running it second changes no verdict
+        # one batched PGD pass per risk, whose forward pass also gives
+        # each hit's cut-layer features; a sound prescreen never excludes
+        # a box an attack can hit, so running it second changes no verdict
         for risk in risks:
             targets = [
                 item
@@ -555,21 +555,17 @@ def _decide_shard(
                 np.stack([item.registered.input_box[0] for item in targets]),
                 np.stack([item.registered.input_box[1] for item in targets]),
                 steps=options.attack_steps,
+                cut_layer=engine.cut_layer,
             )
-            if not hits:
-                continue
-            hit_features = engine.model.prefix_apply(
-                np.stack([cex.image for _, cex in hits]), engine.cut_layer
-            )
-            for (local, cex), features in zip(hits, hit_features):
+            for local, cex in hits:
                 engine._answer(
                     targets[local],
                     "attack",
                     SolveStatus.SAT,
-                    witness=features,
+                    witness=cex.features,
                     stats={"decided": "attack", "pgd_iterations": cex.iterations},
                     counterexample=FeatureCounterexample(
-                        features=features,
+                        features=cex.features,
                         predicted_output=cex.output,
                         risk_margin=cex.risk_margin,
                         characterizer_logit=None,

@@ -448,19 +448,26 @@ class VerificationService:
         self, entry: _EngineEntry, prop: VnnLibProperty, digest: str
     ) -> str:
         """Register the property's input box once per engine; return the
-        set's name."""
+        set's name.
+
+        The check and the registration hold ``entry.lock``: a second job
+        on the same new property waits for the first registration
+        instead of registering again, which would remove the set while
+        another thread queries it.
+        """
         model = entry.model
         check_dimensions(model, prop)
-        set_name = entry.sets.get(digest)
-        if set_name is None:
-            set_name = f"prop-{digest[:12]}"
-            entry.engine.add_static_feature_set(
-                prop.input_lower.reshape(model.input_shape),
-                prop.input_upper.reshape(model.input_shape),
-                name=set_name,
-                overwrite=True,
-            )
-            entry.sets[digest] = set_name
+        with entry.lock:
+            set_name = entry.sets.get(digest)
+            if set_name is None:
+                set_name = f"prop-{digest[:12]}"
+                entry.engine.add_static_feature_set(
+                    prop.input_lower.reshape(model.input_shape),
+                    prop.input_upper.reshape(model.input_shape),
+                    name=set_name,
+                    overwrite=True,
+                )
+                entry.sets[digest] = set_name
         return set_name
 
     def _flight_key(self, entry: _EngineEntry, prop_digest: str, spec: JobSpec) -> tuple:

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.nn.sequential import Sequential
 from repro.properties.risk import RiskCondition
-from repro.verification.ir import LoweredProgram, lowered_full
+from repro.verification.ir import LoweredProgram, lowered_full, lowered_split
 from repro.verification.milp.encoder import EncodedProblem
 
 
@@ -74,12 +74,20 @@ def decode_witness(
 
 @dataclass(frozen=True)
 class InputCounterexample:
-    """An input-space counterexample found by adversarial search."""
+    """An input-space counterexample found by adversarial search.
+
+    ``features`` is the hit image's flat cut-layer vector ``f^(l)(image)``
+    when the search was given a cut layer (see
+    :func:`pgd_hits_in_boxes`): the ascent's own forward pass computed
+    it, so it is the paper's feature-space witness at no extra cost.
+    Without a cut it is ``None``.
+    """
 
     image: np.ndarray
     output: np.ndarray
     risk_margin: float
     iterations: int
+    features: np.ndarray | None = None
 
     @property
     def risk_occurs(self) -> bool:
@@ -94,6 +102,7 @@ def _ascend(
     *,
     steps: int,
     step_fraction: float,
+    cut_index: int | None = None,
 ) -> tuple[dict[int, InputCounterexample], np.ndarray]:
     """The one sign-gradient ascent behind every attack.
 
@@ -105,6 +114,8 @@ def _ascend(
     activations also feed that iterate's batched gradient.  A box's
     first iterate with a non-negative margin is frozen as its hit; the
     ascent stops after ``steps`` steps or once every box has a hit.
+    With ``cut_index``, a hit also keeps its iterate's input to op
+    ``cut_index`` from that forward pass as its ``features``.
 
     Returns ``(hits, x)``: the hits keyed by box index, and the last
     iterates.
@@ -127,6 +138,9 @@ def _ascend(
                     output=outputs[index].copy(),
                     risk_margin=float(margin[index]),
                     iterations=it,
+                    features=(
+                        None if cut_index is None else values[cut_index][index].copy()
+                    ),
                 )
         if it == steps or len(hits) == k:
             break
@@ -208,6 +222,7 @@ def pgd_hits_in_boxes(
     *,
     steps: int = 10,
     step_fraction: float = 0.25,
+    cut_layer: int | None = None,
 ) -> list[tuple[int, InputCounterexample]]:
     """Batched PGD over many input boxes, returning every box's hit.
 
@@ -218,6 +233,14 @@ def pgd_hits_in_boxes(
     these hits.  Boxes keep climbing until ``steps`` run out or every
     box has a hit; each box's first hit is frozen, and all hits are
     returned together.
+
+    Without ``cut_layer`` the ascent runs on
+    :func:`~repro.verification.ir.lowered_full` and every hit's
+    ``features`` is ``None``.  With it, the ascent runs on
+    :func:`~repro.verification.ir.lowered_split` (the prefix's ops, then
+    the suffix's), and every hit carries its flat cut-layer features
+    from the same forward pass that found it: the feature-space witness
+    needs no second pass through layers ``1 .. cut_layer``.
 
     Returns
     -------
@@ -250,13 +273,18 @@ def pgd_hits_in_boxes(
             f"expected stacked bounds of shape (k, {model.input_shape}), got "
             f"{lower.shape} / {upper.shape}"
         )
+    if cut_layer is None:
+        program, cut_index = lowered_full(model), None
+    else:
+        program, cut_index = lowered_split(model, cut_layer)
     hits, _ = _ascend(
-        lowered_full(model),
+        program,
         risk,
         lower,
         upper,
         steps=steps,
         step_fraction=step_fraction,
+        cut_index=cut_index,
     )
     return sorted(hits.items())
 

@@ -328,3 +328,28 @@ def lowered_suffix(model: "Sequential", cut_layer: int) -> LoweredProgram:
 def lowered_full(model: "Sequential") -> LoweredProgram:
     """The abstract-propagation view of the whole model."""
     return lower_network(model, 0, None)
+
+
+def lowered_split(
+    model: "Sequential", cut_layer: int
+) -> tuple[LoweredProgram, int]:
+    """The whole model with an op boundary at ``cut_layer``.
+
+    Returns ``(program, index)``: the cached abstract-propagation views
+    of layers ``1 .. cut_layer`` and ``cut_layer+1 .. L`` chained, and
+    the prefix's op count, so ``program.activations(x)[index]`` is the
+    flat cut-layer features ``f^(l)(x)``.  :func:`lowered_full` may fold
+    a BatchNorm right after the cut into the op before it and then holds
+    no value equal to the features; this program never folds across the
+    cut, and is op-for-op :func:`lowered_full` wherever nothing folds
+    there.
+    """
+    prefix = lower_network(model, 0, cut_layer)
+    suffix = lower_network(model, cut_layer, None)
+    program = LoweredProgram(
+        prefix.ops + suffix.ops,
+        prefix.in_dim,
+        op_layers=prefix.op_layers + suffix.op_layers,
+        source=f"{prefix.source}+{suffix.source}",
+    )
+    return program, len(prefix.ops)

@@ -11,8 +11,9 @@ to the eager grid at O(shard) memory:
 - coverage-guided sampling visits distinct, in-range regions and
   reports coverage for exactly the sampled population;
 - the cascade runs prescreen first: the attack only sees the boxes the
-  prescreen left, and its witnesses' batched feature pass matches a
-  per-row one;
+  prescreen left, and its witnesses' features, taken from the ascent's
+  own forward pass, are ``f^(l)`` of the hit images and replay through
+  the suffix to the predicted outputs;
 - after its threshold pre-pass on an equal plan, a sweep decides from
   the kept shards without generating or propagating a region, with the
   answers a fresh engine gives, and leaves nothing on the engine;
@@ -37,7 +38,15 @@ from hypothesis import strategies as st
 
 from repro.api import Campaign, VerificationEngine
 from repro.api import engine as engine_mod
-from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
+from repro.nn import (
+    BatchNorm,
+    Conv2D,
+    Dense,
+    Flatten,
+    MaxPool2D,
+    ReLU,
+    Sequential,
+)
 from repro.properties.library import steer_far_left
 from repro.properties.risk import RiskCondition, output_geq
 from repro.scenario import regions as regions_mod
@@ -60,6 +69,7 @@ from repro.verification.abstraction.domain import (
     registered_domains,
 )
 from repro.verification.abstraction.propagate import propagate_regions
+from repro.verification.ir import lowered_full, lowered_split
 from repro.verification.prescreen import output_enclosure_batch, screen_enclosure
 
 _SETTINGS = settings(
@@ -116,6 +126,39 @@ def conv_engine():
         training=True,
     )
     engine = VerificationEngine(model, 6, solver="highs")
+    plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+    return engine, stream_enclosure_range(engine, plan)
+
+
+@pytest.fixture(scope="module")
+def batchnorm_after_cut_engine():
+    """A conv prefix cut right before a BatchNorm with non-trivial
+    statistics, which the whole-model lowering folds into the op before
+    the cut."""
+    model = Sequential(
+        [
+            Conv2D(4, 3, stride=2, padding=1),
+            ReLU(),
+            MaxPool2D(2),
+            Flatten(),
+            Dense(12),
+            BatchNorm(),
+            ReLU(),
+            Dense(2),
+        ],
+        input_shape=(1, 32, 32),
+        seed=13,
+    )
+    rng = np.random.default_rng(5)
+    bn = model.layers[5]
+    bn.running_mean[...] = rng.normal(size=12)
+    bn.running_var[...] = rng.uniform(0.3, 3.0, size=12)
+    bn.gamma.value[...] = rng.uniform(0.5, 2.0, size=12)
+    bn.beta.value[...] = rng.normal(size=12)
+    model.invalidate_lowering()
+    # the whole-model lowering has no op boundary at the cut
+    assert len(lowered_full(model).ops) == len(lowered_split(model, 5)[0].ops) - 1
+    engine = VerificationEngine(model, 5, solver="highs")
     plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
     return engine, stream_enclosure_range(engine, plan)
 
@@ -373,25 +416,43 @@ class TestCascadeOrder:
     def test_attack_witness_features_match_per_row_pass(
         self, engine, enclosure_range, attack_calls
     ):
-        lo, hi = enclosure_range
-        plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
-        report = run_stream(
-            engine, plan, [steer_far_left(round(0.5 * (lo + hi), 3))],
-            collect_results=True,
+        _check_attack_witnesses(engine, enclosure_range, attack_calls)
+
+    @pytest.mark.parametrize("setup", ["conv", "batchnorm_after_cut"])
+    def test_attack_witness_features_on_conv_prefixes(
+        self, request, attack_calls, setup
+    ):
+        engine, enclosure_range = request.getfixturevalue(f"{setup}_engine")
+        _check_attack_witnesses(engine, enclosure_range, attack_calls)
+
+
+def _check_attack_witnesses(engine, enclosure_range, attack_calls):
+    """Every attack SAT's features are ``f^(l)`` of its hit image and
+    replay through the suffix to its predicted output."""
+    lo, hi = enclosure_range
+    model, cut = engine.model, engine.cut_layer
+    plan = StreamPlan(n_scenes=2, seed=3, shard_size=8)
+    report = run_stream(
+        engine, plan, [steer_far_left(round(0.5 * (lo + hi), 3))],
+        collect_results=True,
+    )
+    images = [cex.image for _, _, hits in attack_calls for _, cex in hits]
+    assert report.results is not None
+    witnesses = [
+        r.verdict.counterexample
+        for r in report.results
+        if r.decided_by == "attack"
+    ]
+    assert len(witnesses) == len(images) > 1
+    for image, witness in zip(images, witnesses):
+        expected = model.prefix_apply(image[None, ...], cut)[0]
+        np.testing.assert_allclose(witness.features, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            model.suffix_apply(witness.features[None], cut)[0],
+            witness.predicted_output,
+            rtol=0,
+            atol=1e-9,
         )
-        images = [cex.image for _, _, hits in attack_calls for _, cex in hits]
-        assert report.results is not None
-        witnesses = [
-            r.verdict.counterexample
-            for r in report.results
-            if r.decided_by == "attack"
-        ]
-        assert len(witnesses) == len(images) > 1
-        for image, witness in zip(images, witnesses):
-            expected = engine.model.prefix_apply(
-                image[None, ...], engine.cut_layer
-            )[0]
-            np.testing.assert_allclose(witness.features, expected, atol=1e-12)
 
 
 class TestSingleRegistration:

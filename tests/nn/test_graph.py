@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.nn.graph import (
     AffineOp,
+    ConvOp,
     LeakyReLUOp,
     MaxGroupOp,
     PiecewiseLinearNetwork,
@@ -15,6 +16,7 @@ from repro.nn.graph import (
 )
 from repro.nn.layers.activations import ReLU, Sigmoid
 from repro.nn.layers.dense import Dense
+from repro.nn.tensor import col2im
 
 
 class TestAffineOp:
@@ -100,6 +102,58 @@ class TestMaxGroupOp:
         assert np.array_equal(image.lower, loop_max(x))
         assert np.array_equal(image.upper, loop_max(upper))
         assert np.array_equal(_op_vjp(op, x, grad), vjp)
+
+
+class TestConvOpInputGradient:
+    """The conv VJP is one BLAS product per image, then ``col2im``."""
+
+    @staticmethod
+    def _op(rng, channels, stride, padding):
+        return ConvOp(
+            rng.normal(size=(4, channels, 3, 3)),
+            rng.normal(size=4),
+            stride,
+            padding,
+            (channels, 7, 6),
+        )
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_the_einsum_reference(self, rng, channels, stride, padding):
+        op = self._op(rng, channels, stride, padding)
+        grad_out = rng.normal(size=(5, op.out_dim))
+        f, ho, wo = op.out_shape
+        dcols = np.einsum(
+            "fk,nfp->nkp",
+            op.weight.reshape(f, -1),
+            grad_out.reshape(5, f, ho * wo),
+        )
+        reference = col2im(
+            dcols, (5,) + op.in_shape, op.kernel, op.stride, op.padding
+        ).reshape(5, -1)
+        np.testing.assert_allclose(
+            op.input_gradient(grad_out), reference, rtol=0.0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_central_differences(self, rng, channels, stride, padding):
+        op = self._op(rng, channels, stride, padding)
+        x = rng.normal(size=(2, op.in_dim))
+        grad_out = rng.normal(size=(2, op.out_dim))
+        eps = 1e-6
+        numeric = np.zeros_like(x)
+        for j in range(op.in_dim):
+            step = np.zeros(op.in_dim)
+            step[j] = eps
+            plus = np.sum(grad_out * op.apply(x + step), axis=1)
+            minus = np.sum(grad_out * op.apply(x - step), axis=1)
+            numeric[:, j] = (plus - minus) / (2 * eps)
+        np.testing.assert_allclose(
+            op.input_gradient(grad_out), numeric, rtol=1e-6, atol=1e-6
+        )
 
 
 class TestPiecewiseLinearNetwork:

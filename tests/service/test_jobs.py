@@ -218,6 +218,53 @@ class TestPropertyCache:
         assert [job.result["status"] for job in answers] == ["sat"] * 3
         assert len(parsed) == 1
 
+    def test_racing_jobs_register_a_new_property_once(self, service, monkeypatch):
+        """One job's registration of a new property pauses while a second
+        job on it runs: the second waits for that registration and makes
+        none of its own (a second, overwriting one would remove the set
+        while the first job queries it)."""
+        from repro.api import VerificationEngine
+
+        paused, resume = threading.Event(), threading.Event()
+        registered = []
+        register = VerificationEngine.add_static_feature_set
+
+        def pausing(engine, *args, **kwargs):
+            registered.append(kwargs["name"])
+            if len(registered) == 1:
+                paused.set()
+                assert resume.wait(60.0)
+            else:  # a second registration raced the paused one
+                resume.set()
+            return register(engine, *args, **kwargs)
+
+        class WaitingLock:
+            """``entry.lock`` that resumes the paused registration once a
+            second thread has to wait for the lock."""
+
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def __enter__(self):
+                if not self._lock.acquire(blocking=False):
+                    resume.set()
+                    self._lock.acquire()
+                return self
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        entry = service._engine_entry(service._resolve("model.onnx"))
+        entry.lock = WaitingLock()
+        monkeypatch.setattr(VerificationEngine, "add_static_feature_set", pausing)
+        payload = {"model": "model.onnx", "property": "sat.vnnlib"}
+        first = service.submit_payload(payload)
+        assert paused.wait(60.0)
+        second = service.submit_payload(payload)
+        assert first.wait(120.0) and second.wait(120.0)
+        assert [job.result["status"] for job in (first, second)] == ["sat", "sat"]
+        assert len(registered) == 1
+
     def test_concurrent_jobs_share_parsed_properties(self, bench_dir, monkeypatch):
         """More job threads than cores on two property files: every
         answer matches its file, and each file is parsed at most once

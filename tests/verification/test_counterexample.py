@@ -1,11 +1,12 @@
-"""Unit tests for witness decoding and FGSM falsification."""
+"""Unit tests for witness decoding, the ascent's witness features and
+FGSM falsification."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Dense, ReLU, Sequential
+from repro.nn import BatchNorm, Conv2D, Dense, Flatten, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq, output_leq
 from repro.verification.assume_guarantee import box_from_data
 from repro.verification.counterexample import (
@@ -16,7 +17,7 @@ from repro.verification.counterexample import (
     pgd_hits_in_boxes,
     pgd_in_boxes,
 )
-from repro.verification.ir import lowered_full
+from repro.verification.ir import lowered_full, lowered_split
 from repro.verification.milp.encoder import encode_verification_problem
 from repro.verification.solver import BranchAndBoundSolver
 
@@ -264,3 +265,122 @@ class TestAscent:
             assert np.array_equal(hits[index].image, image)
             assert np.array_equal(hits[index].output, output)
             assert hits[index].iterations == iterations
+
+
+def _batchnorm_after_cut(kind, rng):
+    """A model whose layer after the cut (``cut = 1``) is a BatchNorm
+    with non-trivial statistics, so the whole-model lowering folds it
+    into the op before the cut."""
+    if kind == "dense":
+        layers = [Dense(5), BatchNorm(), ReLU(), Dense(2)]
+        input_shape = (4,)
+    else:
+        layers = [Conv2D(2, 3), BatchNorm(), ReLU(), Flatten(), Dense(2)]
+        input_shape = (1, 5, 5)
+    model = Sequential(layers, input_shape=input_shape, seed=7)
+    bn = model.layers[1]
+    width = bn.running_mean.shape
+    bn.running_mean[...] = rng.normal(size=width)
+    bn.running_var[...] = rng.uniform(0.3, 3.0, size=width)
+    bn.gamma.value[...] = rng.uniform(0.5, 2.0, size=width)
+    bn.beta.value[...] = rng.normal(size=width)
+    model.invalidate_lowering()
+    return model, 1
+
+
+class TestWitnessFeatures:
+    """With a cut, each hit carries the features its own forward pass
+    computed; without one, the ascent is the one on ``lowered_full``."""
+
+    @staticmethod
+    def _always(model):
+        return RiskCondition("reach", (output_geq(2, 0, -1e9),))
+
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_batchnorm_after_the_cut(self, kind, rng):
+        model, cut = _batchnorm_after_cut(kind, rng)
+        program, index = lowered_split(model, cut)
+        # the whole-model lowering folds across the cut, so its op
+        # boundaries hold no value equal to the cut features
+        assert len(lowered_full(model).ops) == len(program.ops) - 1
+        k = 6
+        lower = rng.uniform(0.0, 0.5, (k, *model.input_shape))
+        upper = lower + 0.3
+        hits = pgd_hits_in_boxes(
+            model, self._always(model), lower, upper, steps=2, cut_layer=cut
+        )
+        assert [i for i, _ in hits] == list(range(k))
+        for _, cex in hits:
+            expected = model.prefix_apply(cex.image[None], cut)[0]
+            np.testing.assert_allclose(cex.features, expected, rtol=0, atol=1e-12)
+            replayed = model.suffix_apply(cex.features[None], cut)[0]
+            np.testing.assert_allclose(replayed, cex.output, rtol=0, atol=1e-9)
+            folded = lowered_full(model).activations(cex.image.reshape(1, -1))
+            assert not np.allclose(folded[index][0], expected, atol=1e-6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 5),
+        steps=st.integers(0, 6),
+        cut=st.integers(0, 5),
+        quantile=st.floats(0.0, 1.0),
+    )
+    def test_features_replay_through_prefix_and_suffix(
+        self, seed, k, steps, cut, quantile
+    ):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 6))
+        model = Sequential(
+            [Dense(int(rng.integers(3, 8))), ReLU(), Dense(4), ReLU(), Dense(2)],
+            input_shape=(dim,),
+            seed=seed,
+        )
+        cut = min(cut, model.num_layers - 1)
+        lower = rng.uniform(-1.0, 1.0, (k, dim))
+        upper = lower + rng.uniform(0.0, 1.0, (k, dim))
+        centers = model.forward(0.5 * (lower + upper), training=False)
+        risk = RiskCondition(
+            "probe",
+            (output_geq(2, 0, float(np.quantile(centers[:, 0], quantile)) + 1e-3),),
+        )
+        plain = pgd_hits_in_boxes(model, risk, lower, upper, steps=steps)
+        with_cut = pgd_hits_in_boxes(
+            model, risk, lower, upper, steps=steps, cut_layer=cut
+        )
+        # nothing folds across this cut: the same program, the same hits
+        assert [i for i, _ in with_cut] == [i for i, _ in plain]
+        for (_, cex), (_, ref) in zip(with_cut, plain):
+            assert ref.features is None
+            assert np.array_equal(cex.image, ref.image)
+            assert np.array_equal(cex.output, ref.output)
+            assert (cex.iterations, cex.risk_margin) == (
+                ref.iterations,
+                ref.risk_margin,
+            )
+            expected = model.prefix_apply(cex.image[None], cut)[0]
+            np.testing.assert_allclose(cex.features, expected, rtol=0, atol=1e-12)
+            replayed = model.suffix_apply(cex.features[None], cut)[0]
+            np.testing.assert_allclose(replayed, cex.output, rtol=0, atol=1e-9)
+
+    def test_without_a_cut_hits_are_the_whole_model_ascent(self, rng):
+        model, cut = _batchnorm_after_cut("dense", rng)
+        lower = rng.uniform(0.0, 0.5, (5, 4))
+        upper = lower + 0.4
+        outputs = model.forward(0.5 * (lower + upper), training=False)
+        risk = RiskCondition(
+            "probe", (output_geq(2, 0, float(np.median(outputs[:, 0]))),)
+        )
+        hits = pgd_hits_in_boxes(model, risk, lower, upper, steps=6)
+        ref_hits, _ = _two_pass_ascend(
+            lowered_full(model), risk, lower, upper, steps=6, step_fraction=0.25
+        )
+        assert [i for i, _ in hits] == sorted(ref_hits)
+        for index, cex in hits:
+            image, output, iterations = ref_hits[index]
+            assert cex.features is None
+            assert np.array_equal(cex.image, image)
+            assert cex.iterations == iterations
+            assert cex.risk_margin == float(risk.margins(output[None]).min())
+        first = pgd_in_boxes(model, risk, lower, upper, steps=6)
+        assert first is not None and first[1].features is None
