@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.tensor import FLOAT, col2im, conv_output_size, flat_size, im2col
+from repro.nn.tensor import FLOAT, col2im, conv_output_size, flat_size
 
 #: refuse to materialize affine matrices bigger than this many entries
 MAX_AFFINE_ENTRIES = 64_000_000
@@ -122,7 +122,7 @@ class MaxGroupOp:
         #: ``(out_dim, widest group)`` gather index: each group padded by
         #: repeating its own members (``np.resize``: padded member ``i`` is
         #: member ``i mod size``), which leaves its max and its first
-        #: argmax unchanged, so one gather serves every group at once
+        #: argmax unchanged, so one index serves every group at once
         starts = np.cumsum(sizes) - sizes
         columns = np.arange(sizes.max(initial=1))
         self.index = members[starts[:, None] + columns % sizes[:, None]]
@@ -132,8 +132,14 @@ class MaxGroupOp:
         return len(self.groups)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        """Column by column over ``index``: one ``(..., out_dim)`` gather
+        per group member, folded in place (max is exact, so this equals
+        ``x[..., index].max(-1)`` without the ``(..., out_dim, k)`` stack)."""
         x = np.asarray(x, dtype=FLOAT)
-        return x[..., self.index].max(axis=-1)
+        out = np.take(x, self.index[:, 0], axis=-1)
+        for j in range(1, self.index.shape[1]):
+            np.maximum(out, np.take(x, self.index[:, j], axis=-1), out=out)
+        return out
 
 
 @dataclass
@@ -204,14 +210,16 @@ class ReshapeOp:
 
 @dataclass
 class ConvOp:
-    """2-D convolution kept in kernel form (conv-as-im2col-matmul).
+    """2-D convolution kept in kernel form (conv-as-gather-matmul).
 
     The IR twin of :class:`~repro.nn.layers.conv.Conv2D`: the op stores
     the ``(filters, channels, k, k)`` kernel instead of a materialized
     ``d_out x d_in`` affine matrix, so prefix propagation of image-space
     regions runs as one batched GEMM per op instead of a dense matmul
-    against a huge materialized matrix.  ``apply`` follows the flat-vector
-    IR convention (rows are flattened NCHW images).
+    against a huge materialized matrix.  The GEMM's im2col columns come
+    from one gather through ``plan``, built once per op.  ``apply``
+    follows the flat-vector IR convention (rows are flattened NCHW
+    images).
     """
 
     weight: np.ndarray  #: (filters, channels, k, k)
@@ -236,6 +244,23 @@ class ConvOp:
                 f"in_shape {self.in_shape} incompatible with conv weight "
                 f"{self.weight.shape}"
             )
+        if self.weight.shape[2] != self.weight.shape[3]:
+            raise ValueError(f"conv kernel must be square, got {self.weight.shape}")
+        if self.stride < 1 or self.padding < 0:
+            raise ValueError(
+                f"invalid conv geometry: stride={self.stride} padding={self.padding}"
+            )
+        c, h, w = self.in_shape
+        k, s, p = self.kernel, self.stride, self.padding
+        _, ho, wo = self.out_shape
+        hp, wp = h + 2 * p, w + 2 * p
+        #: ``(C*k*k, Ho*Wo)`` gather index into the zero-padded, flattened
+        #: input: row ``(c, ki, kj)``, column ``(oi, oj)`` reads padded
+        #: pixel ``(c, oi*s + ki, oj*s + kj)`` — im2col's row/column order
+        rows = (np.arange(c)[:, None, None] * hp + np.arange(k)[:, None]) * wp
+        rows = rows + np.arange(k)
+        cols = np.arange(ho)[:, None] * (s * wp) + np.arange(wo) * s
+        self.plan = rows.reshape(-1, 1) + cols.reshape(1, -1)
 
     @property
     def kernel(self) -> int:
@@ -256,28 +281,31 @@ class ConvOp:
     def out_dim(self) -> int:
         return flat_size(self.out_shape)
 
-    def apply_spatial(
-        self,
-        x: np.ndarray,
-        weight: np.ndarray | None = None,
-        bias: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Convolution forward on ``(N, C, H, W)`` with substitutable
-        weights (abstract transformers run it with ``|W|`` for radii)."""
-        weight = self.weight if weight is None else weight
-        bias = self.bias if bias is None else bias
-        cols, ho, wo = im2col(x, self.kernel, self.stride, self.padding)
-        w_flat = weight.reshape(weight.shape[0], -1)
-        out = np.matmul(w_flat, cols) + bias[None, :, None]
-        return out.reshape(x.shape[0], weight.shape[0], ho, wo)
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """The ``(N, C*k*k, Ho*Wo)`` im2col columns of ``x`` — ``(N, C, H, W)``
+        images or their flat ``(N, C*H*W)`` rows — by one gather through
+        ``plan`` (padding is a zero buffer and one slice assignment)."""
+        n, p = x.shape[0], self.padding
+        if p:
+            c, h, w = self.in_shape
+            padded = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            padded[:, :, p : p + h, p : p + w] = x.reshape((n,) + self.in_shape)
+            x = padded
+        return np.take(x.reshape(n, -1), self.plan, axis=1)
+
+    def apply_spatial(self, x: np.ndarray) -> np.ndarray:
+        """Convolution forward: ``(N, C, H, W)`` (or flat rows) in,
+        ``(N, F, Ho, Wo)`` out."""
+        w_flat = self.weight.reshape(self.weight.shape[0], -1)
+        out = np.matmul(w_flat, self.columns(x)) + self.bias[None, :, None]
+        return out.reshape((x.shape[0],) + self.out_shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=FLOAT)
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        out = self.apply_spatial(x.reshape((x.shape[0],) + self.in_shape))
-        out = out.reshape(x.shape[0], -1)
+        out = self.apply_spatial(x).reshape(x.shape[0], -1)
         return out[0] if single else out
 
     def input_gradient(self, grad_out: np.ndarray) -> np.ndarray:

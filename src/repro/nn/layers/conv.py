@@ -97,7 +97,7 @@ class Conv2D(Layer):
         return [op.as_affine() for op in self.as_abstract_ops()]
 
     def as_abstract_ops(self) -> list:
-        """Kernel-form IR lowering: conv stays a batched im2col matmul."""
+        """Kernel-form IR lowering: conv stays a batched gather-matmul."""
         assert self.weight is not None and self.bias is not None, "layer not built"
         assert self.input_shape is not None
         return [

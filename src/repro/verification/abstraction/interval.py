@@ -58,21 +58,16 @@ def _conv(domain, op: ConvOp, batch: BoxBatch) -> BoxBatch:
     """Exact interval image of a kernel-form convolution.
 
     Midpoint/radius arithmetic on the kernel itself — one batched GEMM
-    for centers and one with ``|W|`` for radii, never materializing the
-    affine matrix.
+    of ``W`` (plus bias) over the centers' columns and one of ``|W|``
+    over the radii's, never materializing the affine matrix.
     """
     n = batch.n_regions
-    spatial = (n,) + op.in_shape
-    center = (0.5 * (batch.lower + batch.upper)).reshape(spatial)
-    radius = (0.5 * (batch.upper - batch.lower)).reshape(spatial)
-    out_center = op.apply_spatial(center)
-    out_radius = op.apply_spatial(
-        radius, np.abs(op.weight), np.zeros_like(op.bias)
-    )
-    return BoxBatch(
-        (out_center - out_radius).reshape(n, -1),
-        (out_center + out_radius).reshape(n, -1),
-    )
+    center = 0.5 * (batch.lower + batch.upper)
+    radius = 0.5 * (batch.upper - batch.lower)
+    out_center = op.apply_spatial(center).reshape(n, -1)
+    abs_flat = np.abs(op.weight).reshape(op.weight.shape[0], -1)
+    out_radius = np.matmul(abs_flat, op.columns(radius)).reshape(n, -1)
+    return BoxBatch(out_center - out_radius, out_center + out_radius)
 
 
 @register_transformer("interval", ReLUOp)

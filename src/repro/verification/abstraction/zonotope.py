@@ -189,14 +189,14 @@ def _conv(domain, op: ConvOp, batch: ZonotopeBatch) -> ZonotopeBatch:
     """Exact zonotope image of a convolution, kept in kernel form.
 
     The center goes through the op; generator rows go through the
-    bias-free convolution as one stacked ``(n * k)`` image batch.
+    bias-free product with ``W`` as one stacked ``(n * k)`` column batch.
     """
     n, k = batch.n_regions, batch.num_generators
-    center = op.apply_spatial(batch.center.reshape((n,) + op.in_shape)).reshape(n, -1)
+    center = op.apply_spatial(batch.center).reshape(n, -1)
     if k:
-        zero_bias = np.zeros_like(op.bias)
-        gens = op.apply_spatial(
-            batch.generators.reshape((n * k,) + op.in_shape), None, zero_bias
+        w_flat = op.weight.reshape(op.weight.shape[0], -1)
+        gens = np.matmul(
+            w_flat, op.columns(batch.generators.reshape(n * k, -1))
         ).reshape(n, k, -1)
     else:
         gens = np.zeros((n, 0, center.shape[1]))

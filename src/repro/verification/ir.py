@@ -10,7 +10,7 @@ lowered **once** into a cached :class:`LoweredProgram` of primitive ops
 
 - :class:`~repro.nn.graph.AffineOp` — dense affine maps,
 - :class:`~repro.nn.graph.ConvOp` — convolution kept in kernel form
-  (conv-as-im2col-matmul, never materialized for prefix propagation),
+  (conv-as-gather-matmul, never materialized for prefix propagation),
 - :class:`~repro.nn.graph.ElementwiseAffineOp` — diagonal affine
   (eval-mode BatchNorm, folded into an adjacent affine/conv op whenever
   one precedes it),

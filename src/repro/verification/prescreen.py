@@ -26,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from repro.nn.graph import PiecewiseLinearNetwork
 from repro.properties.risk import RiskCondition
 from repro.verification.abstraction.domain import get_domain
-from repro.verification.sets import Box, BoxBatch, FeatureSet
+from repro.verification.sets import BoxBatch, FeatureSet
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,8 @@ def output_enclosure_batch(
     elif not feature_sets:
         return []
     else:
-        hulls = BoxBatch.from_boxes([Box(*fs.bounds()) for fs in feature_sets])
+        lowers, uppers = zip(*(fs.bounds() for fs in feature_sets))
+        hulls = BoxBatch(np.stack(lowers), np.stack(uppers))
     element = dom.propagate(suffix, dom.lift(hulls))
     return dom.enclosures(element)
 

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from repro.nn import Dense, ReLU, Sequential
 from repro.properties.risk import RiskCondition, output_geq, output_in_band, output_leq
+from repro.verification.abstraction import get_domain
 from repro.verification.assume_guarantee import (
     box_from_data,
     box_with_diffs_from_data,
 )
 from repro.verification.milp.encoder import encode_verification_problem
 from repro.verification.output_range import output_range
-from repro.verification.prescreen import prescreen
+from repro.verification.prescreen import output_enclosure_batch, prescreen
+from repro.verification.sets import Box, BoxBatch
 from repro.verification.solver import BranchAndBoundSolver
 
 
@@ -96,6 +98,26 @@ class TestPrescreen:
         )
         result = prescreen(net, sbox, RiskCondition("band", band))
         assert result.excluded
+
+
+@pytest.mark.parametrize("domain", ["interval", "zonotope", "symbolic", "octagon"])
+def test_enclosure_batch_stacks_mixed_set_hulls(net_and_set, rng, domain):
+    """Box and BoxWithDiffs sets stack their hulls into one batch: the
+    enclosures equal those of per-set ``Box`` hulls stacked by ``from_boxes``."""
+    net, _, _ = net_and_set
+    sets = [
+        (box_from_data if i % 2 else box_with_diffs_from_data)(rng.normal(size=(40, 4)))
+        for i in range(6)
+    ]
+    got = output_enclosure_batch(net, sets, domain)
+    dom = get_domain(domain)
+    hulls = BoxBatch.from_boxes([Box(*fs.bounds()) for fs in sets])
+    expected = dom.enclosures(dom.propagate(net, dom.lift(hulls)))
+    assert len(got) == len(expected) == len(sets)
+    for a, b in zip(got, expected):
+        lo_a, hi_a = dom.enclosure_box(a).bounds()
+        lo_b, hi_b = dom.enclosure_box(b).bounds()
+        assert np.array_equal(lo_a, lo_b) and np.array_equal(hi_a, hi_b)
 
 
 class TestOutputRange:
