@@ -11,7 +11,7 @@ from repro.scenario.dataset import SceneConfig
 class ExperimentConfig:
     """Everything the pipeline needs to build a verified system.
 
-    Defaults are sized for interactive runs (about a minute end to end);
+    Defaults are sized for interactive runs (seconds end to end);
     the benchmarks scale ``train_scenes`` and ``epochs`` up.
     """
 

@@ -7,7 +7,8 @@
 3. extract cut-layer features and build the assume-guarantee set ``S~``,
 4. train one characterizer per requested property,
 5. estimate each characterizer's Table I confusion on validation data,
-6. assemble a :class:`~repro.api.engine.VerificationEngine`.
+6. assemble a :class:`~repro.api.engine.VerificationEngine` on the first
+   read of ``system.engine`` (building a system does not need one).
 
 Examples and benchmarks share this path so that every experiment runs on
 an identically constructed system.
@@ -16,6 +17,7 @@ an identically constructed system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -46,11 +48,31 @@ class VerifiedSystem:
     val_features: np.ndarray
     characterizers: dict[str, Characterizer]
     confusions: dict[str, ConfusionEstimate]
-    engine: VerificationEngine
 
     @property
     def model(self):
         return self.training.model
+
+    @cached_property
+    def engine(self) -> VerificationEngine:
+        """The engine over the ``data`` feature set (the config's set kind
+        and margin) with every characterizer attached, built on first read."""
+        # deferred: repro.api.engine imports repro.core.verdict, whose
+        # package imports this module
+        from repro.api.engine import VerificationEngine
+
+        engine = VerificationEngine(
+            self.model, self.cut_layer, solver=self.config.solver
+        )
+        engine.add_feature_set_from_features(
+            self.train_features,
+            kind=self.config.set_kind,
+            margin=self.config.set_margin,
+            name="data",
+        )
+        for characterizer in self.characterizers.values():
+            engine.attach_characterizer(characterizer)
+        return engine
 
     def summary(self) -> str:
         lines = [
@@ -99,15 +121,6 @@ def build_verified_system(
     train_features = extract_features(model, train_data.images, cut_layer)
     val_features = extract_features(model, val_data.images, cut_layer)
 
-    # deferred: repro.api.engine imports repro.core.verdict, whose package
-    # imports this module
-    from repro.api.engine import VerificationEngine
-
-    engine = VerificationEngine(model, cut_layer, solver=config.solver)
-    engine.add_feature_set_from_features(
-        train_features, kind=config.set_kind, margin=config.set_margin, name="data"
-    )
-
     characterizers: dict[str, Characterizer] = {}
     confusions: dict[str, ConfusionEstimate] = {}
     for prop_index, prop_name in enumerate(config.properties):
@@ -140,7 +153,6 @@ def build_verified_system(
             seed=config.seed,
             verbose=verbose,
         )
-        engine.attach_characterizer(characterizer)
         characterizers[prop_name] = characterizer
         confusions[prop_name] = estimate_confusion(
             characterizer.decide(val_features), val_labels.astype(bool)
@@ -156,5 +168,4 @@ def build_verified_system(
         val_features=val_features,
         characterizers=characterizers,
         confusions=confusions,
-        engine=engine,
     )

@@ -219,7 +219,9 @@ class ConvOp:
     against a huge materialized matrix.  The GEMM's im2col columns come
     from one gather through ``plan``, built once per op.  ``apply``
     follows the flat-vector IR convention (rows are flattened NCHW
-    images).
+    images).  The training layer runs its forward and backward passes
+    on the same op, so a trained model and its lowered program share
+    one kernel.
     """
 
     weight: np.ndarray  #: (filters, channels, k, k)
@@ -293,12 +295,19 @@ class ConvOp:
             x = padded
         return np.take(x.reshape(n, -1), self.plan, axis=1)
 
+    def product(self, columns: np.ndarray) -> np.ndarray:
+        """``w_flat @ columns + bias`` on :meth:`columns`' output, as
+        ``(N, F, Ho, Wo)``; the bias is added in place, so the columns
+        and one output are the only live buffers."""
+        w_flat = self.weight.reshape(self.weight.shape[0], -1)
+        out = np.matmul(w_flat, columns)
+        out += self.bias[:, None]
+        return out.reshape((columns.shape[0],) + self.out_shape)
+
     def apply_spatial(self, x: np.ndarray) -> np.ndarray:
         """Convolution forward: ``(N, C, H, W)`` (or flat rows) in,
         ``(N, F, Ho, Wo)`` out."""
-        w_flat = self.weight.reshape(self.weight.shape[0], -1)
-        out = np.matmul(w_flat, self.columns(x)) + self.bias[None, :, None]
-        return out.reshape((x.shape[0],) + self.out_shape)
+        return self.product(self.columns(x))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=FLOAT)

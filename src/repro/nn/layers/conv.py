@@ -1,4 +1,13 @@
-"""2-D convolution over NCHW batches, implemented with im2col."""
+"""2-D convolution over NCHW batches on the IR's gather-plan kernel.
+
+The layer's forward and backward passes run on a
+:class:`~repro.nn.graph.ConvOp` over the live parameters: the forward
+pass is ``w_flat @ columns(x) + bias``, the weight gradient one GEMM over
+the cached columns and the input gradient ``ConvOp.input_gradient``.  The
+op's gather plan depends only on the geometry, so it is built once per
+layer, and the trained layer computes what its lowered program computes,
+bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +18,7 @@ import numpy as np
 from repro.nn import initializers
 from repro.nn.graph import ConvOp
 from repro.nn.layers.base import Layer
-from repro.nn.tensor import FLOAT, Parameter, col2im, conv_output_size, im2col
+from repro.nn.tensor import Parameter, conv_output_size
 
 
 class Conv2D(Layer):
@@ -27,6 +36,7 @@ class Conv2D(Layer):
         self.padding = padding
         self.weight: Parameter | None = None
         self.bias: Parameter | None = None
+        self._op: ConvOp | None = None
         self._cache: tuple | None = None
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -50,15 +60,37 @@ class Conv2D(Layer):
             return []
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _conv_op(self) -> ConvOp:
+        """The IR op on the live parameter arrays.  Optimizers and weight
+        loading update those arrays in place, so the op (and its gather
+        plan) is rebuilt only when a parameter array is replaced."""
         assert self.weight is not None and self.bias is not None, "layer not built"
-        n = x.shape[0]
-        cols, ho, wo = im2col(x, self.kernel, self.stride, self.padding)
-        w_flat = self.weight.value.reshape(self.filters, -1)
-        out = np.einsum("fk,nkp->nfp", w_flat, cols) + self.bias.value[None, :, None]
+        op = self._op
+        if (
+            op is None
+            or op.weight is not self.weight.value
+            or op.bias is not self.bias.value
+        ):
+            assert self.input_shape is not None
+            op = self._op = ConvOp(
+                self.weight.value,
+                self.bias.value,
+                self.stride,
+                self.padding,
+                self.input_shape,
+            )
+        return op
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        op = self._conv_op()
+        if x.shape[1:] != op.in_shape:
+            raise ValueError(
+                f"Conv2D built for {op.in_shape} inputs, got {x.shape[1:]}"
+            )
+        cols = op.columns(x)
         if training:
             self._cache = (cols, x.shape)
-        return out.reshape(n, self.filters, ho, wo)
+        return op.product(cols)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self.weight is not None and self.bias is not None
@@ -67,13 +99,13 @@ class Conv2D(Layer):
         cols, x_shape = self._cache
         n, f, ho, wo = grad_out.shape
         g = grad_out.reshape(n, f, ho * wo)
-        w_flat = self.weight.value.reshape(f, -1)
-        self.weight.grad += np.einsum("nfp,nkp->fk", g, cols).reshape(
+        # one GEMM over the whole batch: (F, N*P) @ (N*P, C*k*k)
+        self.weight.grad += np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(
             self.weight.value.shape
         )
         self.bias.grad += g.sum(axis=(0, 2))
-        dcols = np.einsum("fk,nfp->nkp", w_flat, g)
-        return col2im(dcols, x_shape, self.kernel, self.stride, self.padding)
+        dx = self._conv_op().input_gradient(grad_out.reshape(n, -1))
+        return dx.reshape(x_shape)
 
     def config(self) -> dict[str, Any]:
         return {
@@ -97,15 +129,6 @@ class Conv2D(Layer):
         return [op.as_affine() for op in self.as_abstract_ops()]
 
     def as_abstract_ops(self) -> list:
-        """Kernel-form IR lowering: conv stays a batched gather-matmul."""
-        assert self.weight is not None and self.bias is not None, "layer not built"
-        assert self.input_shape is not None
-        return [
-            ConvOp(
-                self.weight.value,
-                self.bias.value,
-                self.stride,
-                self.padding,
-                self.input_shape,
-            )
-        ]
+        """Kernel-form IR lowering: conv stays a batched gather-matmul, on
+        the op (and gather plan) the layer itself runs."""
+        return [self._conv_op()]

@@ -71,23 +71,6 @@ def flat_size(shape: tuple[int, ...]) -> int:
     return int(math.prod(shape))
 
 
-def im2col(
-    x: np.ndarray, kernel: int, stride: int, padding: int
-) -> tuple[np.ndarray, int, int]:
-    """Unfold ``x (N, C, H, W)`` into columns ``(N, C*k*k, Ho*Wo)``."""
-    n, c, h, w = x.shape
-    ho = conv_output_size(h, kernel, stride, padding)
-    wo = conv_output_size(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(
-            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # (N, C, Ho, Wo, k, k)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, ho * wo)
-    return np.ascontiguousarray(cols), ho, wo
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
@@ -95,7 +78,8 @@ def col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col` (scatter-add columns back to an image)."""
+    """Adjoint of :meth:`~repro.nn.graph.ConvOp.columns` (scatter-add
+    ``(N, C*k*k, Ho*Wo)`` columns back to an ``(N, C, H, W)`` image)."""
     n, c, h, w = x_shape
     ho = conv_output_size(h, kernel, stride, padding)
     wo = conv_output_size(w, kernel, stride, padding)

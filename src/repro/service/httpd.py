@@ -46,6 +46,10 @@ _MAX_BODY = 1 << 20
 #: cap on ``?wait=`` so a stuck client cannot pin a handler thread forever
 _MAX_WAIT = 300.0
 
+#: ``serve_forever`` notices ``shutdown()`` only when its select times
+#: out; at the standard library's 0.5 s every stop waited out that poll
+_POLL_INTERVAL = 0.02
+
 
 class _Handler(BaseHTTPRequestHandler):
     """Routes requests to the service attached to the server."""
@@ -232,7 +236,10 @@ def start_server(
     """
     server = ServiceServer((host, port), service)
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-httpd", daemon=True
+        target=server.serve_forever,
+        args=(_POLL_INTERVAL,),
+        name="repro-httpd",
+        daemon=True,
     )
     thread.start()
     return server, thread

@@ -97,6 +97,20 @@ class Zonotope:
         return mid - rad, mid + rad
 
 
+#: refuse dense generator stacks (and their conv columns) bigger than
+#: this many entries: one image-space lift allocates ``n * d * d`` of them
+MAX_GENERATOR_ENTRIES = 64_000_000
+
+
+def _check_generator_entries(entries: int, what: str) -> None:
+    if entries > MAX_GENERATOR_ENTRIES:
+        raise ValueError(
+            f"{what} needs {entries} dense generator entries "
+            f"(limit {MAX_GENERATOR_ENTRIES}); propagate image-space regions "
+            f"with the interval domain or split them into smaller batches"
+        )
+
+
 @dataclass(frozen=True)
 class ZonotopeBatch:
     """``n`` zonotopes: ``center (n, d)`` plus ``generators (n, k, d)``.
@@ -141,6 +155,7 @@ class ZonotopeBatch:
         """One independent noise symbol per coordinate, per region."""
         batch = batch.flat()
         n, d = batch.lower.shape
+        _check_generator_entries(n * d * d, f"lifting {n} boxes of dimension {d}")
         radius = 0.5 * (batch.upper - batch.lower)
         generators = np.zeros((n, d, d))
         idx = np.arange(d)
@@ -194,6 +209,11 @@ def _conv(domain, op: ConvOp, batch: ZonotopeBatch) -> ZonotopeBatch:
     n, k = batch.n_regions, batch.num_generators
     center = op.apply_spatial(batch.center).reshape(n, -1)
     if k:
+        _check_generator_entries(
+            n * k * op.plan.size,
+            f"the conv columns of {n} zonotopes with {k} generators "
+            f"of dimension {op.in_dim}",
+        )
         w_flat = op.weight.reshape(op.weight.shape[0], -1)
         gens = np.matmul(
             w_flat, op.columns(batch.generators.reshape(n * k, -1))

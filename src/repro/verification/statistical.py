@@ -34,12 +34,12 @@ def clopper_pearson_upper(successes: int, trials: int, confidence: float = 0.95)
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if successes == trials:
         return 1.0
-    # imported here, not at module level: scipy.stats is one of the
-    # slowest and largest imports, and every ``repro`` import reaches
-    # this module while few callers need a confidence bound
-    from scipy import stats
+    # the ``confidence`` quantile of Beta(k + 1, n - k), straight from the
+    # inverse regularized incomplete beta function: the value
+    # ``scipy.stats.beta.ppf`` returns, without importing scipy.stats
+    from scipy.special import betaincinv
 
-    return float(stats.beta.ppf(confidence, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, confidence))
 
 
 def clopper_pearson_lower(successes: int, trials: int, confidence: float = 0.95) -> float:

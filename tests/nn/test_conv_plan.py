@@ -17,10 +17,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn.graph import ConvOp, MaxGroupOp
-from repro.nn.tensor import im2col
+from repro.nn.tensor import conv_output_size
 from repro.verification.abstraction import get_domain
 from repro.verification.abstraction.zonotope import ZonotopeBatch
 from repro.verification.sets import BoxBatch
+
+
+def im2col(
+    x: np.ndarray, kernel: int, stride: int, padding: int
+) -> tuple[np.ndarray, int, int]:
+    """Unfold ``x (N, C, H, W)`` into columns ``(N, C*k*k, Ho*Wo)``.
+
+    The independent reference every conv kernel is checked against: the
+    strided-window unfold the library used before ``ConvOp``'s gather
+    plan, kept verbatim here.
+    """
+    n, c, h, w = x.shape
+    ho = conv_output_size(h, kernel, stride, padding)
+    wo = conv_output_size(w, kernel, stride, padding)
+    if padding:
+        x = np.pad(
+            x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant"
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :]  # (N, C, Ho, Wo, k, k)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kernel * kernel, ho * wo)
+    return np.ascontiguousarray(cols), ho, wo
 
 
 @st.composite

@@ -317,6 +317,22 @@ class TestConnections:
             client.close()
             service.close(drain=False, timeout=60.0)
 
+    def test_idle_shutdown_does_not_wait_out_a_poll(self, bench_dir):
+        service = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        server, thread = start_server(service)
+        try:
+            time.sleep(0.1)  # the serve loop is idle inside its select
+            start = time.monotonic()
+            server.shutdown()
+            assert time.monotonic() - start < 0.1
+            thread.join(1.0)
+            assert not thread.is_alive()
+        finally:
+            server.server_close()
+            service.close(drain=False, timeout=60.0)
+
 
 # -- golden contract -------------------------------------------------------
 

@@ -29,9 +29,9 @@ from repro.nn import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.tensor import im2col
 from repro.verification.abstraction.propagate import region_boxes
 from repro.verification.sets import BoxBatch
+from tests.nn.test_conv_plan import im2col
 
 # -- the pre-IR layer-walking reference --------------------------------------
 

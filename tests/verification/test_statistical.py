@@ -20,22 +20,29 @@ from repro.verification.statistical import (
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def test_scipy_stats_is_imported_lazily():
-    """The CLI, streaming, daemon and CEGAR imports leave scipy.stats out."""
+def test_scipy_stats_is_imported_lazily(tmp_path):
+    """The CLI, streaming, daemon and CEGAR imports, and a whole
+    ``repro build``, leave scipy.stats out."""
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import repro.cli, repro.scenario.streaming, repro.service.httpd\n"
         "import repro.verification.cegar\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "imported = 'scipy.stats' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    repro.cli.main(['build', '--out', sys.argv[2], '--scenes', '20',\n"
+        "                    '--epochs', '1', '--characterizer-epochs', '1',\n"
+        "                    '--characterizer-scenes', '20'])\n"
+        "print(imported, 'scipy.stats' in sys.modules)\n"
     )
     loaded = subprocess.run(
-        [sys.executable, "-c", script, REPO_SRC],
+        [sys.executable, "-c", script, REPO_SRC, str(tmp_path / "system")],
         capture_output=True,
         text=True,
         check=True,
     ).stdout.strip()
-    assert loaded == "False"
+    assert loaded == "False False"
+    assert (tmp_path / "system" / "meta.json").exists()
 
 
 class TestClopperPearson:
@@ -61,6 +68,23 @@ class TestClopperPearson:
             clopper_pearson_upper(5, 3)
         with pytest.raises(ValueError, match="confidence"):
             clopper_pearson_upper(1, 10, 1.5)
+
+    def test_equals_the_beta_quantile_bitwise(self):
+        """The inverse incomplete beta is ``scipy.stats.beta.ppf`` exactly."""
+        from scipy import stats
+
+        rng = np.random.default_rng(20)
+        cases = [(0, 1), (0, 2), (1, 2)]
+        for trials in (3, 10, 100, 1_000, 20_000):
+            cases += [(0, trials), (trials - 1, trials), (trials // 2, trials)]
+        trials = rng.integers(1, 5_000, size=200)
+        cases += [(int(rng.integers(0, t)), int(t)) for t in trials]
+        for successes, trials in cases:
+            for confidence in (0.9, 0.95, 0.99):
+                expected = stats.beta.ppf(confidence, successes + 1, trials - successes)
+                assert clopper_pearson_upper(successes, trials, confidence) == float(
+                    expected
+                ), (successes, trials, confidence)
 
     @given(st.integers(1, 500), st.integers(0, 500))
     @settings(max_examples=50, deadline=None)

@@ -1,18 +1,23 @@
 """Unit and property tests for the zonotope domain."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Dense, LeakyReLU, ReLU, Sequential
-from repro.nn.graph import AffineOp, MaxGroupOp, ReLUOp
+from repro.nn.graph import AffineOp, ConvOp, MaxGroupOp, ReLUOp
+from repro.verification.abstraction import get_domain
 from repro.verification.abstraction.zonotope import (
+    MAX_GENERATOR_ENTRIES,
     Zonotope,
+    ZonotopeBatch,
     propagate_zonotope,
     transform,
 )
-from repro.verification.sets import Box
+from repro.verification.sets import Box, BoxBatch
 
 
 class TestZonotopeBasics:
@@ -136,3 +141,46 @@ class TestPropagationSoundness:
         outputs = net.apply(corners)
         np.testing.assert_allclose(hull.lower, outputs.min(axis=0), atol=1e-9)
         np.testing.assert_allclose(hull.upper, outputs.max(axis=0), atol=1e-9)
+
+
+class TestGeneratorSizeGuard:
+    """Dense generator stacks past ``MAX_GENERATOR_ENTRIES`` are refused
+    before anything of their size is allocated."""
+
+    def test_image_space_lift_raises_without_allocating(self):
+        n, d = 128, 1 * 32 * 32
+        lower = np.zeros((n, d))
+        batch = BoxBatch(lower, lower + 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{n} boxes of dimension {d}") as err:
+                ZonotopeBatch.from_box_batch(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(n * d * d) in str(err.value)
+        assert peak < 8 * n * d * 4  # a few input-sized buffers at most
+
+    def test_conv_columns_raise_without_allocating(self):
+        op = ConvOp(np.ones((8, 1, 5, 5)), np.zeros(8), 1, 2, (1, 32, 32))
+        n, k = 8, 400  # 25 column entries per input entry
+        assert n * k * op.plan.size > MAX_GENERATOR_ENTRIES > n * k * op.in_dim
+        zonotopes = ZonotopeBatch(np.zeros((n, op.in_dim)), np.zeros((n, k, op.in_dim)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="conv columns of 8 zonotopes"):
+                get_domain("zonotope").transform(op, zonotopes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * k * op.in_dim  # less than the generators
+
+    def test_small_lifts_are_unchanged(self):
+        rng = np.random.default_rng(4)
+        lower = rng.normal(size=(5, 6))
+        upper = lower + rng.uniform(0.0, 1.0, size=lower.shape)
+        lifted = ZonotopeBatch.from_box_batch(BoxBatch(lower, upper))
+        assert np.array_equal(lifted.center, 0.5 * (lower + upper))
+        expected = np.zeros((5, 6, 6))
+        expected[:, np.arange(6), np.arange(6)] = 0.5 * (upper - lower)
+        assert np.array_equal(lifted.generators, expected)
