@@ -34,26 +34,25 @@ The package is organised as a stack:
     grids, and the planning/caching engine with parallel execution.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api.campaign import Campaign
+    from repro.api.engine import VerificationEngine
+    from repro.api.query import VerificationQuery
+    from repro.core.verdict import Verdict, VerificationVerdict
+
 __version__ = "1.1.0"
 
-__all__ = [
-    "Campaign",
-    "Verdict",
-    "VerificationEngine",
-    "VerificationQuery",
-    "VerificationVerdict",
-    "__version__",
-]
-
-
-def __getattr__(name: str):
-    """Lazy top-level re-exports (avoids importing the full stack eagerly)."""
-    if name in ("Verdict", "VerificationVerdict"):
-        from repro.core import verdict
-
-        return getattr(verdict, name)
-    if name in ("Campaign", "VerificationEngine", "VerificationQuery"):
-        from repro import api
-
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.campaign": ("Campaign",),
+        "repro.api.engine": ("VerificationEngine",),
+        "repro.api.query": ("VerificationQuery",),
+        "repro.core.verdict": ("Verdict", "VerificationVerdict"),
+    },
+)
+__all__.append("__version__")

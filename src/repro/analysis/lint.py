@@ -15,11 +15,16 @@ RL003     float-eq              no ``==`` / ``!=`` against non-zero
 RL004     pool-picklable        callables handed to process pools must
                                 be module-level (lambdas and nested
                                 functions do not pickle)
+RL005     scipy-import          the package imports scipy inside the
+                                function that needs it, never at module
+                                level (outside ``if TYPE_CHECKING:``),
+                                and never ``scipy.stats``
 ========  ====================  ========================================
 
 A finding on a line carrying ``# lint: allow(<rule-or-code>)`` is
 suppressed.  Scoped rules (RL002/RL003) only apply to files under
-``verification``, ``api`` or ``analysis`` path components.
+``verification``, ``api`` or ``analysis`` path components; RL005 applies
+to files under a ``repro`` path component.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ RULES: dict[str, tuple[str, str]] = {
     "RL002": ("unseeded-rng", "unseeded RNG in a verification path"),
     "RL003": ("float-eq", "float equality against a non-zero literal"),
     "RL004": ("pool-picklable", "unpicklable callable handed to a pool"),
+    "RL005": ("scipy-import", "module-level scipy import, or scipy.stats"),
 }
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
@@ -119,11 +125,35 @@ def _nonzero_float_literal(node: ast.expr) -> bool:
     )
 
 
+def _scipy_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The ``scipy`` modules an import statement loads (by dotted name)."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif node.level or node.module is None:
+        return []
+    else:
+        names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
 class _Checker(ast.NodeVisitor):
-    def __init__(self, path: str, scoped: bool, nested_defs: set[str]) -> None:
+    def __init__(
+        self, path: str, scoped: bool, nested_defs: set[str], package: bool = False
+    ) -> None:
         self.path = path
         self.scoped = scoped
         self.nested_defs = nested_defs
+        self.package = package
+        #: > 0 inside a function body (imports there run on call)
+        self.function_depth = 0
+        #: > 0 inside ``if TYPE_CHECKING:`` (imports there never run)
+        self.type_only = 0
         self.findings: list[LintFinding] = []
 
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
@@ -221,6 +251,47 @@ class _Checker(ast.NodeVisitor):
                 f"process pools require a module-level callable",
             )
 
+    # -- RL005 -------------------------------------------------------------
+
+    def visit_FunctionDef(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
+        self.function_depth += 1
+        self.generic_visit(node)
+        self.function_depth -= 1
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_If(self, node: ast.If) -> None:
+        if not _is_type_checking(node.test):
+            self.generic_visit(node)
+            return
+        self.visit(node.test)
+        self.type_only += 1
+        for child in node.body:
+            self.visit(child)
+        self.type_only -= 1
+        for child in node.orelse:
+            self.visit(child)
+
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> None:
+        modules = _scipy_modules(node) if self.package else []
+        if any(m == "scipy.stats" or m.startswith("scipy.stats.") for m in modules):
+            self._flag(
+                node,
+                "RL005",
+                "scipy.stats import; take distribution quantiles from "
+                "scipy.special (scipy.stats costs ~0.4 s to import)",
+            )
+        elif modules and not self.function_depth and not self.type_only:
+            self._flag(
+                node,
+                "RL005",
+                f"module-level import of {modules[0]}; import it in the "
+                f"function that needs it, so a process that never calls "
+                f"that function never loads scipy",
+            )
+
+    visit_ImportFrom = visit_Import
+
     # -- RL003 -------------------------------------------------------------
 
     def visit_Compare(self, node: ast.Compare) -> None:
@@ -242,6 +313,10 @@ def _in_scope(path: Path) -> bool:
     return any(part in _SCOPED_PARTS for part in path.parts)
 
 
+def _in_package(path: Path) -> bool:
+    return "repro" in path.parts[:-1]
+
+
 def lint_source(source: str, path: str | Path) -> list[LintFinding]:
     """Lint one Python source string; ``path`` drives rule scoping."""
     path = Path(path)
@@ -258,7 +333,9 @@ def lint_source(source: str, path: str | Path) -> list[LintFinding]:
                 f"file does not parse: {exc.msg}",
             )
         ]
-    checker = _Checker(str(path), _in_scope(path), _nested_defs(tree))
+    checker = _Checker(
+        str(path), _in_scope(path), _nested_defs(tree), _in_package(path)
+    )
     checker.visit(tree)
 
     lines = source.splitlines()

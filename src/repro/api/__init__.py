@@ -47,21 +47,27 @@ Quickstart::
 system's engine as ``system.engine``.
 """
 
-from repro.api.campaign import Campaign, CampaignReport, QueryResult
-from repro.api.engine import RegisteredFeatureSet, VerificationEngine
-from repro.api.portfolio import DEFAULT_RACERS, Portfolio, RacerConfig, RacerStats
-from repro.api.query import Method, VerificationQuery
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Campaign",
-    "CampaignReport",
-    "DEFAULT_RACERS",
-    "Method",
-    "Portfolio",
-    "QueryResult",
-    "RacerConfig",
-    "RacerStats",
-    "RegisteredFeatureSet",
-    "VerificationEngine",
-    "VerificationQuery",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api.campaign import Campaign, CampaignReport, QueryResult
+    from repro.api.engine import RegisteredFeatureSet, VerificationEngine
+    from repro.api.portfolio import DEFAULT_RACERS, Portfolio, RacerConfig, RacerStats
+    from repro.api.query import Method, VerificationQuery
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.api.campaign": ("Campaign", "CampaignReport", "QueryResult"),
+        "repro.api.engine": ("RegisteredFeatureSet", "VerificationEngine"),
+        "repro.api.portfolio": (
+            "DEFAULT_RACERS",
+            "Portfolio",
+            "RacerConfig",
+            "RacerStats",
+        ),
+        "repro.api.query": ("Method", "VerificationQuery"),
+    },
+)

@@ -16,16 +16,16 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from repro.core.verdict import VerificationVerdict
-from repro.properties.risk import RiskCondition
 from repro.api.query import Method, VerificationQuery
-from repro.verification.cegar import CegarResult
-from repro.verification.output_range import OutputRange
-from repro.verification.refinement import RefinementResult
-from repro.verification.robustness import RobustnessResult
 
 if TYPE_CHECKING:
+    from repro.core.verdict import VerificationVerdict
+    from repro.properties.risk import RiskCondition
     from repro.scenario.regions import RegionGrid
+    from repro.verification.cegar import CegarResult
+    from repro.verification.output_range import OutputRange
+    from repro.verification.refinement import RefinementResult
+    from repro.verification.robustness import RobustnessResult
 
 
 @dataclass

@@ -31,18 +31,22 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from repro.api import Campaign, VerificationEngine
 
-from repro.api import Campaign, VerificationEngine, VerificationQuery
-from repro.core import ExperimentConfig, build_verified_system
-from repro.nn.serialization import load_model, save_model
-from repro.perception.characterizer import Characterizer
-from repro.properties.library import STEER_STRAIGHT, steer_far_left
-from repro.scenario.dataset import generate_dataset
+# each handler imports what its subcommand runs, so ``repro build``
+# loads neither the verification engine nor the solver stack
 
 
 def _build(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core.config import ExperimentConfig
+    from repro.core.pipeline import build_verified_system
+    from repro.nn.serialization import save_model
+
     config = ExperimentConfig(
         train_scenes=args.scenes,
         val_scenes=max(args.scenes // 4, 50),
@@ -92,6 +96,12 @@ def _load(
     out: Path, solver: str = "branch-and-bound"
 ) -> tuple[VerificationEngine, dict]:
     """Rebuild a :class:`VerificationEngine` from a persisted system."""
+    import numpy as np
+
+    from repro.api import VerificationEngine
+    from repro.nn.serialization import load_model
+    from repro.perception.characterizer import Characterizer
+
     meta = json.loads((out / "meta.json").read_text())
     model = load_model(out / "perception.npz")
     with np.load(out / "features.npz") as arrays:
@@ -115,6 +125,9 @@ def _load(
 
 
 def _verify(args: argparse.Namespace) -> int:
+    from repro.api import Campaign, VerificationQuery
+    from repro.properties.library import STEER_STRAIGHT, steer_far_left
+
     engine, meta = _load(Path(args.out), solver=args.solver)
     prop = meta["properties"][0]
     reach = engine.run_query(
@@ -154,6 +167,8 @@ def _scenario_grid_campaign(
     threshold derived from the batched output enclosures (which seed the
     engine's enclosure cache, so the campaign prescreen reuses them).
     """
+    from repro.api import Campaign
+    from repro.properties.library import steer_far_left
     from repro.scenario.regions import scenario_region_grid
 
     weather_levels = (0.0, 1.0)
@@ -185,6 +200,8 @@ def _scenario_grid_campaign(
 
 def _refine(args: argparse.Namespace) -> int:
     """Anytime CEGAR refinement of one scenario region (`repro refine`)."""
+    from repro.api import VerificationQuery
+    from repro.properties.library import steer_far_left
     from repro.scenario.regions import scenario_region_grid
 
     engine, _ = _load(Path(args.out), solver=args.solver)
@@ -251,6 +268,7 @@ def _stream_campaign(engine: VerificationEngine, args: argparse.Namespace) -> in
     sub-exhaustive sweeping; ``--portfolio`` races the adaptive solver
     portfolio over every region the prescreen cannot decide.
     """
+    from repro.properties.library import steer_far_left
     from repro.scenario.streaming import (
         StreamPlan,
         run_stream,
@@ -305,6 +323,11 @@ def _stream_campaign(engine: VerificationEngine, args: argparse.Namespace) -> in
 
 
 def _campaign(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.api import Campaign, VerificationQuery
+    from repro.properties.library import steer_far_left
+
     engine, meta = _load(Path(args.out), solver=args.solver)
     if getattr(args, "structural", False):
         # every cegar run this campaign triggers (including the exact
@@ -434,6 +457,8 @@ def _bench(args: argparse.Namespace) -> int:
 
 
 def _monitor(args: argparse.Namespace) -> int:
+    from repro.scenario.dataset import generate_dataset
+
     engine, _ = _load(Path(args.out))
     data = generate_dataset(args.frames, seed=args.seed + 1)
     monitor = engine.make_monitor(keep_events=False)
@@ -443,6 +468,8 @@ def _monitor(args: argparse.Namespace) -> int:
 
 
 def _range(args: argparse.Namespace) -> int:
+    from repro.api import Campaign
+
     engine, meta = _load(Path(args.out), solver="highs")
     campaign = Campaign("frontier").add_ranges(
         output_indices=(0, 1), properties=meta["properties"]
@@ -464,6 +491,7 @@ def _range(args: argparse.Namespace) -> int:
 
 def _analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze_model, audit_registry
+    from repro.nn.serialization import load_model
 
     exit_code = 0
     payload: dict = {}

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.properties.risk import RiskCondition
-from repro.verification.counterexample import FeatureCounterexample
-from repro.verification.solver.result import SolveResult
-from repro.verification.statistical import ConfusionEstimate
+if TYPE_CHECKING:
+    from repro.properties.risk import RiskCondition
+    from repro.verification.counterexample import FeatureCounterexample
+    from repro.verification.solver.result import SolveResult
+    from repro.verification.statistical import ConfusionEstimate
 
 
 class Verdict(enum.Enum):

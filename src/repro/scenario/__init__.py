@@ -26,64 +26,76 @@ Because every image is generated from known parameters, property labels
 are *exact*, which is precisely the oracle access the paper assumes.
 """
 
-from repro.scenario.affordances import affordance_names, affordances
-from repro.scenario.camera import PinholeCamera
-from repro.scenario.dataset import (
-    Dataset,
-    SceneConfig,
-    SceneParams,
-    generate_dataset,
-    render_scene,
-    render_scenes,
-    sample_scene,
-)
-from repro.scenario.geometry import RoadGeometry
-from repro.scenario.labels import ORACLES, PropertyOracle
-from repro.scenario.regions import (
-    PerturbationAxes,
-    Region,
-    RegionGrid,
-    RegionMemoryError,
-    ensure_regions_fit,
-    region_from_scene,
-    scenario_region_grid,
-)
-from repro.scenario.streaming import (
-    StreamPlan,
-    StreamReport,
-    run_stream,
-    stream_enclosure_range,
-    stream_scenario_regions,
-)
-from repro.scenario.traffic import Vehicle
-from repro.scenario.weather import Weather
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Dataset",
-    "ORACLES",
-    "PerturbationAxes",
-    "PinholeCamera",
-    "PropertyOracle",
-    "Region",
-    "RegionGrid",
-    "RegionMemoryError",
-    "RoadGeometry",
-    "SceneConfig",
-    "SceneParams",
-    "StreamPlan",
-    "StreamReport",
-    "Vehicle",
-    "Weather",
-    "affordance_names",
-    "affordances",
-    "ensure_regions_fit",
-    "generate_dataset",
-    "region_from_scene",
-    "render_scene",
-    "render_scenes",
-    "run_stream",
-    "sample_scene",
-    "scenario_region_grid",
-    "stream_enclosure_range",
-    "stream_scenario_regions",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scenario.affordances import affordance_names, affordances
+    from repro.scenario.camera import PinholeCamera
+    from repro.scenario.dataset import (
+        Dataset,
+        SceneConfig,
+        SceneParams,
+        generate_dataset,
+        render_scene,
+        render_scenes,
+        sample_scene,
+    )
+    from repro.scenario.geometry import RoadGeometry
+    from repro.scenario.labels import ORACLES, PropertyOracle
+    from repro.scenario.regions import (
+        PerturbationAxes,
+        Region,
+        RegionGrid,
+        RegionMemoryError,
+        ensure_regions_fit,
+        region_from_scene,
+        scenario_region_grid,
+    )
+    from repro.scenario.streaming import (
+        StreamPlan,
+        StreamReport,
+        run_stream,
+        stream_enclosure_range,
+        stream_scenario_regions,
+    )
+    from repro.scenario.traffic import Vehicle
+    from repro.scenario.weather import Weather
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenario.affordances": ("affordance_names", "affordances"),
+        "repro.scenario.camera": ("PinholeCamera",),
+        "repro.scenario.dataset": (
+            "Dataset",
+            "SceneConfig",
+            "SceneParams",
+            "generate_dataset",
+            "render_scene",
+            "render_scenes",
+            "sample_scene",
+        ),
+        "repro.scenario.geometry": ("RoadGeometry",),
+        "repro.scenario.labels": ("ORACLES", "PropertyOracle"),
+        "repro.scenario.regions": (
+            "PerturbationAxes",
+            "Region",
+            "RegionGrid",
+            "RegionMemoryError",
+            "ensure_regions_fit",
+            "region_from_scene",
+            "scenario_region_grid",
+        ),
+        "repro.scenario.streaming": (
+            "StreamPlan",
+            "StreamReport",
+            "run_stream",
+            "stream_enclosure_range",
+            "stream_scenario_regions",
+        ),
+        "repro.scenario.traffic": ("Vehicle",),
+        "repro.scenario.weather": ("Weather",),
+    },
+)

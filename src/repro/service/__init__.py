@@ -19,24 +19,24 @@ daemon:
   and ``repro bench --daemon`` talk through.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.digest import model_digest, property_digest, query_digest
-from repro.service.httpd import ServiceServer, start_server
-from repro.service.jobs import Job, JobSpec, JobState, VerificationService
-from repro.service.store import ResultStore, StoredResult
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Job",
-    "JobSpec",
-    "JobState",
-    "ResultStore",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "StoredResult",
-    "start_server",
-    "VerificationService",
-    "model_digest",
-    "property_digest",
-    "query_digest",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient, ServiceError
+    from repro.service.digest import model_digest, property_digest, query_digest
+    from repro.service.httpd import ServiceServer, start_server
+    from repro.service.jobs import Job, JobSpec, JobState, VerificationService
+    from repro.service.store import ResultStore, StoredResult
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": ("ServiceClient", "ServiceError"),
+        "repro.service.digest": ("model_digest", "property_digest", "query_digest"),
+        "repro.service.httpd": ("ServiceServer", "start_server"),
+        "repro.service.jobs": ("Job", "JobSpec", "JobState", "VerificationService"),
+        "repro.service.store": ("ResultStore", "StoredResult"),
+    },
+)

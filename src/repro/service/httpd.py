@@ -106,6 +106,17 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload
 
+    def _no_job(self, job_id: str) -> None:
+        service = self.server.service
+        if service.evicted(job_id):
+            # the job table keeps the most recent terminal jobs only
+            self._error(
+                410, f"job {job_id} finished and left the job table; "
+                "its result stays in the store (GET /v1/results)"
+            )
+        else:
+            self._error(404, f"no such job: {job_id}")
+
     # -- routing -----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -122,7 +133,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts[:2] == ["v1", "jobs"] and len(parts) == 3:
             job = service.job(parts[2])
             if job is None:
-                self._error(404, f"no such job: {parts[2]}")
+                self._no_job(parts[2])
                 return
             wait = query.get("wait")
             if wait:
@@ -179,7 +190,7 @@ class _Handler(BaseHTTPRequestHandler):
         if parts[:2] == ["v1", "jobs"] and len(parts) == 3:
             job = service.job(parts[2])
             if job is None:
-                self._error(404, f"no such job: {parts[2]}")
+                self._no_job(parts[2])
                 return
             cancelled = service.cancel(parts[2])
             self._send(200, {"id": parts[2], "cancelled": cancelled})

@@ -42,6 +42,7 @@ import itertools
 import os
 import threading
 import time
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -67,6 +68,11 @@ _CEGAR_SLICE = 8
 
 #: default CEGAR total budget when neither the job nor a suite sets one
 _CEGAR_BUDGET = 64
+
+#: terminal jobs the job table keeps; past it the longest-finished one
+#: leaves the table (its result stays in the store), so a daemon's
+#: memory does not grow with the number of jobs it has answered
+_KEPT_JOBS = 512
 
 
 class JobState(enum.Enum):
@@ -249,7 +255,9 @@ class VerificationService:
         self.started_at = time.time()
 
         self._jobs: dict[str, Job] = {}
-        self._ids = itertools.count(1)
+        self._submitted = 0  #: jobs submitted so far, the last id's number
+        self._finished: deque[str] = deque()  #: terminal job ids, oldest first
+        self._evicted: Counter[str] = Counter()  #: evicted jobs by state
         self._engines: dict[Path, _EngineEntry] = {}
         self._engines_lock = threading.Lock()
         #: resolved path -> ((st_mtime_ns, st_size), property, its digest)
@@ -280,7 +288,8 @@ class VerificationService:
         with self._ready:
             if self._closing:
                 raise ServiceClosed("service is shutting down; job rejected")
-            job = Job(id=f"job-{next(self._ids):06d}", spec=spec)
+            self._submitted += 1
+            job = Job(id=f"job-{self._submitted:06d}", spec=spec)
             self._jobs[job.id] = job
             heapq.heappush(self._heap, (-spec.priority, next(self._seq), job))
             self._ready.notify()
@@ -347,6 +356,8 @@ class VerificationService:
                 job.finished = time.time()
                 self._latencies.append(job.finished - job.started)
                 del self._latencies[:-512]
+                with self._ready:
+                    self._retire(job)
                 job.done_event.set()
 
     # -- inspection / cancellation -----------------------------------------
@@ -358,6 +369,14 @@ class VerificationService:
     def jobs(self) -> list[Job]:
         with self._ready:
             return list(self._jobs.values())
+
+    def evicted(self, job_id: str) -> bool:
+        """True when ``job_id`` was given out here and has left the job table."""
+        number = job_id.removeprefix("job-")
+        if not number.isdigit() or job_id != f"job-{int(number):06d}":
+            return False
+        with self._ready:
+            return int(number) <= self._submitted and job_id not in self._jobs
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a job; True if it was still cancellable.
@@ -387,7 +406,18 @@ class VerificationService:
     def _finish(self, job: Job, state: JobState) -> None:
         job.state = state
         job.finished = time.time()
+        self._retire(job)
         job.done_event.set()
+
+    def _retire(self, job: Job) -> None:
+        """Record a terminal job; evict the oldest past ``_KEPT_JOBS``.
+
+        The caller holds ``_ready``.
+        """
+        self._finished.append(job.id)
+        while len(self._finished) > _KEPT_JOBS:
+            evicted = self._jobs.pop(self._finished.popleft())
+            self._evicted[evicted.state.value] += 1
 
     # -- execution ---------------------------------------------------------
 
@@ -643,8 +673,10 @@ class VerificationService:
     # -- metrics -----------------------------------------------------------
 
     def metrics(self) -> dict[str, Any]:
-        by_state = {state.value: 0 for state in JobState}
-        for job in self.jobs():
+        with self._ready:
+            jobs = list(self._jobs.values())
+            by_state = {state.value: self._evicted[state.value] for state in JobState}
+        for job in jobs:
             by_state[job.state.value] += 1
         latencies = sorted(self._latencies)
 
@@ -683,7 +715,7 @@ class VerificationService:
         with self._ready:
             self._closing = True
             if not drain:
-                for job in self._jobs.values():
+                for job in list(self._jobs.values()):
                     if not job.terminal:
                         job.cancel_event.set()
                         if job.state is JobState.QUEUED:

@@ -18,65 +18,78 @@
   adversarial falsification.
 """
 
-from repro.verification.assume_guarantee import (
-    box_from_data,
-    box_with_diffs_from_data,
-    feature_set_from_data,
-)
-from repro.verification.cegar import (
-    CegarConfig,
-    CegarLoop,
-    CegarResult,
-    RefinementRound,
-    RefinementTrace,
-    refine_region,
-)
-from repro.verification.output_range import OutputRange, output_range
-from repro.verification.prescreen import PrescreenResult, prescreen
-from repro.verification.refinement import (
-    RefinementResult,
-    encode_chained_problem,
-    verify_with_refinement,
-)
-from repro.verification.robustness import (
-    RobustnessResult,
-    maximal_robust_radius,
-    verify_local_robustness,
-)
-from repro.verification.sets import Box, BoxWithDiffs, FeatureSet, Polyhedron
-from repro.verification.statistical import (
-    ConfusionEstimate,
-    GammaCellAudit,
-    audit_gamma_cell,
-    estimate_confusion,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Box",
-    "BoxWithDiffs",
-    "CegarConfig",
-    "CegarLoop",
-    "CegarResult",
-    "ConfusionEstimate",
-    "FeatureSet",
-    "GammaCellAudit",
-    "OutputRange",
-    "Polyhedron",
-    "PrescreenResult",
-    "RefinementResult",
-    "RefinementRound",
-    "RefinementTrace",
-    "RobustnessResult",
-    "audit_gamma_cell",
-    "box_from_data",
-    "box_with_diffs_from_data",
-    "encode_chained_problem",
-    "estimate_confusion",
-    "feature_set_from_data",
-    "maximal_robust_radius",
-    "output_range",
-    "prescreen",
-    "refine_region",
-    "verify_local_robustness",
-    "verify_with_refinement",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.verification.assume_guarantee import (
+        box_from_data,
+        box_with_diffs_from_data,
+        feature_set_from_data,
+    )
+    from repro.verification.cegar import (
+        CegarConfig,
+        CegarLoop,
+        CegarResult,
+        RefinementRound,
+        RefinementTrace,
+        refine_region,
+    )
+    from repro.verification.output_range import OutputRange, output_range
+    from repro.verification.prescreen import PrescreenResult, prescreen
+    from repro.verification.refinement import (
+        RefinementResult,
+        encode_chained_problem,
+        verify_with_refinement,
+    )
+    from repro.verification.robustness import (
+        RobustnessResult,
+        maximal_robust_radius,
+        verify_local_robustness,
+    )
+    from repro.verification.sets import Box, BoxWithDiffs, FeatureSet, Polyhedron
+    from repro.verification.statistical import (
+        ConfusionEstimate,
+        GammaCellAudit,
+        audit_gamma_cell,
+        estimate_confusion,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.verification.assume_guarantee": (
+            "box_from_data",
+            "box_with_diffs_from_data",
+            "feature_set_from_data",
+        ),
+        "repro.verification.cegar": (
+            "CegarConfig",
+            "CegarLoop",
+            "CegarResult",
+            "RefinementRound",
+            "RefinementTrace",
+            "refine_region",
+        ),
+        "repro.verification.output_range": ("OutputRange", "output_range"),
+        "repro.verification.prescreen": ("PrescreenResult", "prescreen"),
+        "repro.verification.refinement": (
+            "RefinementResult",
+            "encode_chained_problem",
+            "verify_with_refinement",
+        ),
+        "repro.verification.robustness": (
+            "RobustnessResult",
+            "maximal_robust_radius",
+            "verify_local_robustness",
+        ),
+        "repro.verification.sets": ("Box", "BoxWithDiffs", "FeatureSet", "Polyhedron"),
+        "repro.verification.statistical": (
+            "ConfusionEstimate",
+            "GammaCellAudit",
+            "audit_gamma_cell",
+            "estimate_confusion",
+        ),
+    },
+)

@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.verification.milp.model import MILPModel
 from repro.verification.solver.result import SolveResult, SolveStatus
@@ -35,6 +34,8 @@ class HighsSolver:
         return self._run(model, optimize=True)
 
     def _run(self, model: MILPModel, optimize: bool) -> SolveResult:
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
         start = time.perf_counter()
         arrays = model.to_arrays()
         constraints = []

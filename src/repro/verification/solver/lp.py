@@ -8,10 +8,13 @@ share opens one session per search and solves every node on it.
 :func:`solve_lp_relaxation` is a one-shot session.
 
 The fast path uses scipy's bundled HiGHS binding
-(``scipy.optimize._highspy``), a private module.  When it cannot be
-imported, every solve goes through ``scipy.optimize.linprog`` instead:
-the same answers, ~10× slower on branch-and-bound.  ``HIGHS_BINDING``
-says which path is active.
+(``scipy.optimize._highspy``), a private module.  Nothing here imports
+scipy until the first session opens, so a process that never solves an
+LP never loads it.  When the binding cannot be imported, every solve
+goes through ``scipy.optimize.linprog`` instead: the same answers, ~10×
+slower on branch-and-bound.  Reading ``HIGHS_BINDING`` makes that
+import and says which path is active; setting it to False pins the
+fallback.
 
 Every solve is three-way (:class:`LPStatus`).  Only a proven
 infeasibility may prune a node or decide UNSAT; an LP that stops for
@@ -23,20 +26,30 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
+from typing import Any
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from repro.verification.milp.model import MILPArrays
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - a scipy release moved the module
-    _highs = None
 
-#: True when sessions run on the bundled HiGHS binding, False on the
-#: ``linprog`` fallback
-HIGHS_BINDING = _highs is not None
+def __getattr__(name: str) -> bool:
+    # ``HIGHS_BINDING`` is True when sessions run on the bundled HiGHS
+    # binding, False on the ``linprog`` fallback; reading it imports scipy
+    if name == "HIGHS_BINDING":
+        return _binding() is not None
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+@cache
+def _binding() -> Any:
+    """scipy's HiGHS binding, imported on the first call; None if it moved."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # pragma: no cover - a scipy release moved the module
+        return None
+    return _core
 
 
 class LPStatus(enum.Enum):
@@ -87,7 +100,12 @@ class LPSession:
         )
         self._all_rows = np.ones(self._row_bounds.shape[1], dtype=bool)
         self._enforced = self._all_rows  #: the rows the HiGHS instance enforces
-        self._highs = _load_highs(arrays, *self._row_bounds) if HIGHS_BINDING else None
+        # an assigned ``HIGHS_BINDING = False`` pins the ``linprog`` path
+        binding = _binding() if globals().get("HIGHS_BINDING", True) else None
+        self._status = None if binding is None else binding.HighsModelStatus
+        self._highs = (
+            None if binding is None else _load_highs(binding, arrays, *self._row_bounds)
+        )
         self._columns = np.arange(arrays.num_vars, dtype=np.int32)
 
     def solve(
@@ -129,13 +147,13 @@ class LPSession:
         highs.setOptionValue("time_limit", highs.getRunTime() + budget)
         highs.run()
         status = highs.getModelStatus()
-        if status == _highs.HighsModelStatus.kOptimal:
+        if status == self._status.kOptimal:
             return LPResult(
                 LPStatus.OPTIMAL,
                 x=np.asarray(highs.getSolution().col_value),
                 objective=float(highs.getObjectiveValue()),
             )
-        if status == _highs.HighsModelStatus.kInfeasible:
+        if status == self._status.kInfeasible:
             return LPResult(LPStatus.INFEASIBLE)
         return LPResult(LPStatus.UNKNOWN)
 
@@ -150,11 +168,15 @@ def solve_lp_relaxation(
     return LPSession(arrays).solve(lower, upper, time_limit)
 
 
-def _load_highs(arrays: MILPArrays, row_lower: np.ndarray, row_upper: np.ndarray):
+def _load_highs(
+    core: Any, arrays: MILPArrays, row_lower: np.ndarray, row_upper: np.ndarray
+) -> Any:
     """A quiet HiGHS instance holding ``row_lower <= A x <= row_upper``."""
+    from scipy.sparse import csc_matrix
+
     n_rows = row_lower.size
     matrix = csc_matrix(np.vstack([arrays.a_ub, arrays.a_eq]))
-    lp = _highs.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_ = arrays.num_vars
     lp.num_row_ = n_rows
     lp.col_cost_ = np.asarray(arrays.c, dtype=float)
@@ -162,13 +184,13 @@ def _load_highs(arrays: MILPArrays, row_lower: np.ndarray, row_upper: np.ndarray
     lp.col_upper_ = np.asarray(arrays.upper, dtype=float)
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = arrays.num_vars
     lp.a_matrix_.num_row_ = n_rows
     lp.a_matrix_.start_ = matrix.indptr
     lp.a_matrix_.index_ = matrix.indices
     lp.a_matrix_.value_ = matrix.data
-    highs = _highs._Highs()
+    highs = core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.passModel(lp)
     return highs

@@ -105,6 +105,71 @@ class TestPoolPicklable:
         assert codes("queue.submit(lambda: 1)") == []
 
 
+class TestScipyImport:
+    def test_positive_module_level_import(self):
+        assert codes("from scipy.sparse import csc_matrix") == ["RL005"]
+        assert codes("import scipy.optimize", path=UNSCOPED) == ["RL005"]
+        assert codes("import numpy, scipy") == ["RL005"]
+
+    def test_positive_module_level_try_block(self):
+        """The binding import lp.py carried before it was deferred."""
+        source = """
+            try:
+                from scipy.optimize._highspy import _core as _highs
+            except ImportError:
+                _highs = None
+        """
+        assert codes(source) == ["RL005"]
+
+    def test_positive_class_body(self):
+        source = """
+            class Solver:
+                from scipy.optimize import milp
+        """
+        assert codes(source) == ["RL005"]
+
+    def test_positive_stats_inside_a_function(self):
+        """The Clopper-Pearson quantile statistical.py once took from stats."""
+        source = """
+            def clopper_pearson_upper(k, n, confidence):
+                from scipy import stats
+
+                return float(stats.beta.ppf(confidence, k + 1, n - k))
+        """
+        assert codes(source) == ["RL005"]
+        assert codes("def f():\n    import scipy.stats as st") == ["RL005"]
+        assert codes("def f():\n    from scipy.stats import beta") == ["RL005"]
+
+    def test_negative_function_level_import(self):
+        source = """
+            def solve(arrays):
+                from scipy.optimize import linprog
+
+                return linprog(arrays.c)
+
+            async def later():
+                import scipy.special
+        """
+        assert codes(source) == []
+
+    def test_negative_type_checking_import(self):
+        source = """
+            from typing import TYPE_CHECKING
+
+            if TYPE_CHECKING:
+                from scipy.sparse import csc_matrix
+        """
+        assert codes(source) == []
+
+    def test_negative_other_packages(self):
+        assert codes("import numpy as np\nfrom . import scipy") == []
+        assert codes("import scipyx\nfrom scipy_like import x") == []
+
+    def test_outside_the_package_is_ignored(self):
+        assert codes("import scipy.optimize", path="tests/test_x.py") == []
+        assert codes("from scipy import stats", path="benchmarks/b.py") == []
+
+
 class TestSuppression:
     def test_allow_by_rule_name(self):
         assert codes("flag = x == 1.5  # lint: allow(float-eq)") == []
@@ -150,7 +215,7 @@ class TestDriver:
         assert render_findings([]) == "clean: 0 findings"
 
     def test_rule_table_is_complete(self):
-        assert set(RULES) == {"RL002", "RL003", "RL004"}
+        assert set(RULES) == {"RL002", "RL003", "RL004", "RL005"}
 
 
 class TestSelfClean:

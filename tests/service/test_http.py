@@ -36,6 +36,7 @@ from repro.service import (
     ServiceClient,
     ServiceError,
     VerificationService,
+    jobs,
     start_server,
 )
 
@@ -408,10 +409,27 @@ _SCRIPT = (
     ("GET", "/v1/jobs/job-424242", None),
     ("POST", "/v1/jobs", {"model": "model.onnx"}),
     ("GET", "/v1/nope", None),
+    # the table keeps ``_SCRIPT_KEPT_JOBS`` terminal jobs: the third
+    # evicts job-000001, whose reply then says where its result went
+    ("POST", "/v1/jobs", {"model": "model.onnx", "property": "unsat.vnnlib"}),
+    ("GET", "/v1/jobs/job-000003?wait=60", None),
+    ("GET", "/v1/jobs/job-000001", None),
+    ("DELETE", "/v1/jobs/job-000001", None),
 )
+
+#: the job table's bound while the script runs
+_SCRIPT_KEPT_JOBS = 2
 
 
 def _run_script(bench) -> list[dict]:
+    kept, jobs._KEPT_JOBS = jobs._KEPT_JOBS, _SCRIPT_KEPT_JOBS
+    try:
+        return _replay(bench)
+    finally:
+        jobs._KEPT_JOBS = kept
+
+
+def _replay(bench) -> list[dict]:
     service = VerificationService(
         ResultStore(), workers=2, solver="highs", root=bench
     )

@@ -10,12 +10,15 @@ boundaries.
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
-from repro.service import ResultStore, VerificationService
+from repro.service import ResultStore, VerificationService, jobs
 from repro.service.jobs import JobSpec, JobState, ServiceClosed
 
 from tests.service.conftest import submit_wait
@@ -672,6 +675,134 @@ class TestShutdown:
         svc = VerificationService(ResultStore(), root=bench_dir)
         assert svc.close() is True
         assert svc.close() is True
+
+
+UNSAT = {"model": "model.onnx", "property": "unsat.vnnlib"}
+
+
+class TestBoundedJobTable:
+    def test_terminal_jobs_past_the_bound_leave_oldest_first(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(jobs, "_KEPT_JOBS", 3)
+        answers = [submit_wait(service, UNSAT) for _ in range(5)]
+        assert [job.id for job in service.jobs()] == [
+            "job-000003", "job-000004", "job-000005"
+        ]
+        for job in answers[:2]:
+            assert service.job(job.id) is None
+            assert service.evicted(job.id)
+            assert not service.cancel(job.id)
+        assert not service.evicted("job-000003")
+        assert not service.evicted("job-000006")  # no such job yet
+        assert not service.evicted("job-1") and not service.evicted("nope")
+        # the answers stay in the store, and the metrics count every job
+        assert answers[-1].result["decided_by"] == ["store"]
+        stored = service.results_for_model(answers[0].result["model_digest"])
+        assert [r["decided_by"] for r in stored] == ["prescreen"]
+        assert service.metrics()["jobs"]["done"] == 5
+
+    def test_queued_and_running_jobs_are_never_evicted(
+        self, bench_dir, monkeypatch
+    ):
+        monkeypatch.setattr(jobs, "_KEPT_JOBS", 1)
+        entered, release = _gate_engine(monkeypatch)
+        service = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        try:
+            running = service.submit_payload(dict(UNSAT))
+            assert entered.wait(60.0)
+            queued = service.submit_payload(dict(UNSAT))
+            cancelled = [service.submit_payload(dict(UNSAT)) for _ in range(2)]
+            for job in cancelled:
+                assert service.cancel(job.id)
+            assert [job.id for job in service.jobs()] == [
+                running.id, queued.id, cancelled[1].id
+            ]
+            release.set()
+            assert running.wait(60.0) and queued.wait(60.0)
+            assert [job.id for job in service.jobs()] == [queued.id]
+            assert service.metrics()["jobs"] == {
+                **{state.value: 0 for state in JobState},
+                "done": 2,
+                "cancelled": 2,
+            }
+        finally:
+            release.set()
+            service.close(drain=False, timeout=60.0)
+
+    def test_closing_cancels_a_queue_longer_than_the_bound(
+        self, bench_dir, monkeypatch
+    ):
+        monkeypatch.setattr(jobs, "_KEPT_JOBS", 1)
+        entered, release = _gate_engine(monkeypatch)
+        service = VerificationService(
+            ResultStore(), workers=1, solver="highs", root=bench_dir
+        )
+        running = service.submit_payload(dict(UNSAT))
+        assert entered.wait(60.0)
+        queued = [service.submit_payload(dict(UNSAT)) for _ in range(3)]
+        release.set()
+        assert service.close(drain=False, timeout=60.0)
+        assert running.terminal
+        assert all(job.state is JobState.CANCELLED for job in queued)
+        assert len(service.jobs()) == 1
+
+    def test_concurrent_submitters_keep_the_table_bounded(
+        self, bench_dir, monkeypatch
+    ):
+        """Four job threads and four submitters on a short switch
+        interval: every job finishes, the table holds exactly the bound,
+        and the metrics count every job once."""
+        monkeypatch.setattr(jobs, "_KEPT_JOBS", 8)
+        service = VerificationService(
+            ResultStore(), workers=4, solver="highs", root=bench_dir
+        )
+        submit_wait(service, UNSAT)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        failures: list[str] = []
+
+        def submitter() -> None:
+            for _ in range(50):
+                job = service.submit_payload(dict(UNSAT))
+                if not job.wait(60.0) or job.state is not JobState.DONE:
+                    failures.append(f"{job.id} {job.state}")
+                if service.job(job.id) is None and not service.evicted(job.id):
+                    failures.append(f"{job.id} lost")
+
+        try:
+            threads = [threading.Thread(target=submitter) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.close(drain=True, timeout=60.0)
+        assert failures == []
+        assert len(service.jobs()) == 8
+        assert service.metrics()["jobs"]["done"] == 201
+
+    def test_many_store_hits_hold_bounded_memory(self, service):
+        """Memory stays level once the table is full: each evicted job
+        held about 3.4 KB, so 3 more tables of jobs would add ~5 MB."""
+        submit_wait(service, UNSAT)
+        traced = []
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                for _ in range(jobs._KEPT_JOBS):
+                    job = submit_wait(service, UNSAT)
+                    assert job.result["decided_by"] == ["store"]
+                gc.collect()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(service.jobs()) == jobs._KEPT_JOBS
+        assert traced[-1] - traced[0] < 256 * 1024, traced
 
 
 class TestMetrics:

@@ -19,6 +19,7 @@ from repro.verification.solver import (
     SolveStatus,
     make_solver,
 )
+from repro.verification.solver import lp
 from repro.verification.solver.lp import LPSession, LPStatus, solve_lp_relaxation
 from repro.verification.solver.result import SolveResult
 
@@ -289,6 +290,28 @@ class TestLPSession:
             assert np.all(x >= lower - 1e-7) and np.all(x <= upper + 1e-7)
             assert np.all(a_ub @ x <= b_ub + 1e-7)
             np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-7)
+
+    def test_the_fixture_picks_the_path(self, lp_backend, request, monkeypatch):
+        """Sessions open on the binding, or solve through ``linprog``
+        when the fixture sets ``HIGHS_BINDING = False``."""
+        calls = {"binding": 0, "linprog": 0}
+
+        def counted(path, real):
+            def call(*args, **kwargs):
+                calls[path] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(lp, "_load_highs", counted("binding", lp._load_highs))
+        monkeypatch.setattr(lp, "_solve_linprog", counted("linprog", lp._solve_linprog))
+        session = LPSession(bounded_lp(np.random.default_rng(3)))
+        for _ in range(3):
+            assert session.solve().status is LPStatus.OPTIMAL
+        backend = request.node.callspec.params["lp_backend"]
+        assert lp.HIGHS_BINDING is (backend == "binding")
+        assert calls == ({"binding": 1, "linprog": 0} if backend == "binding"
+                         else {"binding": 0, "linprog": 3})
 
     def test_crossed_bounds_are_infeasible(self, lp_backend):
         arrays = bounded_lp(np.random.default_rng(0))

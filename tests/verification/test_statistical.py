@@ -1,5 +1,6 @@
 """Unit and property tests for the Section III statistical layer."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,29 +21,75 @@ from repro.verification.statistical import (
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def test_scipy_stats_is_imported_lazily(tmp_path):
-    """The CLI, streaming, daemon and CEGAR imports, and a whole
-    ``repro build``, leave scipy.stats out."""
-    script = (
-        "import contextlib, io, sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "import repro.cli, repro.scenario.streaming, repro.service.httpd\n"
-        "import repro.verification.cegar\n"
-        "imported = 'scipy.stats' in sys.modules\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    repro.cli.main(['build', '--out', sys.argv[2], '--scenes', '20',\n"
-        "                    '--epochs', '1', '--characterizer-epochs', '1',\n"
-        "                    '--characterizer-scenes', '20'])\n"
-        "print(imported, 'scipy.stats' in sys.modules)\n"
+#: argv: src, then ``import`` or ``build OUT LP``; prints what it saw as JSON
+_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+
+if sys.argv[2] == "import":
+    import repro.cli, repro.interchange.instances, repro.scenario.streaming
+    import repro.service.client, repro.service.httpd, repro.verification.cegar
+    print(json.dumps(loaded("scipy.stats", "scipy.optimize", "scipy.sparse")))
+    raise SystemExit
+import repro.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    repro.cli.main(["build", "--out", sys.argv[3], "--scenes", "20",
+                    "--epochs", "1", "--characterizer-epochs", "1",
+                    "--characterizer-scenes", "20"])
+seen = {"build": loaded("scipy.stats", "scipy.optimize", "scipy.sparse",
+                        "repro.verification.cegar")}
+import numpy as np
+from repro.verification.milp.model import MILPArrays
+from repro.verification.solver.lp import solve_lp_relaxation
+arrays = MILPArrays(**{k: np.asarray(v) for k, v in json.loads(sys.argv[4]).items()})
+result = solve_lp_relaxation(arrays)
+seen["solve"] = loaded("scipy.optimize._highspy._core", "scipy.sparse")
+seen["answer"] = [result.status.value, result.objective, result.x.tolist()]
+print(json.dumps(seen))
+"""
+
+
+def _observe(*args: str):
+    return json.loads(
+        subprocess.run(
+            [sys.executable, "-c", _IMPORT_SCRIPT, REPO_SRC, *args],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
     )
-    loaded = subprocess.run(
-        [sys.executable, "-c", script, REPO_SRC, str(tmp_path / "system")],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    assert loaded == "False False"
+
+
+def test_scipy_stats_is_imported_lazily(tmp_path):
+    """The CLI, streaming, daemon and CEGAR imports leave scipy.stats and
+    the solver's scipy modules out; so does a whole ``repro build``,
+    which also loads no CEGAR.  The first LP solve loads the HiGHS
+    binding and answers as a process that loaded it at start."""
+    from repro.verification.milp.model import MILPArrays
+    from repro.verification.solver.lp import solve_lp_relaxation
+
+    # min -x0 - 2 x1  s.t.  x0 + x1 <= 1.5,  x0 - x1 = 0.25,  0 <= x <= 1
+    lp = {
+        "c": [-1.0, -2.0],
+        "a_ub": [[1.0, 1.0]],
+        "b_ub": [1.5],
+        "a_eq": [[1.0, -1.0]],
+        "b_eq": [0.25],
+        "lower": [0.0, 0.0],
+        "upper": [1.0, 1.0],
+        "binary_mask": [False, False],
+    }
+    assert _observe("import") == []
+    seen = _observe("build", str(tmp_path / "system"), json.dumps(lp))
+    assert seen["build"] == []
     assert (tmp_path / "system" / "meta.json").exists()
+    assert seen["solve"] == ["scipy.optimize._highspy._core", "scipy.sparse"]
+    here = solve_lp_relaxation(MILPArrays(**{k: np.asarray(v) for k, v in lp.items()}))
+    assert seen["answer"] == [here.status.value, here.objective, here.x.tolist()]
+    assert here.objective == pytest.approx(-2.125)
 
 
 class TestClopperPearson:
