@@ -13,10 +13,9 @@ verdicts of answering each query alone.
 **Planning/caching ladder** (the original experiment): a 20-query
 campaign (10 risk thresholds × 2 characterizer settings) through
 
-- the **seed path** — every query runs on a fresh
-  ``VerificationEngine(lp_screen=False)``, so it re-lowers,
-  re-propagates bounds and re-encodes from scratch and goes straight
-  to the exact solver,
+- the **seed path** — every query runs on a fresh ``VerificationEngine``,
+  so it re-lowers, re-propagates bounds and re-encodes from scratch,
+  and as a one-off query it never optimizes its support direction,
 - the **cold engine** — fresh caches, full strategy ladder: the
   threshold sweep collapses onto one support-function optimization per
   (set, characterizer, direction),
@@ -26,11 +25,11 @@ campaign (10 risk thresholds × 2 characterizer settings) through
   processes.
 
 All four must return identical verdicts.  Reference numbers from a
-single-core container (102-query variant of the same sweep): seed path
-1.98 s, cold engine 0.27 s (7.4×), warm engine 0.008 s (~250×); the
-4-worker pool is *slower* there (1.2 s) because one core serializes the
-workers and each worker rebuilds its own cache — on a multi-core host
-the pool amortizes the per-worker caches across queries instead.
+single-core container (102-query variant of the same sweep): cold
+engine 0.27 s, warm engine 0.008 s; the 4-worker pool is *slower*
+there (1.2 s) because one core serializes the workers and each worker
+rebuilds its own cache — on a multi-core host the pool amortizes the
+per-worker caches across queries instead.
 """
 
 import time
@@ -192,10 +191,10 @@ def test_grid_campaign_batched(benchmark, system, region_grid, grid_campaign):
 
 @pytest.mark.benchmark(group="campaign")
 def test_campaign_seed_path(benchmark, system, campaign, reference_verdicts):
-    """A fresh engine per query: every query encodes from scratch, no ladder."""
+    """A fresh engine per query: every query encodes from scratch, no cache."""
     verdicts = benchmark.pedantic(
         lambda: [
-            _engine(system, lp_screen=False).run_query(query).verdict.verdict
+            _engine(system).run_query(query).verdict.verdict
             for query in campaign
         ],
         rounds=3,

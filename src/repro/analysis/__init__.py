@@ -20,8 +20,9 @@ Three passes, all purely static (no solver runs, no propagation):
   interval containment of sampled points).
 - :mod:`repro.analysis.lint` — an AST-based project lint encoding
   repo-specific rules (no unseeded RNG in verification paths, no float
-  equality in solver code, pool-submitted callables must be picklable),
-  run as the ``repro lint`` CI gate.
+  equality in solver code, pool-submitted callables must be picklable,
+  one code path per job), run as the ``repro lint`` CI gate and by the
+  tier-1 suite.
 """
 
 from repro.analysis.contracts import (

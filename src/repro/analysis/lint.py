@@ -19,12 +19,26 @@ RL005     scipy-import          the package imports scipy inside the
                                 function that needs it, never at module
                                 level (outside ``if TYPE_CHECKING:``),
                                 and never ``scipy.stats``
+RL006     pool-start            only ``verification/pool.py`` starts pools
+RL007     scene-render          only ``scenario/{regions,dataset,render}.py``
+                                render scenes
+RL008     input-gradient        only ``verification/counterexample.py``
+                                ascends input gradients
+RL009     witness-features      no ``prefix_apply`` under ``scenario/``
+RL010     matmul-products       no ``einsum`` in ``nn/graph.py``, ``nn/layers/``
+RL011     batched-bounds        no scalar ``linear_lower_bound``
+RL012     conv-plan             no ``im2col``
+RL013     zero-bias             no ``zeros_like(op.bias)`` in abstractions
+RL014     support-path          no second support-stage path
+RL015     daemon-transport      no ``urllib.request``/``asyncio`` in ``service/``
 ========  ====================  ========================================
 
+RL006–RL015 are the rows of :data:`BANS`: each bans call names, def
+names or imported modules under package paths, outside exempt files.
 A finding on a line carrying ``# lint: allow(<rule-or-code>)`` is
 suppressed.  Scoped rules (RL002/RL003) only apply to files under
-``verification``, ``api`` or ``analysis`` path components; RL005 applies
-to files under a ``repro`` path component.
+``verification``, ``api`` or ``analysis`` path components; RL005 and
+the bans apply to files under a ``repro`` path component.
 """
 
 from __future__ import annotations
@@ -36,21 +50,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 #: legacy global-state numpy RNG entry points
-_LEGACY_RNG = frozenset(
-    {
-        "rand",
-        "randn",
-        "random",
-        "random_sample",
-        "randint",
-        "uniform",
-        "normal",
-        "choice",
-        "shuffle",
-        "permutation",
-        "seed",
-    }
-)
+_LEGACY_RNG = frozenset({
+    "rand", "randn", "random", "random_sample", "randint", "uniform",
+    "normal", "choice", "shuffle", "permutation", "seed",
+})
 
 #: path components that put a file in scope for RL002/RL003
 _SCOPED_PARTS = ("verification", "api", "analysis")
@@ -58,11 +61,95 @@ _SCOPED_PARTS = ("verification", "api", "analysis")
 #: methods through which work is handed to a pool/executor
 _POOL_METHODS = frozenset({"submit", "map", "apply_async", "starmap"})
 
+
+@dataclass(frozen=True)
+class Ban:
+    """Identifiers banned under package paths (``""``: all of it).
+
+    A ``calls`` entry matches a call's final name (``"get_context"``
+    matches ``mp.get_context(...)``), or, written with arguments, the
+    call's source text; a ``modules`` entry matches an import of the
+    module or of anything inside it.  Paths are relative to ``repro/``.
+    """
+
+    code: str
+    rule: str
+    hint: str
+    calls: tuple[str, ...] = ()
+    defs: tuple[str, ...] = ()
+    modules: tuple[str, ...] = ()
+    under: tuple[str, ...] = ("",)
+    exempt: tuple[str, ...] = ()
+
+    def applies(self, module: str) -> bool:
+        return module not in self.exempt and module.startswith(self.under)
+
+    def match(self, node: ast.AST) -> str | None:
+        """The banned identifier ``node`` uses, if any."""
+        if isinstance(node, ast.Call):
+            name = _call_name(node.func)
+            for call in self.calls:
+                head, args, _ = call.partition("(")
+                if head == name and (not args or ast.unparse(node).endswith(call)):
+                    return call if args else f"{ast.unparse(node.func)}()"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in self.defs:
+                return f"def {node.name}"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for module in _imported_modules(node):
+                if any(module == m or module.startswith(m + ".") for m in self.modules):
+                    return f"import of {module}"
+        return None
+
+
+#: the nodes a :class:`Ban` can match
+_BANNABLE = (ast.Call, ast.FunctionDef, ast.AsyncFunctionDef, ast.Import, ast.ImportFrom)
+
+#: single-path invariants: each row is one rule
+BANS = (
+    Ban("RL006", "pool-start",
+        "start process pools through repro.verification.pool.WorkerPool",
+        calls=("ProcessPoolExecutor", "get_context"),
+        exempt=("verification/pool.py",)),
+    Ban("RL007", "scene-render",
+        "build scenario regions through repro.scenario.regions",
+        calls=("render_ground", "render_grounds", "render_vehicles"),
+        defs=("render_ground", "render_grounds", "render_vehicles"),
+        exempt=("scenario/regions.py", "scenario/dataset.py", "scenario/render.py")),
+    Ban("RL008", "input-gradient",
+        "attack through repro.verification.counterexample's ascent",
+        calls=("value_and_input_gradient",),
+        exempt=("verification/counterexample.py",)),
+    Ban("RL009", "witness-features",
+        "take witness features from pgd_hits_in_boxes' cut_layer",
+        calls=("prefix_apply",), under=("scenario/",)),
+    Ban("RL010", "matmul-products",
+        "keep the conv VJP and training layers on matmul",
+        calls=("einsum",), under=("nn/graph.py", "nn/layers/")),
+    Ban("RL011", "batched-bounds",
+        "bound enclosures through AbstractDomain.linear_lower_bounds",
+        calls=("linear_lower_bound",), defs=("linear_lower_bound",)),
+    Ban("RL012", "conv-plan",
+        "run convs through ConvOp.columns / product / apply_spatial",
+        calls=("im2col",), defs=("im2col",)),
+    Ban("RL013", "zero-bias", "add no zero bias to radius or generator products",
+        calls=("zeros_like(op.bias)",), under=("verification/abstraction/",)),
+    Ban("RL014", "support-path",
+        "decide support queries in the engine's one group step, driven by _each_group",
+        calls=("_decide_from_entries", "_support_step"),
+        defs=("_decide_from_entries", "_support_step", "_each")),
+    Ban("RL015", "daemon-transport",
+        "talk to the daemon over the kept-alive ServiceClient; "
+        "schedule jobs on its worker threads",
+        modules=("urllib.request", "asyncio"), under=("service/",)),
+)
+
 RULES: dict[str, tuple[str, str]] = {
     "RL002": ("unseeded-rng", "unseeded RNG in a verification path"),
     "RL003": ("float-eq", "float equality against a non-zero literal"),
     "RL004": ("pool-picklable", "unpicklable callable handed to a pool"),
     "RL005": ("scipy-import", "module-level scipy import, or scipy.stats"),
+    **{ban.code: (ban.rule, ban.hint) for ban in BANS},
 }
 
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(([^)]*)\)")
@@ -125,14 +212,18 @@ def _nonzero_float_literal(node: ast.expr) -> bool:
     )
 
 
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The absolute modules an import statement loads (by dotted name)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level or node.module is None:
+        return []
+    return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+
+
 def _scipy_modules(node: ast.Import | ast.ImportFrom) -> list[str]:
     """The ``scipy`` modules an import statement loads (by dotted name)."""
-    if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif node.level or node.module is None:
-        return []
-    else:
-        names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    names = _imported_modules(node)
     return [name for name in names if name == "scipy" or name.startswith("scipy.")]
 
 
@@ -144,12 +235,13 @@ def _is_type_checking(test: ast.expr) -> bool:
 
 class _Checker(ast.NodeVisitor):
     def __init__(
-        self, path: str, scoped: bool, nested_defs: set[str], package: bool = False
+        self, path: str, scoped: bool, nested_defs: set[str], module: str | None
     ) -> None:
         self.path = path
         self.scoped = scoped
         self.nested_defs = nested_defs
-        self.package = package
+        self.package = module is not None
+        self.bans = [ban for ban in BANS if module is not None and ban.applies(module)]
         #: > 0 inside a function body (imports there run on call)
         self.function_depth = 0
         #: > 0 inside ``if TYPE_CHECKING:`` (imports there never run)
@@ -157,17 +249,20 @@ class _Checker(ast.NodeVisitor):
         self.findings: list[LintFinding] = []
 
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
-        rule = RULES[code][0]
+        line, col = getattr(node, "lineno", 0), getattr(node, "col_offset", 0)
         self.findings.append(
-            LintFinding(
-                self.path,
-                getattr(node, "lineno", 0),
-                getattr(node, "col_offset", 0),
-                code,
-                rule,
-                message,
-            )
+            LintFinding(self.path, line, col, code, RULES[code][0], message)
         )
+
+    # -- BANS (every node) -------------------------------------------------
+
+    def visit(self, node: ast.AST) -> None:
+        if isinstance(node, _BANNABLE):
+            for ban in self.bans:
+                used = ban.match(node)
+                if used is not None:
+                    self._flag(node, ban.code, f"{used}; {ban.hint}")
+        super().visit(node)
 
     # -- RL002 / RL004 (anchored on calls) ---------------------------------
 
@@ -175,11 +270,7 @@ class _Checker(ast.NodeVisitor):
         name = _call_name(node.func)
 
         if self.scoped:
-            if (
-                name == "default_rng"
-                and not node.args
-                and not node.keywords
-            ):
+            if name == "default_rng" and not node.args and not node.keywords:
                 self._flag(
                     node,
                     "RL002",
@@ -189,17 +280,7 @@ class _Checker(ast.NodeVisitor):
             if (
                 name in _LEGACY_RNG
                 and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, (ast.Name, ast.Attribute))
-                and (
-                    (
-                        isinstance(node.func.value, ast.Attribute)
-                        and node.func.value.attr == "random"
-                    )
-                    or (
-                        isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "random"
-                    )
-                )
+                and _call_name(node.func.value) == "random"
             ):
                 self._flag(
                     node,
@@ -226,13 +307,7 @@ class _Checker(ast.NodeVisitor):
 
     @staticmethod
     def _looks_like_pool(receiver: ast.expr) -> bool:
-        if isinstance(receiver, ast.Name):
-            name = receiver.id
-        elif isinstance(receiver, ast.Attribute):
-            name = receiver.attr
-        else:
-            return False
-        lowered = name.lower()
+        lowered = (_call_name(receiver) or "").lower()
         return "pool" in lowered or "executor" in lowered
 
     def _check_picklable(self, fn: ast.expr, where: str) -> None:
@@ -313,8 +388,13 @@ def _in_scope(path: Path) -> bool:
     return any(part in _SCOPED_PARTS for part in path.parts)
 
 
-def _in_package(path: Path) -> bool:
-    return "repro" in path.parts[:-1]
+def _package_module(path: Path) -> str | None:
+    """``path`` relative to its innermost ``repro`` directory (None: outside)."""
+    parts = path.parts[:-1]
+    for i in reversed(range(len(parts))):
+        if parts[i] == "repro":
+            return "/".join(path.parts[i + 1 :])
+    return None
 
 
 def lint_source(source: str, path: str | Path) -> list[LintFinding]:
@@ -334,7 +414,7 @@ def lint_source(source: str, path: str | Path) -> list[LintFinding]:
             )
         ]
     checker = _Checker(
-        str(path), _in_scope(path), _nested_defs(tree), _in_package(path)
+        str(path), _in_scope(path), _nested_defs(tree), _package_module(path)
     )
     checker.visit(tree)
 

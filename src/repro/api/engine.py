@@ -216,9 +216,9 @@ class VerificationEngine:
     """Declarative-query engine for one model at one cut layer.
 
     ``solver`` is the default backend (any :func:`register_solver` name);
-    individual queries may override it.  ``lp_screen`` enables the
-    relaxed-LP stage; ``refine_fallback`` enables the solve stage's
-    CEGAR/refine fallback (the latter needs :meth:`set_refinement_data`).
+    individual queries may override it.  ``refine_fallback`` enables
+    the solve stage's CEGAR/refine fallback (it needs
+    :meth:`set_refinement_data`).
 
     Every query runs through one stage list — prescreen, support cache,
     relaxed LP, solve — as part of a batch: :meth:`run_query` is a batch
@@ -265,7 +265,6 @@ class VerificationEngine:
         cut_layer: int,
         solver: str = "branch-and-bound",
         *,
-        lp_screen: bool = True,
         refine_fallback: bool = False,
         cegar_workers: int = 1,
         cegar_budget: int = 64,
@@ -297,7 +296,6 @@ class VerificationEngine:
         self.suffix = model.suffix_network(cut_layer)
         self.solver_name = solver
         self.solver_options = dict(solver_options)
-        self.lp_screen = lp_screen
         self.refine_fallback = refine_fallback
         if cegar_workers < 1 or cegar_budget < 1:
             raise ValueError("cegar_workers and cegar_budget must be >= 1")
@@ -1320,9 +1318,7 @@ class VerificationEngine:
             if query.method not in _SCREENED:
                 return
             spec = solver_spec(query.solver or self.solver_name)
-            if query.method is not Method.RELAXED and not (
-                self.lp_screen and spec.encoding == "milp"
-            ):
+            if query.method is not Method.RELAXED and spec.encoding != "milp":
                 return
             item.ladder.append("relaxed-lp")
             stats = {"decided": "relaxed-lp"}

@@ -37,7 +37,7 @@ import threading
 import time
 from concurrent.futures import as_completed
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.api.campaign import Campaign, CampaignReport, QueryResult, as_queries
 from repro.api.query import Method, VerificationQuery
@@ -187,6 +187,10 @@ def _verdict_side(result: QueryResult) -> bool:
     return result.verdict.verdict is Verdict.UNSAFE_IN_SET
 
 
+#: one racer's ``(config, result, elapsed, cancelled)`` in a race
+_Outcome = tuple[RacerConfig, QueryResult, float, bool]
+
+
 def _run_config(engine, config: RacerConfig, query: VerificationQuery) -> QueryResult:
     """Run one racer on one engine."""
     return engine.run_query_safe(config.apply(query))
@@ -266,20 +270,34 @@ class Portfolio:
             raise ValueError(
                 f"portfolios race verdict queries, got method {query.method.value!r}"
             )
-        order = self._order_for(query)
+        return self._race(query, self._sequential(query, cancel))
+
+    def _sequential(
+        self, query: VerificationQuery, cancel: "threading.Event | None"
+    ) -> Iterator[_Outcome]:
+        """Run the racers one by one, likely winner first; stop after the
+        first decided answer unless ``debug_parity`` asks for all."""
+        for config in self._order_for(query):
+            if cancel is not None and cancel.is_set():
+                return
+            start = time.perf_counter()
+            result = _run_config(self.engine, config, query)
+            yield config, result, time.perf_counter() - start, False
+            if _decided(result) and not self.debug_parity:
+                return
+
+    def _race(
+        self, query: VerificationQuery, outcomes: Iterable[_Outcome]
+    ) -> QueryResult:
+        """Fold one race's ``(config, result, elapsed, cancelled)``
+        outcomes: the first decided answer wins, the first answer is the
+        fallback, and the race lands in the statistics and ``race_log``."""
         record: dict[str, Any] = {"query": query.name, "racers": {}, "winner": None}
         winner_result: QueryResult | None = None
         fallback: QueryResult | None = None
-        for config in order:
-            if winner_result is not None and not self.debug_parity:
-                break
-            if cancel is not None and cancel.is_set():
-                break
-            start = time.perf_counter()
-            result = _run_config(self.engine, config, query)
-            elapsed = time.perf_counter() - start
+        for config, result, elapsed, cancelled in outcomes:
+            self._record(record, config, result, elapsed, cancelled)
             decided = _decided(result)
-            self._record(record, config, result, elapsed, cancelled=False)
             if decided and winner_result is None:
                 record["winner"] = config.name
                 winner_result = result
@@ -402,49 +420,30 @@ class Portfolio:
     ) -> QueryResult:
         """One query's race: first sound decided answer wins, losers are
         interrupted at their next CEGAR round boundary."""
-        order = self._order_for(query)
-        record: dict[str, Any] = {"query": query.name, "racers": {}, "winner": None}
+        return self._race(query, self._in_pool(pool, cancel_event, query))
+
+    def _in_pool(
+        self, pool: WorkerPool, cancel_event, query: VerificationQuery
+    ) -> Iterator[_Outcome]:
+        """Start every racer on the pool; yield each outcome as it lands.
+
+        The first decided answer sets ``cancel_event``; a loser counts
+        as cancelled when it saw the event and stayed undecided.
+        """
         cancel_event.clear()
         futures = {
-            pool.submit(_racer_run, (config, query)): config for config in order
+            pool.submit(_racer_run, (config, query)): config
+            for config in self._order_for(query)
         }
-        winner_result: QueryResult | None = None
-        fallback: QueryResult | None = None
         try:
             for future in as_completed(futures):
-                config = futures[future]
                 result, elapsed, saw_cancel = future.result()
                 decided = _decided(result)
-                self._record(
-                    record,
-                    config,
-                    result,
-                    elapsed,
-                    cancelled=saw_cancel and not decided,
-                )
-                if decided and winner_result is None:
-                    record["winner"] = config.name
-                    winner_result = result
-                    # losers checkpoint at their next round boundary
+                if decided:
                     cancel_event.set()
-                elif decided and self.debug_parity and winner_result is not None:
-                    assert _verdict_side(result) == _verdict_side(winner_result), (
-                        f"portfolio parity violation on {query.name}: "
-                        f"{config.name} disagrees with {record['winner']}"
-                    )
-                if fallback is None:
-                    fallback = result
+                yield futures[future], result, elapsed, saw_cancel and not decided
         finally:
             cancel_event.clear()
-        self._settle(record)
-        self.race_log.append(record)
-        if winner_result is not None:
-            winner_result.decided_by = (
-                f"portfolio:{record['winner']}:{winner_result.decided_by}"
-            )
-            return winner_result
-        assert fallback is not None
-        return fallback
 
 
 # -- pool task (module-level: pool callables must pickle) -----------------

@@ -23,8 +23,7 @@ strengtheners) as an **anytime, budgeted, resumable** loop:
   (early-exit UNSAFE with witness), a miss means the abstract
   counterexample was spurious;
 - spurious subregions **split** along the input dimension of maximal
-  interval width (or maximal propagated zonotope generator), and the
-  children go back on the queue;
+  interval width, and the children go back on the queue;
 - subregions that survive concretization long enough descend the exact
   **solver ladder** (LP relaxation of a shared MILP encoding, then a
   complete backend) — optionally fanned out over a process pool
@@ -57,7 +56,7 @@ from repro.verification.milp.encoder import (
     append_risk_rows,
     encode_verification_problem,
 )
-from repro.verification.abstraction.domain import get_domain, registered_domains
+from repro.verification.abstraction.domain import registered_domains
 from repro.verification.abstraction.merge import (
     MergeState,
     MergeUnsupported,
@@ -65,7 +64,6 @@ from repro.verification.abstraction.merge import (
     plan_refinement,
 )
 from repro.verification.abstraction.propagate import region_boxes
-from repro.verification.ir import lowered_full
 from repro.verification.output_range import trivial_reachability_risk
 from repro.verification.prescreen import prescreen_batch
 # not called here: perfbench/layers.py traces these two module attributes
@@ -74,8 +72,6 @@ from repro.verification.pool import Payload, WorkerPool
 from repro.verification.sets import Box, BoxBatch, bisect_bounds
 from repro.verification.solver import solver_spec
 from repro.verification.solver.result import SolveResult, SolveStatus
-
-_SPLIT_HEURISTICS = ("width", "generator")
 
 
 @dataclass(frozen=True)
@@ -102,14 +98,6 @@ class CegarConfig:
         of split further (keeps degenerate frontiers finite).
     concretize_steps : int, optional
         Projected-gradient steps of the batched concretization attack.
-    split : str, optional
-        Split-dimension heuristic: ``"width"`` picks the input
-        dimension of maximal interval width, ``"generator"`` the
-        dimension whose propagated zonotope generator row has maximal
-        total output influence.
-    round_width : int or None, optional
-        Maximum subproblems popped per round (``None`` = the whole
-        pending frontier, budget permitting).
     solver_options : tuple of (str, value) pairs, optional
         Options forwarded to the leaf backend's factory (e.g.
         ``(("time_limit", 1.0),)``) — applied both in-process and by
@@ -126,8 +114,8 @@ class CegarConfig:
 
     Examples
     --------
-    >>> CegarConfig(domain="interval", solve_depth=3).split
-    'width'
+    >>> CegarConfig(domain="interval", solve_depth=3).max_depth
+    40
     >>> CegarConfig(structural=True).structural
     True
     """
@@ -137,8 +125,6 @@ class CegarConfig:
     solve_depth: int = 2
     max_depth: int = 40
     concretize_steps: int = 8
-    split: str = "width"
-    round_width: int | None = None
     solver_options: tuple[tuple[str, object], ...] = ()
     structural: bool = False
 
@@ -147,16 +133,10 @@ class CegarConfig:
             raise ValueError(
                 f"domain must be one of {registered_domains()}, got {self.domain!r}"
             )
-        if self.split not in _SPLIT_HEURISTICS:
-            raise ValueError(
-                f"split must be one of {_SPLIT_HEURISTICS}, got {self.split!r}"
-            )
         if self.solve_depth < 0 or self.max_depth <= 0:
             raise ValueError("solve_depth must be >= 0 and max_depth > 0")
         if self.concretize_steps < 0:
             raise ValueError("concretize_steps must be >= 0")
-        if self.round_width is not None and self.round_width <= 0:
-            raise ValueError(f"round_width must be positive, got {self.round_width}")
 
 
 @dataclass(frozen=True)
@@ -495,7 +475,6 @@ class CegarLoop:
         self.trace = RefinementTrace()
         self._root_cut_box: Box | None = None
         self._leaf_solver = leaf_solver
-        self._full_network: PiecewiseLinearNetwork | None = None
 
         # structural (neuron-merging) axis; see CegarConfig.structural
         self._merge: MergeState | None = None
@@ -513,8 +492,7 @@ class CegarLoop:
         self._seq += 1
 
     def _pop_round(self, budget_left: int) -> list[Subproblem]:
-        width = self.config.round_width or len(self._queue)
-        count = min(len(self._queue), width, budget_left)
+        count = min(len(self._queue), budget_left)
         return [heapq.heappop(self._queue)[2] for _ in range(count)]
 
     @property
@@ -602,39 +580,10 @@ class CegarLoop:
 
     # -- splitting --------------------------------------------------------
 
-    def _split_dim(self, sub: Subproblem) -> int:
-        widths = (sub.upper - sub.lower).reshape(-1)
-        if self.config.split == "generator":
-            influence = self._generator_influence(sub)
-            scores = widths * influence
-            if float(scores.max()) > 0.0:
-                return int(np.argmax(scores))
-        return int(np.argmax(widths))
-
-    def _generator_influence(self, sub: Subproblem) -> np.ndarray:
-        """Total output influence of each input dimension's generator.
-
-        Builds the input box's zonotope (one generator per input
-        dimension), propagates it through the lowered full network, and
-        scores dimension ``i`` by the absolute row sum of its surviving
-        generator — the zonotope analogue of "which input dimension is
-        responsible for the most output uncertainty".
-        """
-        if self._full_network is None:
-            # abstract IR view: conv stays in kernel form, so the
-            # zonotope transformers run without materializing anything
-            self._full_network = lowered_full(self.model)
-        zonotope_domain = get_domain("zonotope")
-        element = zonotope_domain.lift(
-            BoxBatch(sub.lower.reshape(1, -1), sub.upper.reshape(1, -1))
-        )
-        out = zonotope_domain.propagate(self._full_network, element)
-        n_inputs = sub.lower.size
-        # lift keeps exactly one generator per input dimension and the
-        # transformers only scale/append rows, so the leading n_inputs
-        # rows stay aligned with the input dimensions
-        assert out.num_generators >= n_inputs
-        return np.abs(out.generators[0, :n_inputs]).sum(axis=1)
+    @staticmethod
+    def _split_dim(sub: Subproblem) -> int:
+        """The input dimension of maximal interval width."""
+        return int(np.argmax(sub.upper - sub.lower))
 
     def _split(self, sub: Subproblem) -> tuple[Subproblem, Subproblem]:
         dim = self._split_dim(sub)

@@ -4,7 +4,10 @@ suppression mechanism and the src self-clean gate."""
 from pathlib import Path
 from textwrap import dedent
 
+import pytest
+
 from repro.analysis.lint import (
+    BANS,
     RULES,
     lint_paths,
     lint_source,
@@ -17,6 +20,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SCOPED = "src/repro/verification/somefile.py"
 #: a path outside every scoped component
 UNSCOPED = "src/repro/scenario/somefile.py"
+#: the one module allowed to start process pools (exempt from RL006)
+POOL = "src/repro/verification/pool.py"
 
 
 def codes(source: str, path: str = SCOPED) -> list[str]:
@@ -73,7 +78,7 @@ class TestPoolPicklable:
 
     def test_positive_initializer_lambda(self):
         assert codes(
-            "pool = ProcessPoolExecutor(4, initializer=lambda: init())"
+            "pool = ProcessPoolExecutor(4, initializer=lambda: init())", path=POOL
         ) == ["RL004"]
 
     def test_positive_worker_pool_initializer_lambda(self):
@@ -170,6 +175,65 @@ class TestScipyImport:
         assert codes("from scipy import stats", path="benchmarks/b.py") == []
 
 
+#: per ban rule: (source, path) it flags, then (source, path) it does not
+BAN_CASES = {
+    "pool-start": (
+        ("ctx = multiprocessing.get_context('spawn')", "repro/api/x.py"),
+        ("ctx = multiprocessing.get_context('spawn')", "repro/verification/pool.py"),
+    ),
+    "scene-render": (
+        ("img = render_grounds(roads, camera, rng)", "repro/scenario/streaming.py"),
+        ("img = render_grounds(roads, camera, rng)", "repro/scenario/regions.py"),
+    ),
+    "input-gradient": (
+        ("y, g = program.value_and_input_gradient(x, m)", "repro/verification/x.py"),
+        (
+            "def value_and_input_gradient(self, x, m):\n    return x, m",
+            "repro/verification/ir.py",
+        ),
+    ),
+    "witness-features": (
+        ("f = engine.model.prefix_apply(x, cut)", "repro/scenario/x.py"),
+        ("f = engine.model.prefix_apply(x, cut)", "repro/verification/x.py"),
+    ),
+    "matmul-products": (
+        ("y = np.einsum('ij,jk->ik', a, b)", "repro/nn/layers/x.py"),
+        ("y = np.einsum('ij,jk->ik', a, b)", "repro/verification/x.py"),
+    ),
+    "batched-bounds": (
+        ("def linear_lower_bound(self, e, a):\n    return 0.0", "repro/api/x.py"),
+        ("lb = dom.linear_lower_bounds(enclosures, a)", "repro/api/x.py"),
+    ),
+    "conv-plan": (
+        ("cols, ho, wo = im2col(x, k, s, p)", "repro/nn/x.py"),
+        ("cols = op.columns(x)", "repro/nn/x.py"),
+    ),
+    "zero-bias": (
+        ("b = np.zeros_like(op.bias)", "repro/verification/abstraction/x.py"),
+        ("b = np.zeros_like(op.weight)", "repro/verification/abstraction/x.py"),
+    ),
+    "support-path": (
+        ("def _each(batch, items, step):\n    pass", "repro/api/engine.py"),
+        ("def _each_group(batch, items, step):\n    pass", "repro/api/engine.py"),
+    ),
+    "daemon-transport": (
+        ("from urllib import request", "repro/service/client.py"),
+        ("from urllib import request", "repro/interchange/x.py"),
+    ),
+}
+
+
+@pytest.mark.parametrize("ban", BANS, ids=lambda ban: ban.rule)
+class TestBans:
+    def test_positive(self, ban):
+        source, path = BAN_CASES[ban.rule][0]
+        assert codes(source, path) == [ban.code]
+
+    def test_negative(self, ban):
+        source, path = BAN_CASES[ban.rule][1]
+        assert codes(source, path) == []
+
+
 class TestSuppression:
     def test_allow_by_rule_name(self):
         assert codes("flag = x == 1.5  # lint: allow(float-eq)") == []
@@ -181,6 +245,11 @@ class TestSuppression:
         line = "flag = np.random.normal() == 1.5"
         assert codes(line) == ["RL003", "RL002"]
         assert codes(f"{line}  # lint: allow(float-eq, unseeded-rng)") == []
+
+    def test_allow_a_ban(self):
+        line, path = "y = np.einsum('i,i', a, b)", "repro/nn/layers/x.py"
+        assert codes(line, path) == ["RL010"]
+        assert codes(f"{line}  # lint: allow(matmul-products)", path) == []
 
     def test_other_rule_not_suppressed(self):
         assert codes("flag = x == 1.5  # lint: allow(unseeded-rng)") == [
@@ -204,6 +273,16 @@ class TestDriver:
         rest = lint_paths([tmp_path], ignore=["RL003"])
         assert {f.code for f in rest} == {"RL002"}
 
+    def test_lint_paths_select_and_ignore_a_ban(self, tmp_path):
+        bad = tmp_path / "repro" / "api" / "mod.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("pool = ProcessPoolExecutor(2)\nx = v == 1.5\n")
+        assert {f.code for f in lint_paths([tmp_path])} == {"RL003", "RL006"}
+        only = lint_paths([tmp_path], select=["pool-start"])
+        assert {f.code for f in only} == {"RL006"}
+        rest = lint_paths([tmp_path], ignore=["pool-start"])
+        assert {f.code for f in rest} == {"RL003"}
+
     def test_findings_render_with_location(self, tmp_path):
         bad = tmp_path / "api" / "mod.py"
         bad.parent.mkdir()
@@ -215,7 +294,11 @@ class TestDriver:
         assert render_findings([]) == "clean: 0 findings"
 
     def test_rule_table_is_complete(self):
-        assert set(RULES) == {"RL002", "RL003", "RL004", "RL005"}
+        assert set(RULES) == {
+            "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008",
+            "RL009", "RL010", "RL011", "RL012", "RL013", "RL014", "RL015",
+        }
+        assert set(BAN_CASES) == {ban.rule for ban in BANS}
 
 
 class TestSelfClean:

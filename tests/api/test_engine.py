@@ -302,15 +302,22 @@ class TestMethodPaths:
         with pytest.raises(KeyError, match="no feature set"):
             engine.run_query(VerificationQuery(risk=risk, set_name="nope"))
 
-    def test_budget_reaches_solver(self, api_system):
-        model, images, cut, _ = api_system
-        engine = VerificationEngine(model, cut, lp_screen=False)
-        engine.add_feature_set_from_data(images)
-        risk = _reachable_risk(api_system, 0.5)
+    def test_budget_reaches_solver(self, api_system, open_data_set):
+        """phase-split consumes the relaxed encoding, so no relaxed-LP
+        stage runs first; the open set leaves the support stage no
+        witness, so the budgeted solve decides."""
+        model, _, cut, _ = api_system
+        engine = VerificationEngine(model, cut, solver="phase-split")
+        engine.add_raw_set(open_data_set, sound=False, name="data")
+        reach = output_range(engine.suffix, open_data_set)
+        risk = RiskCondition(
+            "q", (output_geq(2, 0, 0.5 * (reach.lower + reach.upper)),)
+        )
         result = engine.run_query(
             VerificationQuery(risk=risk, node_limit=1, domain=None)
         )
         assert result.verdict.verdict in (Verdict.UNKNOWN, Verdict.UNSAFE_IN_SET)
+        assert result.ladder == ("solve:phase-split",)
 
 
 class TestFailedScreenLP:

@@ -187,7 +187,8 @@ def unknown_solver():
             (),
             {"solve": staticmethod(lambda m: SolveResult(status=SolveStatus.UNKNOWN))},
         )(),
-        encoding="milp",
+        # a relaxed-encoding backend: no relaxed-LP stage runs before it
+        encoding="relaxed",
         supports_minimize=False,
         overwrite=True,
     )
@@ -202,7 +203,7 @@ class TestCegarFallback:
     ):
         engine = VerificationEngine(
             model, cut, solver="always-unknown",
-            lp_screen=False, refine_fallback=True, cegar_budget=4000,
+            refine_fallback=True, cegar_budget=4000,
         )
         # a zonotope-propagated set: its difference record excludes the
         # hull vertex the linear support picks, and the hull reaches past
@@ -216,6 +217,7 @@ class TestCegarFallback:
         result = engine.run_query(query)
         assert result.decided_by == "cegar-fallback"
         assert "cegar-fallback" in result.ladder
+        assert result.ladder == ("solve:always-unknown", "cegar-fallback")
         assert result.verdict.verdict.value == "safe"
         assert result.cegar is not None
 

@@ -155,17 +155,7 @@ class TestSplitting:
         assert left.volume == right.volume == pytest.approx(0.5)
         assert left.depth == right.depth == 1
 
-    def test_generator_heuristic_picks_an_influential_dim(self, model, reachable):
-        config = CegarConfig(split="generator", solve_depth=3)
-        result = refine_region(
-            model, _risk(reachable[1] + 0.3), 0.0, 1.0,
-            cut_layer=2, budget=2000, config=config,
-        )
-        assert result.proved
-
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError, match="split"):
-            CegarConfig(split="random")
         with pytest.raises(ValueError, match="domain"):
             CegarConfig(domain="polyhedra")
 
